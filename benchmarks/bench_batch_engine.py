@@ -38,13 +38,14 @@ import time
 def run_comparison(n: int = 64, baseline_n: int = 64, workers: int = 0, seed: int = 0x5EED):
     """Time ``baseline_n`` independent flows vs a warm batch of ``n``.
 
-    Returns a dict with per-op timings, the engine's
-    :class:`~repro.serve.stats.BatchStats`, and the ops/s speedup.
-    Results are cross-checked bit-for-bit against the pure math layer.
+    Returns a dict with per-op timings, the engine's private metrics
+    registry, and the ops/s speedup.  Results are cross-checked
+    bit-for-bit against the pure math layer.
     """
     from repro.curve.point import AffinePoint
     from repro.curve.scalarmult import scalar_mul_fourq
     from repro.flow import run_flow
+    from repro.obs import MetricsRegistry
     from repro.serve import BatchEngine
     from repro.trace import trace_scalar_mult
 
@@ -65,10 +66,12 @@ def run_comparison(n: int = 64, baseline_n: int = 64, workers: int = 0, seed: in
 
     # Engine: warm once (one full flow populates the artifact cache),
     # then stream the batch through the cached fast path.
-    engine = BatchEngine()
+    registry = MetricsRegistry()
+    engine = BatchEngine(metrics=registry)
     engine.warm()
+    t0 = time.perf_counter()
     result = engine.batch_scalarmult(scalars, workers=workers)
-    stats = result.stats
+    batch_per_op = (time.perf_counter() - t0) / n
 
     point = AffinePoint.generator()
     for k, p in zip(scalars, result.results):
@@ -81,8 +84,10 @@ def run_comparison(n: int = 64, baseline_n: int = 64, workers: int = 0, seed: in
         "baseline_n": len(base_scalars),
         "baseline_per_op_ms": baseline_per_op * 1e3,
         "baseline_ops_per_s": 1.0 / baseline_per_op,
-        "stats": stats,
-        "speedup": stats.ops_per_second * baseline_per_op,
+        "batch_per_op_ms": batch_per_op * 1e3,
+        "batch_ops_per_s": 1.0 / batch_per_op,
+        "registry": registry,
+        "speedup": baseline_per_op / batch_per_op,
     }
 
 
@@ -117,6 +122,8 @@ def run_pool_comparison(n: int = 32, workers: int = 2, rounds: int = 3,
 
 
 def main(argv=None) -> int:
+    from repro.obs import render_report
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small sizes, no 5x threshold (CI sanity run)")
@@ -157,11 +164,13 @@ def main(argv=None) -> int:
     print(f"engine  : warm-cache batch of {n}"
           + (f" across {args.workers} workers" if args.workers else " (serial)"))
     r = run_comparison(n=n, baseline_n=baseline_n, workers=args.workers)
-    s = r["stats"]
     print()
     print(f"baseline : {r['baseline_ops_per_s']:6.2f} ops/s "
           f"({r['baseline_per_op_ms']:.1f} ms/op)")
-    print(s.report())
+    print(f"engine   : {r['batch_ops_per_s']:6.2f} ops/s "
+          f"({r['batch_per_op_ms']:.1f} ms/op)")
+    print()
+    print(render_report(r["registry"].snapshot()))
     print()
     print(f"speedup (warm batch vs per-request flow): {r['speedup']:.1f}x")
 
@@ -177,30 +186,42 @@ def main(argv=None) -> int:
 
 def test_warm_batch_throughput(benchmark):
     """Warm-path per-op latency of the batch engine (8-scalar batch)."""
+    from repro.obs import MetricsRegistry, counter_value
     from repro.serve import BatchEngine
 
     rng = random.Random(0xBE)
-    engine = BatchEngine()
+    registry = MetricsRegistry()
+    engine = BatchEngine(metrics=registry)
     engine.warm()
     scalars = [rng.randrange(2**256) for _ in range(8)]
+    before = registry.snapshot()
 
     result = benchmark.pedantic(
         engine.batch_scalarmult, args=(scalars,), rounds=3, iterations=1
     )
-    stats = result.stats
-    print(f"\n  warm batch: {stats.ops_per_second:.1f} ops/s, "
-          f"p50 {stats.p50_latency * 1e3:.1f} ms, "
-          f"p99 {stats.p99_latency * 1e3:.1f} ms, "
-          f"hit rate {stats.cache_hit_rate:.0%}, "
-          f"{stats.cycles_per_op:.0f} cycles/op")
-    benchmark.extra_info["ops_per_second"] = round(stats.ops_per_second, 2)
-    benchmark.extra_info["cache_hit_rate"] = stats.cache_hit_rate
-    assert stats.cache_hit_rate == 1.0
-    assert stats.fallbacks == 0
+    after = registry.snapshot()
+
+    def delta(name, **labels):
+        return counter_value(after, name, **labels) - counter_value(
+            before, name, **labels
+        )
+
+    latency = registry.histogram("repro_serve_latency_seconds", kind="sm")
+    cycles_per_op = delta("repro_datapath_cycles_total") / delta(
+        "repro_datapath_runs_total"
+    )
+    print(f"\n  warm batch: p50 {latency.percentile(50) * 1e3:.1f} ms, "
+          f"p99 {latency.percentile(99) * 1e3:.1f} ms, "
+          f"{cycles_per_op:.0f} cycles/op")
+    benchmark.extra_info["cycles_per_op"] = cycles_per_op
+    assert delta("repro_cache_events_total", event="hit") == 3 * len(scalars)
+    assert delta("repro_cache_events_total", event="miss") == 0
+    assert delta("repro_flow_requests_total", path="fallback") == 0
     # A clean batch reports a clean isolation picture: no errors, no
     # chunk recoveries.
-    assert stats.errors == 0 and stats.errors_by_kind == {}
-    assert stats.requeues == 0 and stats.retries == 0
+    assert delta("repro_serve_errors_total") == 0
+    assert delta("repro_serve_chunk_requeues_total") == 0
+    assert delta("repro_serve_chunk_retries_total") == 0
     assert result.ok_count == len(scalars)
 
 

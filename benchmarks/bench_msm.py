@@ -65,7 +65,7 @@ def measure_msm_batch(engine, items):
     result = engine.batch_verify(items, mode="msm")
     wall = time.perf_counter() - t0
     assert all(v is True for v in result.results)
-    return wall / len(items), result
+    return wall / len(items)
 
 
 def forged_batch_outcomes(engine, items, forged_index):
@@ -132,11 +132,12 @@ def main(argv=None) -> int:
           + ")")
 
     print(f"\nMSM batch: one batch_verify(mode='msm') over {n} items...")
-    msm_s, result = measure_msm_batch(engine, items)
+    msm_s = measure_msm_batch(engine, items)
     speedup = per_item_s / msm_s
     print(f"  {msm_s * 1e3:7.1f} ms/item  ({1.0 / msm_s:6.2f} ops/s)")
     print(f"  speedup vs per-item        : {speedup:.2f}x  (gate: {gate:g}x)")
-    print(f"  simulated cycles/op (model): {result.stats.cycles_per_op:,.0f}"
+    cycles_per_op = engine.metrics.value("repro_msm_simulated_cycles_per_op")
+    print(f"  simulated cycles/op (model): {cycles_per_op:,.0f}"
           "  — window-kernel extrapolation")
 
     kernel = engine.msm_kernel_flow()
@@ -217,7 +218,7 @@ def test_msm_batch_beats_per_item():
     engine = BatchEngine()
     engine.warm()
     per_item_s = measure_per_item(engine, items[:3])
-    msm_s, _ = measure_msm_batch(engine, items)
+    msm_s = measure_msm_batch(engine, items)
     print(f"\n  per-item {per_item_s * 1e3:.0f} ms vs msm "
           f"{msm_s * 1e3:.0f} ms/item ({per_item_s / msm_s:.2f}x)")
     assert per_item_s / msm_s >= 1.5

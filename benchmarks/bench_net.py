@@ -69,17 +69,18 @@ def run_net(engine, scalars, *, n_clients, max_batch, max_wait_ms):
     wire: framing, JSON codec, the server's admission/dispatch machinery.
     """
     from repro.curve.point import AffinePoint
-    from repro.obs import MetricsRegistry
+    from repro.obs import MetricsRegistry, counter_value
     from repro.serve import Frontend, FrontendConfig, NetClient, NetServer
     from repro.serve.net.server import NetServerConfig
 
     generator = AffinePoint.generator()
+    server_metrics = MetricsRegistry()
 
     async def driver():
         fe = Frontend(engine, config=FrontendConfig(
             max_batch=max_batch, max_wait_ms=max_wait_ms, max_queue=4096,
         ), metrics=MetricsRegistry())
-        server = NetServer(frontend=fe, metrics=MetricsRegistry(),
+        server = NetServer(frontend=fe, metrics=server_metrics,
                            config=NetServerConfig(port=0))
         await server.start()
         try:
@@ -106,11 +107,13 @@ def run_net(engine, scalars, *, n_clients, max_batch, max_wait_ms):
             await server.aclose()
             await fe.aclose()
         done = sum(len(r) for r in per_client)
-        return done, wall, server.stats
+        return done, wall
 
-    done, wall, stats = asyncio.run(driver())
+    done, wall = asyncio.run(driver())
     assert done == len(scalars)
-    assert stats.requests.get("ok", 0) == len(scalars)
+    assert counter_value(
+        server_metrics.snapshot(), "repro_net_requests_total", outcome="ok"
+    ) == len(scalars)
     return len(scalars) / wall
 
 

@@ -118,10 +118,11 @@ def cmd_serve_bench(argv=()) -> int:
     keys injected (small-order and malformed encodings) and reports the
     isolation overhead per good operation.
 
-    ``--smoke`` shrinks the run for CI (N=6, one baseline flow);
-    ``--metrics-out PATH`` exports the process-wide metrics registry
-    after the run as schema-validated JSON plus a Prometheus text file
-    next to it.
+    Every flow and batch records into one registry owned by this
+    command; its report (:func:`repro.obs.render_report`) is printed
+    after the run.  ``--smoke`` shrinks the run for CI (N=6, one
+    baseline flow); ``--metrics-out PATH`` exports that registry as
+    schema-validated JSON plus a Prometheus text file next to it.
     """
     import argparse
     import random
@@ -153,9 +154,11 @@ def cmd_serve_bench(argv=()) -> int:
         return 2
 
     from .flow import run_flow
+    from .obs import MetricsRegistry, render_report
     from .serve import BatchEngine
     from .trace import trace_scalar_mult
 
+    registry = MetricsRegistry()
     rng = random.Random(0x5EED)
     scalars = [rng.randrange(2**256) for _ in range(args.n)]
 
@@ -163,19 +166,19 @@ def cmd_serve_bench(argv=()) -> int:
           f"(trace -> schedule -> microcode -> simulate, no reuse)...")
     t0 = time.perf_counter()
     for k in scalars[: args.baseline]:
-        run_flow(trace_scalar_mult(k=k))
+        run_flow(trace_scalar_mult(k=k), metrics=registry)
     per_op_cold = (time.perf_counter() - t0) / max(1, args.baseline)
     print(f"  {1.0 / per_op_cold:.2f} ops/s ({per_op_cold * 1e3:.0f} ms/op)")
 
     print(f"\nBatch engine: warm-up + {args.n} scalarmults"
           + (f" across {args.workers} workers" if args.workers else "") + "...")
-    engine = BatchEngine()
+    engine = BatchEngine(metrics=registry)
     engine.warm()
-    result = engine.batch_scalarmult(scalars, workers=args.workers)
-    print(result.stats.report())
-
-    speedup = result.stats.ops_per_second * per_op_cold
-    print(f"\nspeedup vs per-request flow: {speedup:.1f}x")
+    t0 = time.perf_counter()
+    engine.batch_scalarmult(scalars, workers=args.workers)
+    per_op_batch = (time.perf_counter() - t0) / max(1, args.n)
+    print(f"  {1.0 / per_op_batch:.2f} ops/s ({per_op_batch * 1e3:.1f} ms/op)")
+    print(f"\nspeedup vs per-request flow: {per_op_cold / per_op_batch:.1f}x")
 
     if args.poison:
         from .curve.encoding import encode_point
@@ -188,7 +191,9 @@ def cmd_serve_bench(argv=()) -> int:
             fourq_dh.generate_keypair(rng).public_bytes for _ in range(args.n)
         ]
         print(f"\nPoison benchmark: {args.n} DH requests, clean batch first...")
-        clean = engine.batch_dh(me.private, clean_pubs, workers=args.workers)
+        t0 = time.perf_counter()
+        engine.batch_dh(me.private, clean_pubs, workers=args.workers)
+        clean_per_op = (time.perf_counter() - t0) / args.n
 
         poisoned_pubs = list(clean_pubs)
         small_order = encode_point(AffinePoint.identity())
@@ -198,12 +203,10 @@ def cmd_serve_bench(argv=()) -> int:
             # (die in the decoder).
             poisoned_pubs[pos] = small_order if j % 2 == 0 else b"\xff" * 32
         print(f"Injecting {n_bad}/{args.n} invalid peer keys...")
+        t0 = time.perf_counter()
         poisoned = engine.batch_dh(me.private, poisoned_pubs, workers=args.workers)
-        print(poisoned.stats.report())
-
         ok = poisoned.ok_count
-        clean_per_op = clean.stats.wall_seconds / max(1, len(clean))
-        poisoned_per_ok = poisoned.stats.wall_seconds / max(1, ok)
+        poisoned_per_ok = (time.perf_counter() - t0) / max(1, ok)
         overhead = poisoned_per_ok / clean_per_op - 1.0
         print(f"good results       : {ok}/{args.n}")
         print(f"isolation overhead : {overhead:+.1%} per good op vs clean batch")
@@ -213,18 +216,23 @@ def cmd_serve_bench(argv=()) -> int:
             return 1
         print("PASS: every injected fault isolated, every good result returned")
 
-    if args.metrics_out:
-        from .obs import ExportSchemaError, get_registry, write_exports
+    print()
+    print(render_report(registry.snapshot()))
+    return _write_metrics(registry, args.metrics_out)
 
-        try:
-            json_path, prom_path = write_exports(
-                get_registry().snapshot(), args.metrics_out
-            )
-        except ExportSchemaError as exc:
-            print(f"FAIL: metrics export is schema-invalid: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"\nmetrics written    : {json_path} (+ {prom_path})")
+
+def _write_metrics(registry, path) -> int:
+    """``--metrics-out``: export ``registry`` (JSON + Prometheus text)."""
+    if not path:
+        return 0
+    from .obs import ExportSchemaError, write_exports
+
+    try:
+        json_path, prom_path = write_exports(registry.snapshot(), path)
+    except ExportSchemaError as exc:
+        print(f"FAIL: metrics export is schema-invalid: {exc}", file=sys.stderr)
+        return 1
+    print(f"metrics written  : {json_path} (+ {prom_path})")
     return 0
 
 
@@ -255,8 +263,10 @@ def cmd_serve(argv=()) -> int:
     zero as long as every request resolves exactly once with ``Ok`` or
     a typed ``Failed``.
 
-    ``--smoke`` shrinks the run for CI (N=8); ``--metrics-out PATH``
-    exports the process-wide registry (JSON + Prometheus) afterwards.
+    The engine and the front door record into one registry owned by
+    this command; its report is printed after the run.  ``--smoke``
+    shrinks the run for CI (N=8); ``--metrics-out PATH`` exports that
+    registry (JSON + Prometheus) afterwards.
     A sample of results is re-checked against the math layer; any
     mismatch exits non-zero.
     """
@@ -327,6 +337,7 @@ def cmd_serve(argv=()) -> int:
     from .curve.point import AffinePoint
     from .curve.scalarmult import scalar_mul_fourq
     from .dsa import fourq_dh
+    from .obs import MetricsRegistry, render_report
     from .serve import (
         BatchEngine,
         Failed,
@@ -382,7 +393,8 @@ def cmd_serve(argv=()) -> int:
         # demo time; seeded retry jitter keeps the run reproducible.
         engine_kwargs["chunk_timeout"] = 1.0
         engine_kwargs["retry_rng"] = random.Random(args.seed ^ 0xC4A05)
-    engine = BatchEngine(**engine_kwargs)
+    registry = MetricsRegistry()
+    engine = BatchEngine(metrics=registry, **engine_kwargs)
     engine.warm()
 
     arrival = ("saturation (no pacing)" if args.rate <= 0
@@ -398,6 +410,7 @@ def cmd_serve(argv=()) -> int:
     async def driver():
         fe = Frontend(
             engine,
+            metrics=registry,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             max_queue=args.queue,
@@ -424,13 +437,13 @@ def cmd_serve(argv=()) -> int:
         )
         wall = time.perf_counter() - t0
         await fe.aclose()
-        return fe, outcomes, wall
+        return outcomes, wall
 
-    frontend, outcomes, wall = asyncio.run(driver())
+    outcomes, wall = asyncio.run(driver())
 
     print()
-    print(frontend.stats.report())
-    completed = frontend.stats.completed
+    print(render_report(registry.snapshot()))
+    completed = sum(1 for o in outcomes if not isinstance(o, Failed))
     print(f"wall time        : {wall * 1e3:.1f} ms")
     print(f"streamed ops/s   : {completed / wall:.2f}")
 
@@ -487,30 +500,8 @@ def cmd_serve(argv=()) -> int:
           + (f"; {deadline_hits} hit their deadline" if deadline_hits else "")
           + ")")
 
-    if args.chaos or args.workers:
-        sup = engine.supervisor
-        if sup is not None:
-            d = sup.describe()
-            print(f"pool             : {d['state']} ({d['workers']} workers, "
-                  f"{d['restarts']} restarts)")
-        b = engine.breaker.describe()
-        print(f"breaker          : {b['state']} "
-              f"({b['consecutive_failures']} consecutive failures)")
     engine.close()
-
-    if args.metrics_out:
-        from .obs import ExportSchemaError, get_registry, write_exports
-
-        try:
-            json_path, prom_path = write_exports(
-                get_registry().snapshot(), args.metrics_out
-            )
-        except ExportSchemaError as exc:
-            print(f"FAIL: metrics export is schema-invalid: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"metrics written  : {json_path} (+ {prom_path})")
-    return 0
+    return _write_metrics(registry, args.metrics_out)
 
 
 def cmd_serve_net(argv=()) -> int:
@@ -594,41 +585,34 @@ def cmd_serve_net(argv=()) -> int:
         return 2
     if args.smoke:
         return _serve_net_smoke(args)
+    from .obs import MetricsRegistry
+
+    registry = MetricsRegistry()
     if args.connect is not None:
         if args.n is None:
             args.n = 32
         rc = _serve_net_client(args)
     else:
-        rc = _serve_net_server(args)
-    if rc == 0 and args.metrics_out:
-        from .obs import ExportSchemaError, get_registry, write_exports
-
-        try:
-            json_path, prom_path = write_exports(
-                get_registry().snapshot(), args.metrics_out
-            )
-        except ExportSchemaError as exc:
-            print(f"FAIL: metrics export is schema-invalid: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"metrics written  : {json_path} (+ {prom_path})")
-    return rc
+        rc = _serve_net_server(args, registry)
+    return rc or _write_metrics(registry, args.metrics_out)
 
 
-def _serve_net_server(args) -> int:
+def _serve_net_server(args, registry) -> int:
     """``serve-net`` server mode (blocking until drain completes)."""
     import asyncio
     import os
 
+    from .obs import render_report
     from .serve import BatchEngine, FrontendConfig
     from .serve.net import NetServer, NetServerConfig
 
     print("Warming the engine (one-time curve artifacts + first flow)...",
           flush=True)
-    engine = BatchEngine()
+    engine = BatchEngine(metrics=registry)
     engine.warm()
     server = NetServer(
         engine=engine,
+        metrics=registry,
         frontend_config=FrontendConfig(
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
@@ -671,7 +655,7 @@ def _serve_net_server(args) -> int:
     finally:
         engine.close()
     print()
-    print(server.stats.report())
+    print(render_report(registry.snapshot()))
     print("drained cleanly")
     return 0
 
@@ -873,12 +857,7 @@ def cmd_metrics(argv=()) -> int:
                         help="validate the schema only; exit 1 on errors")
     args = parser.parse_args(list(argv))
 
-    from .obs import (
-        MetricsRegistry,
-        render_report,
-        set_registry,
-        validate_export,
-    )
+    from .obs import MetricsRegistry, render_report, validate_export
 
     if args.path is not None:
         try:
@@ -904,13 +883,9 @@ def cmd_metrics(argv=()) -> int:
     from .serve import BatchEngine
 
     registry = MetricsRegistry()
-    previous = set_registry(registry)
-    try:
-        engine = BatchEngine(metrics=registry)
-        engine.warm()
-        engine.batch_scalarmult([3, 5, 7, 9])
-    finally:
-        set_registry(previous)
+    engine = BatchEngine(metrics=registry)
+    engine.warm()
+    engine.batch_scalarmult([3, 5, 7, 9])
     print(render_report(registry.snapshot()))
     return 0
 

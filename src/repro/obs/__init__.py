@@ -12,9 +12,12 @@ bounded histograms that
   occupancy counters (multiplier/add-sub busy cycles, forwarding uses,
   register-file port pressure) — a pipeline-utilization figure directly
   comparable to the paper's Table I schedule density,
-* the serving engine threads through batches, with worker processes
-  serializing their partial registries home to be merged like
-  ``BatchStats`` partials.
+* the serving engine, front door and TCP server thread through
+  requests, with worker processes serializing their partial registries
+  home to be merged.
+
+The registry is the only metrics store, and every ``repro_*`` series is
+declared once, in :mod:`repro.obs.series`.
 
 Exports: JSON (schema ``repro.obs/v1``) and Prometheus text via
 ``repro serve-bench --metrics-out PATH`` or
@@ -47,6 +50,7 @@ from .metrics import (
     percentile,
     set_registry,
 )
+from .series import SERIES, Series, declared
 
 __all__ = [
     "Counter",
@@ -59,7 +63,10 @@ __all__ = [
     "NullRegistry",
     "Reservoir",
     "SCHEMA",
+    "SERIES",
+    "Series",
     "counter_value",
+    "declared",
     "ensure_valid",
     "export_registry",
     "get_registry",

@@ -19,9 +19,11 @@ histogram reservoir's retained set (bounded, see
 :data:`~repro.obs.metrics.DEFAULT_RESERVOIR_CAP`), carried so merges
 downstream can keep estimating quantiles.
 
-:func:`validate_export` checks a document against the schema and
-returns a list of problems (empty = valid); :func:`write_exports`
-validates and writes both the JSON and the Prometheus text file.
+:func:`validate_export` checks a document against the schema — and
+every ``repro_*`` name against the declaration table of
+:mod:`repro.obs.series` — and returns a list of problems (empty =
+valid); :func:`write_exports` validates and writes both the JSON and
+the Prometheus text file.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 from typing import Dict, List, Tuple
 
 from .metrics import SCHEMA, MetricsRegistry
+from .series import SECTIONS, declared
 
 
 class ExportSchemaError(ValueError):
@@ -72,6 +75,18 @@ def validate_export(doc) -> List[str]:
     if errors:
         return errors
 
+    for section in ("counters", "gauges", "histograms"):
+        for entry in doc[section]:
+            name = entry.get("name") if isinstance(entry, dict) else None
+            if not isinstance(name, str) or not name.startswith("repro_"):
+                continue
+            spec = declared(name)
+            if spec is None:
+                errors.append(f"{section}: {name} is not a declared series")
+            elif spec.kind + "s" != section:
+                errors.append(
+                    f"{section}: {name} is declared as a {spec.kind}"
+                )
     for i, entry in enumerate(doc["counters"]):
         if not _check_entry(entry, "counters", i, errors):
             continue
@@ -154,13 +169,20 @@ def _prom_num(v) -> str:
 
 
 def to_prometheus(doc: dict) -> str:
-    """Render a snapshot in the Prometheus text exposition format."""
+    """Render a snapshot in the Prometheus text exposition format.
+
+    Declared series (:mod:`repro.obs.series`) carry their ``# HELP``
+    line ahead of ``# TYPE``.
+    """
     lines: List[str] = []
     typed: set = set()
 
     def declare(name: str, kind: str) -> None:
         if name not in typed:
             typed.add(name)
+            spec = declared(name)
+            if spec is not None:
+                lines.append(f"# HELP {name} {spec.help}")
             lines.append(f"# TYPE {name} {kind}")
 
     for entry in doc["counters"]:
@@ -228,277 +250,74 @@ def counter_value(doc: dict, name: str, **labels: str) -> float:
     return sum(e["value"] for e in _find(doc, "counters", name, **labels))
 
 
-def render_report(doc: dict) -> str:
-    """Human-readable report of a snapshot, with derived pipeline figures.
+def _row(section: str, entry: dict) -> str:
+    """One report line: the series as Prometheus names it, then its value."""
+    head = f"  {entry['name']}{_prom_labels(entry['labels'])}"
+    if section != "histograms":
+        return f"{head} {_prom_num(entry['value'])}"
+    scale, unit = (1e3, " ms") if entry["name"].endswith("_seconds") else (1, "")
+    mean = entry["sum"] / entry["count"] if entry["count"] else 0.0
+    return (
+        f"{head} n={entry['count']}"
+        + "".join(
+            f" {label} {value * scale:.1f}{unit}"
+            for label, value in (("mean", mean), ("p50", entry["p50"]),
+                                 ("p99", entry["p99"]))
+        )
+    )
 
-    Beyond the raw series, derives the numbers the paper reports:
-    per-unit utilization and the schedule-density figure comparable to
-    Table I (issue slots filled / slots available across both units).
-    """
+
+def _paper_figures(doc: dict) -> List[str]:
+    """The derived figures: cycles per datapath run, per-unit
+    utilization, schedule density (cf. paper Table I) and the
+    flow-artifact cache hit rate."""
     lines: List[str] = []
-
     cycles = counter_value(doc, "repro_datapath_cycles_total")
     if cycles:
-        mult = counter_value(doc, "repro_datapath_unit_issues_total", unit="mult")
-        addsub = counter_value(doc, "repro_datapath_unit_issues_total", unit="addsub")
-        mult_busy = counter_value(
-            doc, "repro_datapath_unit_busy_cycles_total", unit="mult"
-        )
-        addsub_busy = counter_value(
-            doc, "repro_datapath_unit_busy_cycles_total", unit="addsub"
-        )
-        fwd = counter_value(doc, "repro_datapath_forward_uses_total")
-        reads = counter_value(doc, "repro_datapath_regfile_reads_total")
-        writes = counter_value(doc, "repro_datapath_regfile_writes_total")
-        lines.append("pipeline utilization (datapath)")
-        lines.append(f"  simulated cycles      : {int(cycles)}")
+        runs = counter_value(doc, "repro_datapath_runs_total")
+        issues = {
+            unit: counter_value(doc, "repro_datapath_unit_issues_total", unit=unit)
+            for unit in ("mult", "addsub")
+        }
+        if runs:
+            lines.append(f"  cycles per run        : {cycles / runs:.1f}")
+        for unit, n in issues.items():
+            busy = counter_value(
+                doc, "repro_datapath_unit_busy_cycles_total", unit=unit
+            )
+            lines.append(
+                f"  {unit + ' issue/busy':<22}: {n / cycles:6.1%} / {busy / cycles:6.1%}"
+            )
         lines.append(
-            f"  mult issue/busy       : {mult / cycles:6.1%} / {mult_busy / cycles:6.1%}"
-        )
-        lines.append(
-            f"  addsub issue/busy     : {addsub / cycles:6.1%} / {addsub_busy / cycles:6.1%}"
-        )
-        lines.append(
-            f"  schedule density      : {(mult + addsub) / (2 * cycles):6.1%}"
+            f"  schedule density      : {sum(issues.values()) / (2 * cycles):6.1%}"
             "  (issue slots filled, cf. paper Table I)"
         )
-        lines.append(
-            f"  regfile reads/writes  : {reads / cycles:.2f} / {writes / cycles:.2f} per cycle"
-        )
-        lines.append(f"  forwarding uses       : {int(fwd)}")
-        lines.append("")
+    hits = counter_value(doc, "repro_cache_events_total", event="hit")
+    misses = counter_value(doc, "repro_cache_events_total", event="miss")
+    if hits + misses:
+        lines.append(f"  cache hit rate        : {hits / (hits + misses):6.1%}")
+    return ["paper figures"] + lines + [""] if lines else []
 
-    stage_rows = [
-        e for e in doc["histograms"] if e["name"] == "repro_flow_stage_seconds"
-    ]
-    if stage_rows:
-        lines.append("flow stage wall time")
-        for entry in stage_rows:
-            stage = entry["labels"].get("stage", "?")
-            mean = entry["sum"] / entry["count"] if entry["count"] else 0.0
-            lines.append(
-                f"  {stage:<10}: n={entry['count']:<6} mean {mean * 1e3:8.2f} ms"
-                f"  p50 {entry['p50'] * 1e3:8.2f} ms  p99 {entry['p99'] * 1e3:8.2f} ms"
-            )
-        lines.append("")
 
-    opt_runs = [e for e in doc["counters"] if e["name"] == "repro_opt_runs_total"]
-    if opt_runs:
-        lines.append("trace optimizer")
-        for entry in opt_runs:
-            level = entry["labels"].get("level", "?")
-            lines.append(f"  runs ({level}): {int(entry['value'])}")
-        removed = [
-            e for e in doc["counters"] if e["name"] == "repro_opt_ops_removed_total"
-        ]
-        for entry in removed:
-            pass_name = entry["labels"].get("pass", "?")
-            lines.append(f"  ops removed ({pass_name}): {int(entry['value'])}")
-        segments = [
-            e for e in doc["counters"] if e["name"] == "repro_opt_segments_total"
-        ]
-        for entry in segments:
-            outcome = entry["labels"].get("outcome", "?")
-            lines.append(f"  segments ({outcome}): {int(entry['value'])}")
-        lines.append("")
+def render_report(doc: dict) -> str:
+    """Human-readable report of a snapshot.
 
-    cache_events = [
-        e for e in doc["counters"] if e["name"] == "repro_cache_events_total"
-    ]
-    if cache_events:
-        by_event = {e["labels"].get("event", "?"): e["value"] for e in cache_events}
-        hits = by_event.get("hit", 0)
-        misses = by_event.get("miss", 0)
-        total = hits + misses
-        lines.append("flow-artifact cache")
-        for event in sorted(by_event):
-            lines.append(f"  {event:<10}: {int(by_event[event])}")
-        if total:
-            lines.append(f"  hit rate  : {hits / total:.1%}")
-        lines.append("")
-
-    admissions = [
-        e for e in doc["counters"] if e["name"] == "repro_frontend_admissions_total"
-    ]
-    if admissions:
-        lines.append("frontend (continuous batching)")
-        for entry in admissions:
-            kind = entry["labels"].get("kind", "?")
-            outcome = entry["labels"].get("outcome", "?")
-            lines.append(f"  {kind:<8} {outcome:<8}: {int(entry['value'])}")
-        for entry in _find(doc, "counters", "repro_frontend_flushes_total"):
-            kind = entry["labels"].get("kind", "?")
-            reason = entry["labels"].get("reason", "?")
-            lines.append(f"  flush[{kind}/{reason}]: {int(entry['value'])}")
-        for entry in _find(doc, "histograms", "repro_frontend_batch_size"):
-            kind = entry["labels"].get("kind", "?")
-            mean = entry["sum"] / entry["count"] if entry["count"] else 0.0
-            lines.append(
-                f"  batch size[{kind}]  : mean {mean:.1f}  p50 {entry['p50']:.0f}"
-                f"  p99 {entry['p99']:.0f}"
-            )
-        for entry in _find(doc, "histograms", "repro_frontend_e2e_latency_seconds"):
-            kind = entry["labels"].get("kind", "?")
-            lines.append(
-                f"  e2e latency[{kind}] : p50 {entry['p50'] * 1e3:.1f} ms"
-                f"  p99 {entry['p99'] * 1e3:.1f} ms"
-            )
-        lines.append("")
-
-    net_conns = [
-        e for e in doc["counters"] if e["name"] == "repro_net_connections_total"
-    ]
-    net_requests = [
-        e for e in doc["counters"] if e["name"] == "repro_net_requests_total"
-    ]
-    if net_conns or net_requests:
-        lines.append("network front door (TCP)")
-        by_event = {e["labels"].get("event", "?"): e["value"] for e in net_conns}
-        conn_bits = "  ".join(
-            f"{event}={int(by_event[event])}" for event in sorted(by_event)
-        )
-        open_rows = list(_find(doc, "gauges", "repro_net_connections_open"))
-        if open_rows:
-            conn_bits += f"  open={int(open_rows[0]['value'])}"
-        lines.append(f"  connections : {conn_bits}")
-        for entry in net_requests:
-            kind = entry["labels"].get("kind", "?")
-            outcome = entry["labels"].get("outcome", "?")
-            lines.append(f"  {kind:<8} {outcome:<10}: {int(entry['value'])}")
-        frames_in = counter_value(doc, "repro_net_frames_total", direction="in")
-        frames_out = counter_value(doc, "repro_net_frames_total", direction="out")
-        bytes_in = counter_value(doc, "repro_net_bytes_total", direction="in")
-        bytes_out = counter_value(doc, "repro_net_bytes_total", direction="out")
-        if frames_in or frames_out:
-            lines.append(
-                f"  frames in/out : {int(frames_in)} / {int(frames_out)}"
-                f"  ({int(bytes_in)} / {int(bytes_out)} bytes)"
-            )
-        grants = counter_value(doc, "repro_net_rr_grants_total")
-        if grants:
-            lines.append(f"  rr grants   : {int(grants)}")
-        for entry in _find(doc, "counters", "repro_net_shed_total"):
-            reason = entry["labels"].get("reason", "?")
-            lines.append(f"  shed[{reason}]: {int(entry['value'])}")
-        for entry in _find(doc, "counters", "repro_net_protocol_errors_total"):
-            kind = entry["labels"].get("kind", "?")
-            lines.append(f"  protocol error[{kind}]: {int(entry['value'])}")
-        for entry in _find(doc, "histograms", "repro_net_request_latency_seconds"):
-            lines.append(
-                f"  request latency : p50 {entry['p50'] * 1e3:.1f} ms"
-                f"  p99 {entry['p99'] * 1e3:.1f} ms"
-            )
-        lines.append("")
-
-    items = [e for e in doc["counters"] if e["name"] == "repro_serve_items_total"]
-    if items:
-        lines.append("serving items")
-        for entry in items:
-            kind = entry["labels"].get("kind", "?")
-            outcome = entry["labels"].get("outcome", "?")
-            lines.append(f"  {kind:<8} {outcome:<6}: {int(entry['value'])}")
-        errors = [
-            e for e in doc["counters"] if e["name"] == "repro_serve_errors_total"
-        ]
-        for entry in errors:
-            lines.append(
-                f"  error[{entry['labels'].get('kind', '?')}]: {int(entry['value'])}"
-            )
-        lines.append("")
-
-    msm_batches = [
-        e for e in doc["counters"] if e["name"] == "repro_msm_batches_total"
-    ]
-    msm_items = [
-        e for e in doc["counters"] if e["name"] == "repro_msm_items_total"
-    ]
-    if msm_batches or msm_items:
-        lines.append("batch verification (randomized MSM)")
-        for entry in msm_batches:
-            outcome = entry["labels"].get("outcome", "?")
-            lines.append(f"  batches[{outcome}]: {int(entry['value'])}")
-        for entry in msm_items:
-            verdict = entry["labels"].get("verdict", "?")
-            lines.append(f"  items[{verdict}] : {int(entry['value'])}")
-        fallbacks = counter_value(doc, "repro_msm_fallback_verifies_total")
-        if fallbacks:
-            lines.append(f"  fallback per-item verifies: {int(fallbacks)}")
-        for entry in _find(doc, "histograms", "repro_msm_batch_size"):
-            mean = entry["sum"] / entry["count"] if entry["count"] else 0.0
-            lines.append(
-                f"  batch size : mean {mean:.1f}  p50 {entry['p50']:.0f}"
-                f"  p99 {entry['p99']:.0f}"
-            )
-        for entry in _find(doc, "gauges", "repro_msm_simulated_cycles_per_op"):
-            lines.append(
-                f"  simulated cycles/op : {entry['value']:.0f}"
-                "  (window-kernel extrapolation)"
-            )
-        lines.append("")
-
-    _POOL_STATES = {0: "stopped", 1: "running", 2: "broken"}
-    _BREAKER_STATES = {0: "closed", 1: "half_open", 2: "open"}
-    pool_gauges = list(_find(doc, "gauges", "repro_pool_state"))
-    breaker_gauges = list(_find(doc, "gauges", "repro_breaker_state"))
-    retry_attempts = counter_value(doc, "repro_retry_attempts_total")
-    deadline_expired = counter_value(doc, "repro_deadline_expired_total")
-    if pool_gauges or breaker_gauges or retry_attempts or deadline_expired:
-        lines.append("resilience (pool / breaker / retries / deadlines)")
-        for entry in pool_gauges:
-            state = _POOL_STATES.get(int(entry["value"]), str(entry["value"]))
-            workers_rows = list(_find(doc, "gauges", "repro_pool_workers"))
-            workers = workers_rows[0]["value"] if workers_rows else 0
-            lines.append(f"  pool state  : {state} ({int(workers)} workers)")
-        restarts = [
-            e for e in doc["counters"] if e["name"] == "repro_pool_restarts_total"
-        ]
-        for entry in restarts:
-            reason = entry["labels"].get("reason", "?")
-            lines.append(f"  pool restart[{reason}]: {int(entry['value'])}")
-        denied = counter_value(doc, "repro_pool_restart_denied_total")
-        if denied:
-            lines.append(f"  pool restarts denied  : {int(denied)}")
-        for entry in _find(doc, "counters", "repro_pool_health_probes_total"):
-            outcome = entry["labels"].get("outcome", "?")
-            lines.append(f"  health probe[{outcome}]: {int(entry['value'])}")
-        for entry in breaker_gauges:
-            state = _BREAKER_STATES.get(int(entry["value"]), str(entry["value"]))
-            lines.append(f"  breaker state : {state}")
-        trips = counter_value(doc, "repro_breaker_trips_total")
-        shorts = counter_value(doc, "repro_breaker_short_circuits_total")
-        if trips or shorts:
-            lines.append(
-                f"  breaker trips : {int(trips)}"
-                f"  (short-circuited batches: {int(shorts)})"
-            )
-        if retry_attempts:
-            exhausted = counter_value(doc, "repro_retry_exhausted_total")
-            lines.append(
-                f"  retry attempts: {int(retry_attempts)}"
-                f"  (exhausted: {int(exhausted)})"
-            )
-            backoff = list(
-                _find(doc, "histograms", "repro_retry_backoff_seconds")
-            )
-            if backoff and backoff[0]["count"]:
-                entry = backoff[0]
-                lines.append(
-                    f"  retry backoff : n={entry['count']}"
-                    f"  p50 {entry['p50'] * 1e3:.1f} ms"
-                    f"  p99 {entry['p99'] * 1e3:.1f} ms"
-                )
-        if deadline_expired:
-            by_stage = {
-                e["labels"].get("stage", "?"): e["value"]
-                for e in doc["counters"]
-                if e["name"] == "repro_deadline_expired_total"
-            }
-            stages = ", ".join(
-                f"{stage}={int(v)}" for stage, v in sorted(by_stage.items())
-            )
-            lines.append(f"  deadlines hit : {int(deadline_expired)} ({stages})")
-        lines.append("")
-
+    One derived block (:func:`_paper_figures`) followed by every series
+    in the document, grouped by the report section the declaration
+    table (:mod:`repro.obs.series`) assigns it; series the table does
+    not declare are listed last.
+    """
+    rows: Dict[str, List[str]] = {key: [] for key in SECTIONS}
+    rows["other"] = []
+    for section in ("counters", "gauges", "histograms"):
+        for entry in doc[section]:
+            spec = declared(entry["name"])
+            rows[spec.section if spec else "other"].append(_row(section, entry))
+    lines = _paper_figures(doc)
+    titles = dict(SECTIONS, other="other series")
+    for key, section_rows in rows.items():
+        if section_rows:
+            lines += [titles[key]] + sorted(section_rows) + [""]
     lines.append(
         f"series: {len(doc['counters'])} counters, {len(doc['gauges'])} gauges, "
         f"{len(doc['histograms'])} histograms"

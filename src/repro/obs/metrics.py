@@ -13,7 +13,7 @@ the whole pipeline records into:
 * :class:`MetricsRegistry` — a thread-safe, picklable-snapshot store of
   named+labeled metric series, with :meth:`~MetricsRegistry.snapshot` /
   :meth:`~MetricsRegistry.merge_snapshot` so worker processes serialize
-  their partial registries home exactly like ``BatchStats`` partials.
+  their partial registries home.
 
 Every data structure is bounded: a histogram carries at most
 ``len(bounds) + 1`` bucket counts and :data:`DEFAULT_RESERVOIR_CAP`
@@ -33,7 +33,7 @@ import random
 import threading
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 #: Identifier of the JSON export layout (see :mod:`repro.obs.export`).
 SCHEMA = "repro.obs/v1"
@@ -76,9 +76,7 @@ class Reservoir:
     estimated over the retained samples.  The RNG is seeded per
     instance, so a given stream retains a reproducible sample set.
 
-    Supports the list surface the pre-bounded ``BatchStats`` exposed
-    (``append`` / ``extend`` / ``len`` / iteration), so existing callers
-    keep working while memory stays O(cap).
+    ``len`` and iteration cover the retained samples.
     """
 
     __slots__ = ("cap", "count", "total", "samples", "_rng")
@@ -102,15 +100,6 @@ class Reservoir:
             j = self._rng.randrange(self.count)
             if j < self.cap:
                 self.samples[j] = value
-
-    observe = append
-
-    def extend(self, values: Union["Reservoir", Iterable[float]]) -> None:
-        if isinstance(values, Reservoir):
-            self.merge(values)
-        else:
-            for value in values:
-                self.append(value)
 
     def merge(self, other: "Reservoir") -> None:
         """Fold another reservoir in (worker partials coming home).
@@ -152,22 +141,6 @@ class Reservoir:
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.samples)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Reservoir):
-            return NotImplemented
-        return (
-            self.cap == other.cap
-            and self.count == other.count
-            and self.total == other.total
-            and self.samples == other.samples
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Reservoir(cap={self.cap}, count={self.count}, "
-            f"retained={len(self.samples)})"
-        )
 
 
 LabelDict = Dict[str, str]
@@ -343,11 +316,6 @@ class MetricsRegistry:
         finally:
             hist.observe(perf_counter() - t0)
 
-    # -- enumeration ----------------------------------------------------
-    def metrics(self) -> List[Metric]:
-        with self._lock:
-            return [self._metrics[k] for k in sorted(self._metrics)]
-
     def value(self, name: str, **labels: str) -> float:
         """Current value of a counter/gauge series (0.0 if absent)."""
         with self._lock:
@@ -481,9 +449,6 @@ class NullRegistry(MetricsRegistry):
     @contextmanager
     def time(self, name: str, **labels: str):
         yield
-
-    def metrics(self) -> List[Metric]:
-        return []
 
     def snapshot(self) -> dict:
         return {"schema": SCHEMA, "counters": [], "gauges": [], "histograms": []}

@@ -16,14 +16,11 @@ requests the way the paper's chip amortizes its silicon:
 * :class:`~repro.serve.faults.Ok` / :class:`~repro.serve.faults.Failed`
   — typed per-item outcomes: one poisoned request costs one error slot,
   never the batch (``strict=True`` restores raise-on-first-error);
-* :class:`~repro.serve.stats.BatchStats` — ops/s, p50/p99 latency,
-  cache hit rate, simulated cycles per op, ``errors_by_kind``,
-  requeue/retry counters;
 * :class:`~repro.serve.frontend.Frontend` — the asyncio front door:
   streamed ``await submit(kind, payload, deadline=...)`` requests
   coalesced into engine batches (flush on size-or-deadline), bounded
   queues with block/reject/shed admission control, end-to-end request
-  deadlines, graceful drain, and :mod:`repro.obs` instrumentation;
+  deadlines, graceful drain;
 * :mod:`~repro.serve.net` — the network front door:
   :class:`~repro.serve.net.server.NetServer` exposes the Frontend over
   a length-prefixed framed TCP protocol with round-robin
@@ -40,8 +37,12 @@ requests the way the paper's chip amortizes its silicon:
   :class:`~repro.serve.resilience.CircuitBreaker` that degrades the
   engine to serial in-process execution when the pool keeps failing.
 
-See ``docs/serving.md`` for the cache-keying, verification,
-fault-tolerance, and error contract stories.
+Every layer records into one :class:`~repro.obs.MetricsRegistry`
+(``metrics=`` on each constructor; the process-wide registry by
+default) — ops, latency quantiles, cache hit rate, simulated cycles,
+error kinds, recovery counters.  See ``docs/serving.md`` for the
+cache-keying, verification, fault-tolerance, and error contract
+stories.
 """
 
 from .cache import FlowArtifactCache, FlowArtifacts, trace_shape_key
@@ -63,14 +64,8 @@ from .faults import (
     Overloaded,
     classify_exception,
 )
-from .frontend import Frontend, FrontendClosed, FrontendConfig, FrontendStats
-from .net import (
-    NetClient,
-    NetClientClosed,
-    NetServer,
-    NetServerConfig,
-    NetServerStats,
-)
+from .frontend import Frontend, FrontendClosed, FrontendConfig
+from .net import NetClient, NetClientClosed, NetServer, NetServerConfig
 from .resilience import (
     CircuitBreaker,
     Deadline,
@@ -78,13 +73,11 @@ from .resilience import (
     RetryPolicy,
     TokenBucket,
 )
-from .stats import BatchStats, percentile
 
 __all__ = [
     "BatchEngine",
     "BatchItemError",
     "BatchResult",
-    "BatchStats",
     "CircuitBreaker",
     "CircuitOpen",
     "Deadline",
@@ -95,12 +88,10 @@ __all__ = [
     "Frontend",
     "FrontendClosed",
     "FrontendConfig",
-    "FrontendStats",
     "NetClient",
     "NetClientClosed",
     "NetServer",
     "NetServerConfig",
-    "NetServerStats",
     "Ok",
     "Overloaded",
     "PoolSupervisor",
@@ -112,6 +103,5 @@ __all__ = [
     "batch_verify",
     "classify_exception",
     "default_engine",
-    "percentile",
     "trace_shape_key",
 ]

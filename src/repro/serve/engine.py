@@ -16,7 +16,10 @@ software.  A :class:`BatchEngine` owns
 and exposes batch entry points — :meth:`batch_scalarmult`,
 :meth:`batch_dh`, :meth:`batch_verify` — with optional
 ``multiprocessing`` fan-out (balanced chunks, order-preserving, with a
-serial fallback) and per-batch :class:`~repro.serve.stats.BatchStats`.
+serial fallback).  Everything the engine observes — per-item outcomes
+and latencies, cache events, simulated cycles, chunk recovery — is
+recorded into its :class:`~repro.obs.MetricsRegistry` (``metrics=``);
+a caller that wants per-batch figures passes a registry of its own.
 
 Fault isolation is a first-class layer: a rejected request (small-order
 peer key, malformed encoding, bad signature material) costs exactly one
@@ -43,7 +46,11 @@ resolve as typed ``Failed(KIND_DEADLINE)`` instead of running late.
 Every simulated result is still verified bit-for-bit: the golden check
 proves each writeback against the freshly traced reference, and the
 engine re-derives the final point from the simulator's output
-registers.  Batching changes cost, never results.
+registers.  Batching changes cost, never results.  The ``sm`` kind only
+accepts base points of the order-N subgroup (:func:`_require_subgroup`):
+the endomorphism decomposition the trace and the simulator share is
+valid there alone, so a point with a torsion component would come back
+as an agreed-upon wrong answer the golden check cannot catch.
 """
 
 from __future__ import annotations
@@ -62,11 +69,12 @@ from ..curve.endomaps import CompiledEndo, compile_endomorphisms
 from ..curve.endomorphisms import default_decomposer
 from ..curve.multiscalar import (
     batch_verify_schnorr,
+    in_order_n_subgroup,
     multi_scalar_mul,
     pippenger_cost_model,
     validate_verify_item,
 )
-from ..curve.params import SUBGROUP_ORDER_N
+from ..curve.params import SUBGROUP_ORDER_N, is_on_curve
 from ..curve.point import AffinePoint
 from ..dsa.fourq_dh import SmallOrderPoint
 from ..dsa.fourq_schnorr import SchnorrSignature, _challenge
@@ -97,7 +105,6 @@ from .resilience import (
     RetryPolicy,
     TokenBucket,
 )
-from .stats import BatchStats
 
 #: Circuit-breaker degradation modes: ``serial`` keeps serving in-process
 #: (correct but slower), ``fail_fast`` rejects with ``circuit_open``.
@@ -119,9 +126,26 @@ _MSM_KERNEL_POINTS = 8
 _MSM_KERNEL_WINDOW = 4
 
 
+def _require_subgroup(point: AffinePoint) -> None:
+    """The ``sm`` input domain: base points of the order-N subgroup.
+
+    Raises ``ValueError`` (a typed ``Failed(kind="value")`` through the
+    batch paths) for an off-curve point (the wire decoder does not
+    check) or an on-curve point with a torsion component.  The subgroup
+    verdict is memoized per point, so a repeated base pays once.
+    """
+    if not is_on_curve(point.x, point.y):
+        raise ValueError("sm base point is not on the curve")
+    if not in_order_n_subgroup(point):
+        raise ValueError(
+            "sm base point is outside the order-N subgroup; clear the "
+            "cofactor first"
+        )
+
+
 @dataclass
 class BatchResult:
-    """Per-item outcomes (input order preserved) plus batch statistics.
+    """Per-item outcomes, input order preserved.
 
     ``results`` holds the raw success value in each successful slot —
     callers that index or iterate see plain points/digests/booleans,
@@ -130,11 +154,11 @@ class BatchResult:
     isolated failure.  Use :attr:`errors` / :attr:`ok_count` to inspect
     the failure picture, :meth:`raise_any` / :meth:`unwrap` to opt back
     into exception semantics, and :attr:`outcomes` for a uniform
-    ``Ok``/``Failed`` view.
+    ``Ok``/``Failed`` view.  Batch-level figures (throughput, cache
+    hits, simulated cycles) live in the engine's metrics registry.
     """
 
     results: List[Any]
-    stats: BatchStats
 
     def __iter__(self):
         return iter(self.results)
@@ -202,7 +226,7 @@ class BatchEngine:
             event counters, chunk-recovery counters.  Defaults to the
             process-wide :func:`repro.obs.get_registry`; worker
             processes record into their own registry and ship a
-            snapshot home, merged here like ``BatchStats`` partials.
+            snapshot home, merged here.
         retry_policy: jittered-exponential-backoff budget for transient
             chunk faults in fan-out mode (see
             :class:`~repro.serve.resilience.RetryPolicy`;
@@ -331,8 +355,14 @@ class BatchEngine:
         return flow
 
     def scalarmult(self, k: int, point: Optional[AffinePoint] = None) -> AffinePoint:
-        """[k]P computed on the simulated datapath (bit-verified)."""
+        """[k]P computed on the simulated datapath (bit-verified).
+
+        ``point`` must lie in the order-N subgroup (``ValueError``
+        otherwise): there [k]P equals textbook double-and-add, and every
+        simulated writeback is checked against the traced reference.
+        """
         point = point or AffinePoint.generator()
+        _require_subgroup(point)
         if point.is_identity() or k % SUBGROUP_ORDER_N == 0:
             # Degenerate inputs never reach the endomorphism formulas —
             # same contract as scalar_mul_fourq.
@@ -525,8 +555,8 @@ class BatchEngine:
         with ``method="auto"``).  A malformed request (length mismatch,
         off-curve point surfacing as a field error) costs one typed
         :class:`~repro.serve.faults.Failed` slot, never the batch.
-        Each slot's contribution to ``stats.simulated_cycles`` is the
-        window-kernel extrapolation of :meth:`msm_cycles_estimate`.
+        Each request adds the window-kernel extrapolation of
+        :meth:`msm_cycles_estimate` to ``repro_msm_model_cycles_total``.
         """
         jobs = [
             ("msm", (tuple(scalars), tuple(points)))
@@ -624,14 +654,14 @@ class BatchEngine:
         return min(workers, n_jobs // min_chunk)
 
     # -- execution -----------------------------------------------------
-    def _execute(self, kind: str, payload) -> Tuple[Any, int, bool]:
-        """Run one job; returns (result, simulated_cycles, used_fallback)."""
+    def _execute(self, kind: str, payload) -> Any:
+        """Run one job and return its result (raises on a bad input)."""
         if kind == "sm":
             k, p = payload
+            _require_subgroup(p)
             if p.is_identity() or k % SUBGROUP_ORDER_N == 0:
-                return (k % SUBGROUP_ORDER_N) * p, 0, False
-            flow = self.scalarmult_flow(k, p)
-            return self._point_from_outputs(flow), flow.cycles, flow.fallback
+                return (k % SUBGROUP_ORDER_N) * p
+            return self._point_from_outputs(self.scalarmult_flow(k, p))
         if kind == "dh":
             private, peer_public = payload
             peer = decode_point(peer_public)
@@ -640,29 +670,29 @@ class BatchEngine:
                 raise SmallOrderPoint("peer public key has small order")
             if private % SUBGROUP_ORDER_N == 0:
                 raise SmallOrderPoint("degenerate shared point")
-            flow = self.scalarmult_flow(private, cleared)
-            shared = self._point_from_outputs(flow)
+            shared = self._point_from_outputs(
+                self.scalarmult_flow(private, cleared)
+            )
             if shared.is_identity():
                 raise SmallOrderPoint("degenerate shared point")
-            return sha256(encode_point(shared)), flow.cycles, flow.fallback
+            return sha256(encode_point(shared))
         if kind == "verify":
             public, message, sig = payload
             try:
                 commit = AffinePoint(sig.commit_x, sig.commit_y)
             except ValueError:
-                return False, 0, False
+                return False
             if not (1 <= sig.s < SUBGROUP_ORDER_N):
-                return False, 0, False
+                return False
             e = _challenge(commit, public, message)
             u2 = SUBGROUP_ORDER_N - e
             if public.is_identity() or u2 % SUBGROUP_ORDER_N == 0:
                 # Degenerate double-base shapes collapse to single-base.
-                lhs = self.scalarmult(sig.s, AffinePoint.generator())
-                return lhs == commit, 0, False
+                return self.scalarmult(sig.s, AffinePoint.generator()) == commit
             flow = self.double_scalarmult_flow(
                 sig.s, u2, AffinePoint.generator(), public
             )
-            return self._point_from_outputs(flow) == commit, flow.cycles, flow.fallback
+            return self._point_from_outputs(flow) == commit
         if kind == "msm":
             scalars, points = payload
             result = multi_scalar_mul(scalars, points)
@@ -671,7 +701,10 @@ class BatchEngine:
                 for k, p in zip(scalars, points)
                 if not p.is_identity() and k % SUBGROUP_ORDER_N
             )
-            return result, self.msm_cycles_estimate(live), False
+            self.metrics.counter("repro_msm_model_cycles_total").inc(
+                self.msm_cycles_estimate(live)
+            )
+            return result
         if kind == "fault":
             # Fault-injection hook (tests, chaos benchmarks).  The
             # payload fires only inside pool workers; in the parent it
@@ -683,7 +716,7 @@ class BatchEngine:
                     os._exit(17)
                 if mode == "sleep":
                     time.sleep(payload[1])
-            return ("fault", mode), 0, False
+            return ("fault", mode)
         raise ValueError(f"unknown job kind {kind!r}")
 
     @staticmethod
@@ -703,7 +736,7 @@ class BatchEngine:
         dedup: bool,
         strict: bool = False,
         deadline: Optional[Deadline] = None,
-    ) -> Tuple[List[Any], BatchStats]:
+    ) -> List[Any]:
         """Run jobs in-process with per-item fault isolation.
 
         Each job either produces its value or (``strict=False``) its
@@ -715,7 +748,6 @@ class BatchEngine:
         underway when the budget runs out still completes — the budget
         gates starts, it does not abort simulations).
         """
-        stats = BatchStats()
         seen: Dict[tuple, Any] = {}
         results: List[Any] = []
         m = self.metrics
@@ -731,8 +763,6 @@ class BatchEngine:
                     kind=KIND_DEADLINE,
                     message="deadline expired before this item could start",
                 )
-                stats.record_error(KIND_DEADLINE, 0.0)
-                stats.ops += 1
                 m.counter("repro_serve_items_total", kind=kind, outcome="error").inc()
                 m.counter("repro_serve_errors_total", kind=KIND_DEADLINE).inc()
                 m.counter("repro_deadline_expired_total", stage="engine").inc()
@@ -741,12 +771,11 @@ class BatchEngine:
             key = self._job_key(kind, payload) if dedup else None
             if key is not None and key in seen:
                 results.append(seen[key])
-                stats.ops += 1
                 m.counter("repro_serve_items_total", kind=kind, outcome="dedup").inc()
                 continue
             t0 = time.perf_counter()
             try:
-                result, cycles, used_fallback = self._execute(kind, payload)
+                result = self._execute(kind, payload)
             except Exception as exc:
                 if strict:
                     raise
@@ -756,27 +785,19 @@ class BatchEngine:
                     message=str(exc),
                     latency=elapsed,
                 )
-                stats.record_error(failure.kind, elapsed)
-                stats.ops += 1
                 m.counter("repro_serve_items_total", kind=kind, outcome="error").inc()
                 m.counter("repro_serve_errors_total", kind=failure.kind).inc()
                 # Failures are never deduped: every bad input re-executes
-                # so errors_by_kind matches the injected faults exactly.
+                # so the error counts match the injected faults exactly.
                 results.append(failure)
                 continue
             elapsed = time.perf_counter() - t0
-            stats.latencies.append(elapsed)
-            stats.simulated_cycles += cycles
-            stats.fallbacks += int(used_fallback)
-            stats.ops += 1
             m.counter("repro_serve_items_total", kind=kind, outcome="ok").inc()
             m.histogram("repro_serve_latency_seconds", kind=kind).observe(elapsed)
             if key is not None:
                 seen[key] = result
             results.append(result)
         cache1 = self.cache.stats_snapshot()
-        stats.cache_hits = cache1["hits"] - cache0["hits"]
-        stats.cache_misses = cache1["misses"] - cache0["misses"]
         # demote_hit decrements hits, so a window delta can only dip below
         # zero transiently; clamp so the monotone counters never regress.
         for field_name, event in (
@@ -788,7 +809,7 @@ class BatchEngine:
             delta = max(0, cache1[field_name] - cache0[field_name])
             if delta:
                 m.counter("repro_cache_events_total", event=event).inc(delta)
-        return results, stats
+        return results
 
     def _run_batch(
         self,
@@ -799,48 +820,42 @@ class BatchEngine:
         min_chunk: Optional[int] = None,
         deadline: Optional[Any] = None,
     ) -> BatchResult:
-        t0 = time.perf_counter()
         deadline = Deadline.coerce(deadline)
         msm_slots = [i for i, (kind, _) in enumerate(jobs) if kind == "verify_msm"]
         if msm_slots:
             return self._run_batch_with_msm(
                 jobs, msm_slots, workers=workers, dedup=dedup, strict=strict,
-                min_chunk=min_chunk, deadline=deadline, t0=t0,
+                min_chunk=min_chunk, deadline=deadline,
             )
         workers = self.plan_workers(len(jobs), workers or 0, min_chunk)
         if workers > 1 and not self.breaker.allow():
             # Breaker open: the pool keeps failing, stop paying for it.
             self.metrics.counter("repro_breaker_short_circuits_total").inc()
             if self.circuit_mode == "fail_fast":
-                results, stats = self._fail_fast_circuit(jobs)
+                results = self._fail_fast_circuit(jobs)
             else:
-                results, stats = self._run_serial(
+                results = self._run_serial(
                     jobs, dedup, strict=strict, deadline=deadline
                 )
         elif workers > 1:
             try:
-                results, stats = self._run_parallel(
-                    jobs, workers, dedup, deadline=deadline
-                )
+                results = self._run_parallel(jobs, workers, dedup, deadline=deadline)
             except (ImportError, OSError, pickle.PicklingError):
                 # Pools unavailable (restricted platform) or the jobs
                 # cannot cross a process boundary: serial fallback.
                 self.breaker.record_failure()
-                results, stats = self._run_serial(
+                results = self._run_serial(
                     jobs, dedup, strict=strict, deadline=deadline
                 )
         else:
-            results, stats = self._run_serial(
-                jobs, dedup, strict=strict, deadline=deadline
-            )
+            results = self._run_serial(jobs, dedup, strict=strict, deadline=deadline)
         if not self.resident_pool and self._supervisor is not None:
             self._supervisor.shutdown()
-        stats.wall_seconds = time.perf_counter() - t0
         results = [
             replace(r, index=i) if isinstance(r, Failed) else r
             for i, r in enumerate(results)
         ]
-        batch = BatchResult(results=results, stats=stats)
+        batch = BatchResult(results=results)
         if strict:
             # Parallel workers always run isolated (an exception must
             # not kill the pool); strict surfaces the first failure here.
@@ -856,7 +871,6 @@ class BatchEngine:
         strict: bool,
         min_chunk: Optional[int],
         deadline: Optional[Deadline],
-        t0: float,
     ) -> BatchResult:
         """Split a flush: ``verify_msm`` items resolve as one group.
 
@@ -867,7 +881,7 @@ class BatchEngine:
         serial/fan-out path.  Slots are stitched back in input order.
         """
         ordered: List[Any] = [_UNSET] * len(jobs)
-        group_results, stats = self._verify_msm_group(
+        group_results = self._verify_msm_group(
             [jobs[i][1] for i in msm_slots], deadline=deadline
         )
         for i, r in zip(msm_slots, group_results):
@@ -880,15 +894,11 @@ class BatchEngine:
             )
             for (i, _), r in zip(rest, sub.results):
                 ordered[i] = r
-            stats.merge(sub.stats)
-            stats.workers = max(stats.workers, sub.stats.workers)
-        stats.ops = len(jobs)
-        stats.wall_seconds = time.perf_counter() - t0
         results = [
             replace(r, index=i) if isinstance(r, Failed) else r
             for i, r in enumerate(ordered)
         ]
-        batch = BatchResult(results=results, stats=stats)
+        batch = BatchResult(results=results)
         if strict:
             batch.raise_any()
         return batch
@@ -897,7 +907,7 @@ class BatchEngine:
         self,
         items: Sequence[Tuple[AffinePoint, bytes, SchnorrSignature]],
         deadline: Optional[Deadline] = None,
-    ) -> Tuple[List[Any], BatchStats]:
+    ) -> List[Any]:
         """Resolve verify items with one randomized MSM + fallback.
 
         Three stages, each fault-isolated per item:
@@ -920,22 +930,19 @@ class BatchEngine:
            :func:`repro.dsa.fourq_schnorr.verify`), so one forgery
            costs log-factor extra MSM work, never 63 honest slots.
 
-        ``simulated_cycles`` accounts the window-kernel extrapolation
-        (:meth:`msm_cycles_estimate`) per batch MSM performed, plus the
-        real simulated cycles of any fallback per-item verifications.
+        Every batch MSM performed adds its window-kernel extrapolation
+        (:meth:`msm_cycles_estimate`) to ``repro_msm_model_cycles_total``;
+        fallback per-item verifications record real datapath cycles.
         """
-        stats = BatchStats()
         m = self.metrics
         t0 = time.perf_counter()
         n = len(items)
         results: List[Any] = [_UNSET] * n
-        stats.ops = n
         if n:
             m.histogram("repro_msm_batch_size").observe(n)
 
         def fail(idx: int, kind: str, message: str) -> None:
             results[idx] = Failed(kind=kind, message=message)
-            stats.record_error(kind, 0.0)
             m.counter(
                 "repro_serve_items_total", kind="verify_msm", outcome="error"
             ).inc()
@@ -974,16 +981,13 @@ class BatchEngine:
             """Authoritative per-item verdict on the simulated datapath."""
             m.counter("repro_msm_fallback_verifies_total").inc()
             try:
-                verdict, cycles, used_fallback = self._execute(
-                    "verify", items[idx]
-                )
+                verdict = self._execute("verify", items[idx])
             except Exception as exc:
                 fail(idx, classify_exception(exc), str(exc))
                 return
-            stats.simulated_cycles += cycles
-            stats.fallbacks += int(used_fallback)
             resolve(idx, verdict)
 
+        model_cycles = m.counter("repro_msm_model_cycles_total")
         whole_batch_accepted = bool(live)
         subsets: List[List[int]] = [live] if live else []
         while subsets:
@@ -1002,8 +1006,7 @@ class BatchEngine:
             except Exception:
                 accepted = None  # isolate: resolve these items one by one
             if accepted:
-                msm_points = 2 * len(subset) + 1
-                stats.simulated_cycles += self.msm_cycles_estimate(msm_points)
+                model_cycles.inc(self.msm_cycles_estimate(2 * len(subset) + 1))
                 for idx in subset:
                     resolve(idx, True)
                 continue
@@ -1012,9 +1015,7 @@ class BatchEngine:
                 for idx in subset:
                     leaf_verify(idx)
                 continue
-            stats.simulated_cycles += self.msm_cycles_estimate(
-                2 * len(subset) + 1
-            )
+            model_cycles.inc(self.msm_cycles_estimate(2 * len(subset) + 1))
             mid = len(subset) // 2
             subsets.append(subset[mid:])
             subsets.append(subset[:mid])
@@ -1038,7 +1039,6 @@ class BatchEngine:
             # so each slot's share is the group wall time split evenly.
             share = elapsed / resolved_ok
             for _ in range(resolved_ok):
-                stats.latencies.append(share)
                 m.histogram(
                     "repro_serve_latency_seconds", kind="verify_msm"
                 ).observe(share)
@@ -1048,18 +1048,12 @@ class BatchEngine:
                     kind=KIND_INTERNAL,
                     message="verify_msm slot left unresolved",
                 )
-                stats.record_error(KIND_INTERNAL, 0.0)
-        return results, stats
+        return results
 
-    def _fail_fast_circuit(
-        self, jobs: Sequence[Tuple[str, Any]]
-    ) -> Tuple[List[Any], BatchStats]:
+    def _fail_fast_circuit(self, jobs: Sequence[Tuple[str, Any]]) -> List[Any]:
         """Every item fails typed ``circuit_open`` — nothing executes."""
-        stats = BatchStats()
         results: List[Any] = []
         for kind, _ in jobs:
-            stats.record_error(KIND_CIRCUIT_OPEN, 0.0)
-            stats.ops += 1
             self.metrics.counter(
                 "repro_serve_items_total", kind=kind, outcome="error"
             ).inc()
@@ -1072,7 +1066,7 @@ class BatchEngine:
                     message="worker-pool circuit breaker is open (fail_fast mode)",
                 )
             )
-        return results, stats
+        return results
 
     # -- the resident pool ---------------------------------------------
     def _make_pool(self, workers: int):
@@ -1122,8 +1116,7 @@ class BatchEngine:
         if self._supervisor is not None:
             self._supervisor.shutdown()
 
-    def _requeue(self, stats: BatchStats, chunk, attempts: int, pending) -> None:
-        stats.requeues += 1
+    def _requeue(self, chunk, attempts: int, pending) -> None:
         self.metrics.counter("repro_serve_chunk_requeues_total").inc()
         pending.append((chunk, attempts + 1))
 
@@ -1133,7 +1126,7 @@ class BatchEngine:
         workers: int,
         dedup: bool,
         deadline: Optional[Deadline] = None,
-    ) -> Tuple[List[Any], BatchStats]:
+    ) -> List[Any]:
         """Fan chunks out across the supervised resident pool.
 
         Recovery ladder for a chunk whose worker dies (whole pool
@@ -1159,9 +1152,6 @@ class BatchEngine:
         from concurrent.futures.process import BrokenProcessPool
 
         chunks = _chunk(list(enumerate(jobs)), workers)
-        # Report the worker count actually used: never more than the
-        # number of non-empty chunks.
-        stats = BatchStats(workers=len(chunks))
         ordered: List[Any] = [_UNSET] * len(jobs)
         supervisor = self._ensure_supervisor()
         policy = self.retry_policy
@@ -1185,7 +1175,6 @@ class BatchEngine:
                 break
             if retry_round:
                 for _ in pending:
-                    stats.retries += 1
                     m.counter("repro_retry_attempts_total").inc()
                     m.counter("repro_serve_chunk_retries_total").inc()
             round_items, pending = pending, []
@@ -1198,40 +1187,37 @@ class BatchEngine:
                     )
                 except Exception:
                     broken = True
-                    self._requeue(stats, ch, attempts, pending)
+                    self._requeue(ch, attempts, pending)
             for future, ch, attempts in futures:
                 timeout = self.chunk_timeout
                 if deadline is not None:
                     timeout = deadline.clamp(timeout)
                 try:
-                    indices, chunk_results, chunk_stats, obs_snap = future.result(
+                    indices, chunk_results, obs_snap = future.result(
                         timeout=timeout
                     )
                 except FutureTimeout:
                     future.cancel()
                     hung = True
-                    self._requeue(stats, ch, attempts, pending)
+                    self._requeue(ch, attempts, pending)
                     continue
                 except BrokenProcessPool:
                     # Worker death kills the whole pool: this chunk and
                     # every still-pending one land here and are requeued
                     # for a retry on the restarted pool.
                     broken = True
-                    self._requeue(stats, ch, attempts, pending)
+                    self._requeue(ch, attempts, pending)
                     continue
                 except Exception:
                     # Chunk-local fault (unpicklable payload or result):
                     # the pool is healthy and a retry would fail the
                     # same way — straight to serial recovery.
-                    stats.requeues += 1
                     m.counter("repro_serve_chunk_requeues_total").inc()
                     recover.append(ch)
                     continue
                 for i, r in zip(indices, chunk_results):
                     ordered[i] = r
-                stats.merge(chunk_stats)
-                # Fold the worker's metric partials home exactly like the
-                # BatchStats partials above.
+                # Fold the worker's metric partials home.
                 m.merge_snapshot(obs_snap)
             if hung or broken:
                 # A hung worker cannot be cancelled through the executor
@@ -1271,23 +1257,17 @@ class BatchEngine:
             # expired deadline rather than running past it).
             indices = [i for i, _ in chunk]
             chunk_jobs = [job for _, job in chunk]
-            chunk_results, chunk_stats = self._run_serial(
-                chunk_jobs, dedup, deadline=deadline
-            )
-            stats.retries += 1
+            chunk_results = self._run_serial(chunk_jobs, dedup, deadline=deadline)
             m.counter("repro_serve_chunk_retries_total").inc()
             for i, r in zip(indices, chunk_results):
                 ordered[i] = r
-            stats.merge(chunk_stats)
         for i, r in enumerate(ordered):
             if r is _UNSET:  # pragma: no cover - defensive backstop
                 ordered[i] = Failed(
                     kind=KIND_INTERNAL,
                     message="chunk result lost during recovery",
                 )
-                stats.record_error(KIND_INTERNAL, 0.0)
-        stats.ops = len(jobs)
-        return ordered, stats
+        return ordered
 
 
 # -- worker fan-out machinery ------------------------------------------
@@ -1346,14 +1326,13 @@ def _worker_run_chunk(chunk, dedup: bool = True):
     assert _WORKER_ENGINE is not None
     # The worker's process-wide registry accounts for this chunk only:
     # reset at the start, snapshot (plain picklable dict) shipped home at
-    # the end, merged by the parent like the BatchStats partials.  A fork
-    # worker inherits the parent's registry contents, so without the
-    # reset the parent would double-count everything it recorded before
-    # the fork.
+    # the end and merged by the parent.  A fork worker inherits the
+    # parent's registry contents, so without the reset the parent would
+    # double-count everything it recorded before the fork.
     registry = get_registry()
     registry.reset()
-    results, stats = _WORKER_ENGINE._run_serial(jobs, dedup)
-    return indices, results, stats, registry.snapshot()
+    results = _WORKER_ENGINE._run_serial(jobs, dedup)
+    return indices, results, registry.snapshot()
 
 
 def _chunk(items: List, n: int) -> List[List]:
@@ -1361,7 +1340,7 @@ def _chunk(items: List, n: int) -> List[List]:
 
     Never emits an empty chunk: 5 jobs across 4 workers yield sizes
     [2, 1, 1, 1] — four busy workers, not three chunks and an idle one.
-    Callers report ``len(chunks)`` as the worker count actually used.
+    The pool is sized ``len(chunks)``, never more.
     """
     if not items:
         return []

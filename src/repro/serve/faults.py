@@ -75,7 +75,7 @@ class CircuitOpen(RuntimeError):
     """
 
 
-#: Stable error-kind strings (the keys of ``BatchStats.errors_by_kind``).
+#: Stable error-kind strings (the ``kind`` label of ``repro_serve_errors_total``).
 KIND_SMALL_ORDER = "small_order"
 KIND_DECODING = "decoding"
 KIND_SIMULATION = "simulation"

@@ -56,8 +56,7 @@ work completes harmlessly in the Frontend.  None of these paths can
 leave an unresolved future or take the server down.
 
 Everything observable lands in :mod:`repro.obs` under ``repro_net_*``
-(see docs/observability.md) and in the per-instance
-:class:`NetServerStats` mirror the CLI report prints.
+(see docs/observability.md), in the registry passed as ``metrics=``.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from ...obs import MetricsRegistry, get_registry
@@ -105,7 +104,7 @@ from .protocol import (
     wire_encode,
 )
 
-__all__ = ["NetServer", "NetServerConfig", "NetServerStats"]
+__all__ = ["NetServer", "NetServerConfig"]
 
 #: On-wire envelope of every frame: 4-byte length prefix + fixed header.
 _ENVELOPE = 4 + HEADER_SIZE
@@ -179,50 +178,6 @@ class NetServerConfig:
         for name in ("handshake_timeout_s", "frame_timeout_s", "drain_timeout_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-
-
-@dataclass
-class NetServerStats:
-    """One server's life-to-date transport picture (single process).
-
-    The registry carries the same numbers for export/merge; this mirror
-    exists so the CLI and benchmarks can report without scraping.
-    """
-
-    connections_opened: int = 0
-    connections_closed: int = 0
-    connections_refused: int = 0
-    frames_in: int = 0
-    frames_out: int = 0
-    bytes_in: int = 0
-    bytes_out: int = 0
-    requests: Dict[str, int] = field(default_factory=dict)  # outcome -> n
-    shed: int = 0
-    protocol_errors: int = 0
-    rr_grants: int = 0
-
-    def note_request(self, outcome: str) -> None:
-        self.requests[outcome] = self.requests.get(outcome, 0) + 1
-
-    @property
-    def requests_total(self) -> int:
-        return sum(self.requests.values())
-
-    def report(self) -> str:
-        outcomes = ", ".join(
-            f"{k}={v}" for k, v in sorted(self.requests.items())
-        ) or "none"
-        return "\n".join([
-            f"connections      : {self.connections_opened} opened / "
-            f"{self.connections_closed} closed / "
-            f"{self.connections_refused} refused",
-            f"frames           : {self.frames_in} in / {self.frames_out} out "
-            f"({self.bytes_in} B in / {self.bytes_out} B out)",
-            f"requests         : {self.requests_total} ({outcomes})",
-            f"admission        : {self.shed} shed / "
-            f"{self.protocol_errors} protocol errors / "
-            f"{self.rr_grants} round-robin grants",
-        ])
 
 
 @dataclass
@@ -316,7 +271,6 @@ class NetServer:
                 engine, config=frontend_config, metrics=self.metrics
             )
             self._owns_frontend = True
-        self.stats = NetServerStats()
         self._server: Optional[asyncio.base_events.Server] = None
         self._conns: Dict[int, _Conn] = {}
         self._next_conn_id = 1
@@ -450,7 +404,6 @@ class NetServer:
         if self._draining or len(self._conns) >= cfg.max_connections:
             reason = ("server draining" if self._draining
                       else f"connection limit ({cfg.max_connections}) reached")
-            self.stats.connections_refused += 1
             self.metrics.counter(
                 "repro_net_connections_total", event="refused"
             ).inc()
@@ -483,7 +436,6 @@ class NetServer:
             return
         conn.task = asyncio.current_task()
         self._conns[conn.id] = conn
-        self.stats.connections_opened += 1
         self.metrics.counter("repro_net_connections_total", event="opened").inc()
         self.metrics.gauge("repro_net_connections_open").set(len(self._conns))
         try:
@@ -717,7 +669,6 @@ class NetServer:
             conn.inflight += 1
             self._total_inflight += 1
             conn.idle.clear()
-            self.stats.rr_grants += 1
             self.metrics.counter("repro_net_rr_grants_total").inc()
             grants.append((conn, req))
         self._rr_pos = (start + 1) % max(1, n)
@@ -877,7 +828,6 @@ class NetServer:
 
     def _unregister(self, conn: _Conn) -> None:
         if self._conns.pop(conn.id, None) is not None:
-            self.stats.connections_closed += 1
             self.metrics.counter(
                 "repro_net_connections_total", event="closed"
             ).inc()
@@ -887,8 +837,6 @@ class NetServer:
 
     # -- counters ----------------------------------------------------------
     def _record_in(self, type_name: str, nbytes: int) -> None:
-        self.stats.frames_in += 1
-        self.stats.bytes_in += nbytes
         self.metrics.counter(
             "repro_net_frames_total", direction="in", type=type_name
         ).inc()
@@ -897,8 +845,6 @@ class NetServer:
         ).inc(nbytes)
 
     def _record_out(self, type_name: str, nbytes: int) -> None:
-        self.stats.frames_out += 1
-        self.stats.bytes_out += nbytes
         self.metrics.counter(
             "repro_net_frames_total", direction="out", type=type_name
         ).inc()
@@ -907,17 +853,14 @@ class NetServer:
         ).inc(nbytes)
 
     def _request_counters(self, kind: str, outcome: str) -> None:
-        self.stats.note_request(outcome)
         self.metrics.counter(
             "repro_net_requests_total", kind=kind, outcome=outcome
         ).inc()
 
     def _shed_counters(self, reason: str) -> None:
-        self.stats.shed += 1
         self.metrics.counter("repro_net_shed_total", reason=reason).inc()
 
     def _protocol_error_counters(self, kind: str) -> None:
-        self.stats.protocol_errors += 1
         self.metrics.counter(
             "repro_net_protocol_errors_total", kind=kind
         ).inc()

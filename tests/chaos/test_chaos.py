@@ -59,6 +59,7 @@ from repro.serve.resilience import (
     RetryPolicy,
     TokenBucket,
 )
+from tests.metrics_util import counted
 
 SEED = int(os.environ.get("PYTEST_SEED", "0xF10C"), 0)
 
@@ -249,9 +250,12 @@ class TestBreakerDegradation:
             assert engine.supervisor.denied_restarts >= 1
 
             # Open: the pool is not even attempted; serial degrade.
-            r4 = engine.run_jobs(clean, workers=2, min_chunk=1)
+            r4, delta = counted(
+                engine.metrics,
+                lambda: engine.run_jobs(clean, workers=2, min_chunk=1),
+            )
             assert r4.results == [("fault", "noop")] * 4
-            assert r4.stats.workers == 0
+            assert delta("repro_breaker_short_circuits_total") == 1
 
             # Refill the restart budget and let the cool-down lapse:
             # the next batch is the half-open probe and closes the

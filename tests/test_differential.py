@@ -18,19 +18,28 @@ required to agree **bit for bit**:
   of the key exchange; different curve, so only the protocol-level
   property is comparable).
 
+The ``sm`` input domain is pinned here too: base points with a torsion
+component (FourQ's cofactor is 392 = 8 * 7^2) must come back from the
+engine, the asyncio front door and the TCP client either equal to
+textbook double-and-add or as ``Failed(kind="value")`` — never as a
+wrong ``Ok``.
+
 The random seed comes from ``PYTEST_SEED`` (default pinned), so CI can
 diversify coverage across runs while any failure stays reproducible:
 ``PYTEST_SEED=12345 pytest tests/test_differential.py``.
 """
 
+import asyncio
 import os
 import random
 import zlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.curve.params import SUBGROUP_ORDER_N
-from repro.curve.point import AffinePoint, random_subgroup_point
+from repro.curve.point import AffinePoint, random_point, random_subgroup_point
 from repro.curve.scalarmult import (
     scalar_mul_double_and_add,
     scalar_mul_double_base,
@@ -197,7 +206,9 @@ class TestFrontendStreamDifferential:
         """
         import asyncio
 
+        from repro.obs import MetricsRegistry
         from repro.serve import Frontend
+        from tests.metrics_util import count
 
         rng = _rng("frontend-stream")
         cases = [
@@ -210,14 +221,16 @@ class TestFrontendStreamDifferential:
         assert direct.ok_count == len(cases)
 
         async def stream():
-            async with Frontend(engine, max_batch=4, max_wait_ms=10.0) as fe:
+            async with Frontend(engine, metrics=MetricsRegistry(), max_batch=4,
+                                max_wait_ms=10.0) as fe:
                 async def one(k, p):
                     # Seeded jitter staggers arrivals across flushes.
                     await asyncio.sleep(rng.random() * 0.02)
                     return await fe.submit("sm", (k, p))
 
                 results = await asyncio.gather(*[one(k, p) for k, p in cases])
-            assert fe.stats.completed == len(cases)
+            assert count(fe.metrics, "repro_frontend_resolved_total",
+                         outcome="ok") == len(cases)
             return results
 
         streamed = asyncio.run(asyncio.wait_for(stream(), timeout=300))
@@ -247,3 +260,138 @@ class TestSignatureDifferential:
             expected.append(fourq_schnorr.verify(key.public, msg, sig))
         assert expected == [True, False, True]
         assert list(engine.batch_verify(items)) == expected
+
+
+# -- the sm input domain: torsion components --------------------------------
+
+def _torsion_points():
+    """One torsion component per shape of FourQ's cofactor group.
+
+    E(F_{p^2}) is Z_{8*7*N} x Z_7: the 2-part is cyclic of order 8 and
+    the 7-part is Z_7 x Z_7 (49 points, every non-identity one of order
+    7), so "7x7" is an order-7 point off the first order-7 line, and
+    "56" mixes both parts.
+    """
+    rng = random.Random(0x7025)
+    n = SUBGROUP_ORDER_N
+
+    def sample(cofactor_part):
+        while True:
+            t = (n * cofactor_part) * random_point(rng)
+            if not t.is_identity():
+                return t
+
+    t8 = sample(49)
+    while (4 * t8).is_identity():
+        t8 = sample(49)
+    t7 = sample(8)
+    line = {(j * t7).x for j in range(7)}
+    t7b = sample(8)
+    while t7b.x in line:
+        t7b = sample(8)
+    return {
+        "2": 4 * t8, "4": 2 * t8, "8": t8, "7": t7,
+        "7x7": t7 + t7b, "56": t8 + t7,
+    }
+
+
+TORSION = _torsion_points()
+#: Scalars on the awkward corners: zero, the group order, k >= N.
+EDGE_SCALARS = (0, 1, SUBGROUP_ORDER_N - 1, SUBGROUP_ORDER_N,
+                SUBGROUP_ORDER_N + 1, 2 * SUBGROUP_ORDER_N, 2**256 - 1)
+
+
+_BASES = [AffinePoint.generator()] + [
+    random_subgroup_point(random.Random(0xBA5E + i)) for i in range(3)
+]
+
+
+def _base_point(base, component):
+    p = _BASES[base]
+    return p if component == "none" else p + TORSION[component]
+
+
+def _check_sm(k, p, outcome, via):
+    """Textbook double-and-add, or a typed value failure: nothing else."""
+    from repro.serve import Failed
+
+    if isinstance(outcome, Failed):
+        assert outcome.kind == "value", (via, outcome)
+    else:
+        value = getattr(outcome, "value", outcome)
+        ref = scalar_mul_double_and_add(k, p)
+        assert (value.x, value.y) == (ref.x, ref.y), f"{via}: k={k:#x}"
+
+
+class TestSmInputDomain:
+    @pytest.mark.parametrize("component", sorted(TORSION))
+    def test_torsion_component_never_returns_a_wrong_point(self, engine, component):
+        rng = _rng(f"torsion-{component}")
+        sub, t = random_subgroup_point(rng), TORSION[component]
+        p = sub + t
+        k = rng.randrange(2**256)
+        # The textbook ladders agree on the full group: [k]P is the
+        # subgroup part plus [k mod order(T)]T.
+        dna = scalar_mul_double_and_add(k, p)
+        split = scalar_mul_fourq(k, sub) + (k * t)
+        wnaf = scalar_mul_wnaf(k, p)
+        assert (dna.x, dna.y) == (split.x, split.y) == (wnaf.x, wnaf.y)
+        # The engine's endomorphism path is only valid on the subgroup:
+        # it must refuse, typed, rather than agree with itself wrongly.
+        (outcome,) = engine.batch_scalarmult([k], point=p).outcomes
+        assert not outcome.ok and outcome.kind == "value"
+        with pytest.raises(ValueError):
+            engine.scalarmult(k, p)
+        # Clearing the cofactor brings the point back into the domain.
+        cleared = p.clear_cofactor()
+        got = engine.scalarmult(k, cleared)
+        ref = scalar_mul_double_and_add(k, cleared)
+        assert (got.x, got.y) == (ref.x, ref.y)
+
+    @given(
+        k=st.one_of(st.sampled_from(EDGE_SCALARS), st.integers(0, 2**260)),
+        component=st.sampled_from(["none"] + sorted(TORSION)),
+        base=st.integers(0, 3),
+    )
+    def test_engine_sm_matches_textbook_or_fails_typed(self, engine, k, component, base):
+        p = _base_point(base, component)
+        (outcome,) = engine.batch_scalarmult([k], point=p).outcomes
+        _check_sm(k, p, outcome, "engine")
+        try:
+            direct = engine.scalarmult(k, p)
+        except ValueError:
+            assert component != "none"
+        else:
+            _check_sm(k, p, direct, "scalarmult")
+
+    @given(
+        k=st.one_of(st.sampled_from(EDGE_SCALARS), st.integers(0, 2**260)),
+        component=st.sampled_from(["none"] + sorted(TORSION)),
+        base=st.integers(0, 3),
+    )
+    def test_frontend_and_tcp_sm_match_textbook_or_fail_typed(
+        self, engine, k, component, base
+    ):
+        from repro.obs import MetricsRegistry
+        from repro.serve import Frontend, NetClient, NetServer, NetServerConfig
+
+        p = _base_point(base, component)
+
+        async def body():
+            registry = MetricsRegistry()
+            fe = Frontend(engine, metrics=registry, max_batch=2, max_wait_ms=1.0)
+            server = await NetServer(
+                frontend=fe, metrics=registry, config=NetServerConfig(port=0)
+            ).start()
+            try:
+                local = await fe.submit_outcome("sm", (k, p))
+                async with await NetClient.connect("127.0.0.1", server.port) as c:
+                    remote = await c.submit_outcome("sm", (k, p))
+            finally:
+                await server.aclose()
+                await fe.aclose()
+            return local, remote
+
+        local, remote = asyncio.run(asyncio.wait_for(body(), timeout=120))
+        _check_sm(k, p, local, "frontend")
+        _check_sm(k, p, remote, "tcp")

@@ -31,17 +31,17 @@ import zlib
 import pytest
 
 from repro.curve.point import AffinePoint
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, render_report
 from repro.serve import (
     BatchEngine,
     BatchResult,
-    BatchStats,
     Failed,
     Frontend,
     FrontendClosed,
     FrontendConfig,
 )
 from repro.serve.faults import KIND_CANCELLED
+from tests.metrics_util import count
 
 SEED = int(os.environ.get("PYTEST_SEED", "0xF10C"), 0)
 
@@ -69,10 +69,7 @@ class StubEngine:
         self.batches.append((next(iter(kinds)), [p for _, p in jobs]))
         if self.delay:
             time.sleep(self.delay)
-        return BatchResult(
-            results=[("echo", p) for _, p in jobs],
-            stats=BatchStats(ops=len(jobs)),
-        )
+        return BatchResult(results=[("echo", p) for _, p in jobs])
 
 
 def run(coro):
@@ -85,7 +82,8 @@ class TestFlushOnSize:
         async def body():
             stub = StubEngine()
             # The deadline is far away: only the size trigger can flush.
-            async with Frontend(stub, max_batch=4, max_wait_ms=10_000.0) as fe:
+            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=4,
+                                max_wait_ms=10_000.0) as fe:
                 t0 = time.perf_counter()
                 results = await asyncio.gather(
                     *[fe.submit("sm", i) for i in range(8)]
@@ -95,12 +93,16 @@ class TestFlushOnSize:
                 # Two full flushes, neither waited for the deadline.
                 assert [len(p) for _, p in stub.batches] == [4, 4]
                 assert elapsed < 5.0
-                assert fe.stats.flushes.get("size") == 2
-                assert "deadline" not in fe.stats.flushes
+                flushes = "repro_frontend_flushes_total"
+                assert count(fe.metrics, flushes, reason="size") == 2
+                assert count(fe.metrics, flushes, reason="deadline") == 0
             return fe
 
         fe = run(body())
-        assert fe.stats.submitted == fe.stats.completed == 8
+        assert count(
+            fe.metrics, "repro_frontend_admissions_total", outcome="accepted"
+        ) == 8
+        assert count(fe.metrics, "repro_frontend_resolved_total", outcome="ok") == 8
 
     def test_oversized_wave_splits_into_max_batch_flushes(self):
         async def body():
@@ -119,13 +121,16 @@ class TestFlushOnDeadline:
     def test_lone_request_pays_at_most_the_deadline(self):
         async def body():
             stub = StubEngine()
-            async with Frontend(stub, max_batch=64, max_wait_ms=25.0) as fe:
+            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
+                                max_wait_ms=25.0) as fe:
                 t0 = time.perf_counter()
                 result = await fe.submit("sm", 7)
                 elapsed = time.perf_counter() - t0
             assert result == ("echo", 7)
             # Flushed by the deadline, not by a full batch ...
-            assert fe.stats.flushes == {"deadline": 1}
+            flushes = "repro_frontend_flushes_total"
+            assert count(fe.metrics, flushes) == 1
+            assert count(fe.metrics, flushes, reason="deadline") == 1
             # ... after waiting roughly max_wait_ms (generous upper
             # bound for loaded CI machines).
             assert 0.02 <= elapsed < 5.0
@@ -136,7 +141,8 @@ class TestFlushOnDeadline:
     def test_deadline_timer_starts_at_oldest_request(self):
         async def body():
             stub = StubEngine()
-            async with Frontend(stub, max_batch=64, max_wait_ms=80.0) as fe:
+            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
+                                max_wait_ms=80.0) as fe:
                 first = asyncio.ensure_future(fe.submit("sm", "old"))
                 await asyncio.sleep(0.03)
                 second = asyncio.ensure_future(fe.submit("sm", "young"))
@@ -144,7 +150,9 @@ class TestFlushOnDeadline:
             # The late arrival rode the older request's deadline: one
             # flush, both requests, oldest first.
             assert stub.batches == [("sm", ["old", "young"])]
-            assert fe.stats.flushes == {"deadline": 1}
+            flushes = "repro_frontend_flushes_total"
+            assert count(fe.metrics, flushes) == 1
+            assert count(fe.metrics, flushes, reason="deadline") == 1
 
         run(body())
 
@@ -216,6 +224,7 @@ class TestResolveExactlyOnce:
             drain = rng.random() < 0.5
             fe = Frontend(
                 stub,
+                metrics=MetricsRegistry(),
                 max_batch=rng.randint(1, 6),
                 max_wait_ms=rng.choice([0.0, 2.0, 50.0]),
                 max_queue=1000,
@@ -232,7 +241,9 @@ class TestResolveExactlyOnce:
             await fe.aclose(drain=drain)
             outcomes = await asyncio.gather(*tasks, return_exceptions=True)
             assert len(outcomes) == n
-            admitted = fe.stats.submitted
+            admitted = int(count(
+                fe.metrics, "repro_frontend_admissions_total", outcome="accepted"
+            ))
             for i, outcome in enumerate(outcomes):
                 if isinstance(outcome, FrontendClosed):
                     # The close beat this submission to the door: it was
@@ -270,11 +281,11 @@ class TestResolveExactlyOnce:
 
     def test_unknown_kind_rejected_before_admission(self):
         async def body():
-            fe = Frontend(StubEngine())
+            fe = Frontend(StubEngine(), metrics=MetricsRegistry())
             with pytest.raises(ValueError, match="unknown job kind"):
                 await fe.submit("keygen", 1)
             await fe.aclose()
-            assert fe.stats.submitted == 0
+            assert count(fe.metrics, "repro_frontend_admissions_total") == 0
 
         run(body())
 
@@ -305,9 +316,8 @@ class TestFrontendMetrics:
             async with Frontend(stub, metrics=registry, max_batch=4,
                                 max_wait_ms=10.0) as fe:
                 await asyncio.gather(*[fe.submit("sm", i) for i in range(8)])
-            return fe
 
-        fe = run(body())
+        run(body())
         assert registry.value(
             "repro_frontend_admissions_total", kind="sm", outcome="accepted"
         ) == 8
@@ -322,7 +332,10 @@ class TestFrontendMetrics:
         from repro.obs import validate_export
 
         assert validate_export(registry.snapshot()) == []
-        assert "flushes" in fe.stats.report()
+        assert (
+            'repro_frontend_flushes_total{kind="sm",reason="size"} 2'
+            in render_report(registry.snapshot())
+        )
 
 
 class TestWorkersHint:
@@ -355,7 +368,7 @@ class TestWorkersHint:
         result = engine.run_jobs(
             [("sm", (0, AffinePoint.generator()))], workers=8, min_chunk=4
         )
-        assert result.stats.workers == 0
+        assert engine.supervisor is None
         assert len(result) == 1
 
     def test_small_flush_degrades_to_serial_under_min_chunk(self, monkeypatch):
@@ -367,10 +380,10 @@ class TestWorkersHint:
         jobs = [("sm", (0, AffinePoint.generator()))] * 3
         # Three jobs, chunk floor four: serial even with workers=2.
         result = engine.run_jobs(jobs, workers=2, min_chunk=4)
-        assert result.stats.workers == 0 and len(result) == 3
+        assert engine.supervisor is None and len(result) == 3
         # Entry-point wrappers forward the hint too.
         batch = engine.batch_scalarmult([0, 0], workers=2, min_chunk=4)
-        assert batch.stats.workers == 0
+        assert engine.supervisor is None and len(batch) == 2
 
     def test_frontend_dispatch_honours_min_chunk(self):
         """The frontend's engine calls carry its configured hint."""
@@ -401,7 +414,8 @@ class TestDeadlines:
         async def body():
             stub = StubEngine()
             # The flush deadline is far away: only the sweep can save us.
-            async with Frontend(stub, max_batch=64, max_wait_ms=10_000.0) as fe:
+            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
+                                max_wait_ms=10_000.0) as fe:
                 t0 = time.perf_counter()
                 outcome = await fe.submit_outcome("sm", 7, deadline=0.02)
                 elapsed = time.perf_counter() - t0
@@ -411,8 +425,10 @@ class TestDeadlines:
             assert elapsed < 5.0
             # The request never dispatched.
             assert stub.batches == []
-            assert fe.stats.deadline_expired == 1
-            assert fe.stats.submitted == 1
+            assert count(fe.metrics, "repro_deadline_expired_total",
+                         stage="queued") == 1
+            assert count(fe.metrics, "repro_frontend_admissions_total",
+                         outcome="accepted") == 1
 
         run(body())
 
@@ -503,7 +519,8 @@ class TestDeadlines:
 
         async def body():
             stub = StubEngine(delay=0.2)
-            fe = Frontend(stub, max_batch=1, max_wait_ms=0.0, max_queue=1,
+            fe = Frontend(stub, metrics=MetricsRegistry(), max_batch=1,
+                          max_wait_ms=0.0, max_queue=1,
                           policy="block", admission_timeout_ms=50.0)
             fillers = [
                 asyncio.ensure_future(fe.submit_outcome("sm", i))
@@ -514,7 +531,8 @@ class TestDeadlines:
                 await fe.submit_outcome("sm", 99)
             await asyncio.gather(*fillers, return_exceptions=True)
             await fe.aclose()
-            assert fe.stats.rejected >= 1
+            assert count(fe.metrics, "repro_frontend_admissions_total",
+                         outcome="rejected") >= 1
 
         run(body())
 

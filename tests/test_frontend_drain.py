@@ -27,7 +27,6 @@ import pytest
 
 from repro.serve import (
     BatchResult,
-    BatchStats,
     Failed,
     Frontend,
     FrontendClosed,
@@ -36,6 +35,7 @@ from repro.serve import (
     Overloaded,
 )
 from repro.obs import MetricsRegistry
+from tests.metrics_util import count
 
 SEED = int(os.environ.get("PYTEST_SEED", "0xF10C"), 0)
 
@@ -54,10 +54,7 @@ class StubEngine:
         self.jobs_seen += len(jobs)
         if self.delay:
             time.sleep(self.delay)
-        return BatchResult(
-            results=[("echo", p) for _, p in jobs],
-            stats=BatchStats(ops=len(jobs)),
-        )
+        return BatchResult(results=[("echo", p) for _, p in jobs])
 
 
 def run(coro):
@@ -127,8 +124,9 @@ class TestDrainRace:
                     isinstance(out, Ok) and out.value == ("echo", (i, None))
                 ) or isinstance(out, Failed), (i, out)
             # And the frontend's own books agree.
-            assert fe.stats.submitted == resolved
-            assert fe.stats.completed + fe.stats.failed == resolved
+            assert count(fe.metrics, "repro_frontend_admissions_total",
+                         outcome="accepted") == resolved
+            assert count(fe.metrics, "repro_frontend_resolved_total") == resolved
 
     def test_late_submitters_get_frontend_closed(self):
         async def body():

@@ -26,6 +26,7 @@ from repro.curve.point import AffinePoint
 from repro.curve.scalarmult import scalar_mul_fourq
 from repro.dsa import fourq_dh
 from repro.dsa.fourq_dh import SmallOrderPoint
+from repro.obs import MetricsRegistry
 from repro.serve import BatchEngine, Failed, Frontend, Ok, Overloaded
 from repro.serve.faults import (
     KIND_DECODING,
@@ -34,6 +35,7 @@ from repro.serve.faults import (
     KIND_SMALL_ORDER,
     classify_exception,
 )
+from tests.metrics_util import count
 
 #: Decodes fine, collapses to the identity at cofactor clearing.
 SMALL_ORDER_ENCODING = encode_point(AffinePoint.identity())
@@ -91,7 +93,8 @@ class TestPoisonThroughTheFrontDoor:
         me = fourq_dh.generate_keypair(rng)
 
         async def body():
-            async with Frontend(engine, max_batch=2, max_wait_ms=20.0) as fe:
+            async with Frontend(engine, metrics=MetricsRegistry(), max_batch=2,
+                                max_wait_ms=20.0) as fe:
                 with pytest.raises(SmallOrderPoint):
                     await fe.submit("dh", (me.private, SMALL_ORDER_ENCODING))
                 with pytest.raises(DecodingError):
@@ -99,7 +102,9 @@ class TestPoisonThroughTheFrontDoor:
                 return fe
 
         fe = run(body())
-        assert fe.stats.failed == 2 and fe.stats.completed == 0
+        resolved = "repro_frontend_resolved_total"
+        assert count(fe.metrics, resolved, outcome="failed") == 2
+        assert count(fe.metrics, resolved, outcome="ok") == 0
 
 
 class TestWorkerChunkFaults:
@@ -159,14 +164,15 @@ class TestBackpressure:
 
         async def body():
             stub = StubEngine(delay=0.05)
-            fe = Frontend(stub, max_batch=64, max_wait_ms=100.0,
-                          max_queue=2, policy="reject")
+            fe = Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
+                          max_wait_ms=100.0, max_queue=2, policy="reject")
             first = asyncio.ensure_future(fe.submit("sm", 1))
             second = asyncio.ensure_future(fe.submit("sm", 2))
             await asyncio.sleep(0)  # let both enqueue; none flushed yet
             with pytest.raises(Overloaded):
                 await fe.submit("sm", 3)
-            assert fe.stats.rejected == 1
+            assert count(fe.metrics, "repro_frontend_admissions_total",
+                         outcome="rejected") == 1
             assert await asyncio.gather(first, second) == [
                 ("echo", 1), ("echo", 2)
             ]
@@ -179,8 +185,8 @@ class TestBackpressure:
 
         async def body():
             stub = StubEngine(delay=0.05)
-            fe = Frontend(stub, max_batch=64, max_wait_ms=100.0,
-                          max_queue=1, policy="shed")
+            fe = Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
+                          max_wait_ms=100.0, max_queue=1, policy="shed")
             oldest = asyncio.ensure_future(fe.submit_outcome("sm", "old"))
             await asyncio.sleep(0)
             newest = asyncio.ensure_future(fe.submit_outcome("sm", "new"))
@@ -189,7 +195,8 @@ class TestBackpressure:
             # The envelope re-materializes as the typed error.
             assert isinstance(shed.to_exception(), Overloaded)
             assert kept.value == ("echo", "new")
-            assert fe.stats.shed == 1
+            assert count(fe.metrics, "repro_frontend_admissions_total",
+                         outcome="shed") == 1
             await fe.aclose()
 
         run(body())
@@ -204,13 +211,16 @@ class TestBackpressure:
 
         async def body():
             stub = StubEngine(delay=0.01)
-            async with Frontend(stub, max_batch=4, max_wait_ms=5.0,
-                                max_queue=4, policy="block") as fe:
+            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=4,
+                                max_wait_ms=5.0, max_queue=4,
+                                policy="block") as fe:
                 results = await asyncio.gather(
                     *[fe.submit("sm", i) for i in range(24)]
                 )
             assert results == [("echo", i) for i in range(24)]
-            assert fe.stats.rejected == 0 and fe.stats.shed == 0
+            admissions = "repro_frontend_admissions_total"
+            assert count(fe.metrics, admissions, outcome="rejected") == 0
+            assert count(fe.metrics, admissions, outcome="shed") == 0
 
         run(body())
 
@@ -229,14 +239,14 @@ class TestWholeFlushExplosion:
                 self.calls += 1
                 if self.calls == 1:
                     raise RuntimeError("engine exploded")
-                from repro.serve import BatchResult, BatchStats
+                from repro.serve import BatchResult
 
-                return BatchResult(results=[p for _, p in jobs],
-                                   stats=BatchStats(ops=len(jobs)))
+                return BatchResult(results=[p for _, p in jobs])
 
         async def body():
             eng = ExplodingEngine()
-            async with Frontend(eng, max_batch=2, max_wait_ms=10.0) as fe:
+            async with Frontend(eng, metrics=MetricsRegistry(), max_batch=2,
+                                max_wait_ms=10.0) as fe:
                 first = await asyncio.gather(
                     fe.submit_outcome("sm", 1), fe.submit_outcome("sm", 2)
                 )
@@ -246,6 +256,8 @@ class TestWholeFlushExplosion:
                 isinstance(o, Failed) and o.kind == KIND_INTERNAL for o in first
             )
             assert second == 3
-            assert fe.stats.failed == 2 and fe.stats.completed == 1
+            resolved = "repro_frontend_resolved_total"
+            assert count(fe.metrics, resolved, outcome="failed") == 2
+            assert count(fe.metrics, resolved, outcome="ok") == 1
 
         run(body())

@@ -26,6 +26,7 @@ from repro.obs import MetricsRegistry
 from repro.serve import BatchEngine, Failed, Frontend
 from repro.serve.faults import KIND_DEADLINE
 from repro.serve.resilience import Deadline
+from tests.metrics_util import counted
 
 SEED = int(os.environ.get("PYTEST_SEED", "0x4D5A"), 0)
 
@@ -68,11 +69,11 @@ class TestBatchMsm:
             points = [random_subgroup_point(rng) for _ in range(n)]
             scalars = [rng.randrange(1, SUBGROUP_ORDER_N) for _ in range(n)]
             requests.append((scalars, points))
-        batch = engine.batch_msm(requests)
+        batch, delta = counted(engine.metrics, lambda: engine.batch_msm(requests))
         assert batch.ok_count == len(requests)
         for (scalars, points), got in zip(requests, batch.results):
             assert got == multi_scalar_mul(scalars, points)
-        assert batch.stats.simulated_cycles > 0
+        assert delta("repro_msm_model_cycles_total") > 0
 
     def test_malformed_request_is_isolated(self, engine):
         rng = _rng("msm-malformed")
@@ -97,10 +98,12 @@ class TestBatchMsm:
 class TestMsmVerify:
     def test_honest_batch_all_true(self, engine):
         items = signed_items(_rng("honest"), 9)
-        batch = engine.batch_verify(items, mode="msm")
+        batch, delta = counted(
+            engine.metrics, lambda: engine.batch_verify(items, mode="msm")
+        )
         assert batch.results == [True] * len(items)
-        assert batch.stats.ops == len(items)
-        assert batch.stats.simulated_cycles > 0
+        assert delta("repro_serve_items_total", kind="verify_msm") == len(items)
+        assert delta("repro_msm_model_cycles_total") > 0
 
     def test_forged_item_isolated_honest_stay_ok(self, engine, registry):
         items = signed_items(_rng("forged"), 12)
@@ -169,13 +172,13 @@ class TestMixedBatches:
             ("msm", ([3, 4], [p, random_subgroup_point(rng)])),
             ("verify_msm", items[2]),
         ]
-        batch = engine.run_jobs(jobs)
+        batch, delta = counted(engine.metrics, lambda: engine.run_jobs(jobs))
         assert batch.ok_count == len(jobs)
         assert batch.results[0] is True
         assert batch.results[2] is True
         assert batch.results[4] is True
         assert batch.results[1] == 11 * p
-        assert batch.stats.ops == len(jobs)
+        assert delta("repro_serve_items_total") == len(jobs)
 
 
 class TestFrontendRouting:

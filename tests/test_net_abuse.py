@@ -22,7 +22,6 @@ import zlib
 from repro.obs import MetricsRegistry
 from repro.serve import (
     BatchResult,
-    BatchStats,
     Frontend,
     FrontendConfig,
     NetClient,
@@ -39,6 +38,7 @@ from repro.serve.net.protocol import (
     encode_frame,
     read_frame,
 )
+from tests.metrics_util import count
 
 SEED = int(os.environ.get("PYTEST_SEED", "0xF10C"), 0)
 
@@ -55,10 +55,7 @@ class StubEngine:
                  min_chunk=None, deadline=None):
         if self.delay:
             time.sleep(self.delay)
-        return BatchResult(
-            results=[("echo", p) for _, p in jobs],
-            stats=BatchStats(ops=len(jobs)),
-        )
+        return BatchResult(results=[("echo", p) for _, p in jobs])
 
 
 def run(coro):
@@ -117,7 +114,7 @@ class TestGarbageFrames:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.protocol_errors >= 1
+            assert count(server.metrics, "repro_net_protocol_errors_total") >= 1
 
         run(body())
 
@@ -260,7 +257,7 @@ class TestSlowloris:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.protocol_errors >= 1
+            assert count(server.metrics, "repro_net_protocol_errors_total") >= 1
 
         run(body())
 

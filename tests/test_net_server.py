@@ -33,7 +33,6 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.serve import (
     BatchResult,
-    BatchStats,
     Failed,
     Frontend,
     FrontendConfig,
@@ -44,6 +43,7 @@ from repro.serve import (
 )
 from repro.serve.faults import KIND_DEADLINE, KIND_OVERLOADED, Overloaded
 from repro.serve.net.protocol import ConnectionLostError
+from tests.metrics_util import count
 
 SEED = int(os.environ.get("PYTEST_SEED", "0xF10C"), 0)
 
@@ -67,10 +67,7 @@ class StubEngine:
         self.batches.append((next(iter(kinds)), [p for _, p in jobs]))
         if self.delay:
             time.sleep(self.delay)
-        return BatchResult(
-            results=[("echo", p) for _, p in jobs],
-            stats=BatchStats(ops=len(jobs)),
-        )
+        return BatchResult(results=[("echo", p) for _, p in jobs])
 
 
 def run(coro):
@@ -110,9 +107,12 @@ class TestRoundTrip:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.requests.get("ok") == 33
-            assert server.stats.connections_opened == 1
-            assert server.stats.connections_closed == 1
+            assert count(server.metrics, "repro_net_requests_total",
+                         outcome="ok") == 33
+            assert count(server.metrics, "repro_net_connections_total",
+                         event="opened") == 1
+            assert count(server.metrics, "repro_net_connections_total",
+                         event="closed") == 1
 
         run(body())
 
@@ -136,7 +136,8 @@ class TestRoundTrip:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.connections_opened == 5
+            assert count(server.metrics, "repro_net_connections_total",
+                         event="opened") == 5
 
         run(body())
 
@@ -215,7 +216,7 @@ class TestFairness:
             share = done["polite"] / total
             # Issue gate: slowest client's share >= 0.5 / n_clients.
             assert share >= 0.25, (done, share)
-            assert server.stats.rr_grants == total
+            assert count(server.metrics, "repro_net_rr_grants_total") == total
 
         run(body())
 
@@ -253,7 +254,7 @@ class TestSheddingAndBackpressure:
                 assert len(shed) + len(served) == 48
                 assert shed, "cap of 4 with 48 queued must shed"
                 assert served, "shedding must not become total refusal"
-                assert server.stats.shed == len(shed)
+                assert count(server.metrics, "repro_net_shed_total") == len(shed)
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
@@ -323,7 +324,7 @@ class TestSheddingAndBackpressure:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.shed == 0
+            assert count(server.metrics, "repro_net_shed_total") == 0
 
         run(body())
 
@@ -378,7 +379,8 @@ class TestSheddingAndBackpressure:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert server.stats.connections_refused == 1
+            assert count(server.metrics, "repro_net_connections_total",
+                         event="refused") == 1
 
         run(body())
 

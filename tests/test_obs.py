@@ -1,11 +1,12 @@
 """Tests for the observability layer: primitives, exports, integrations.
 
-Covers the satellite bugfixes of the metrics PR — ``cycles_per_op``
-dividing by successful ops, bounded latency reservoirs, thread-safe
-cache counters, race-free default-engine construction — plus the
-tentpole: registry snapshot/merge round-trips, export schema
-validation, Prometheus rendering, and end-to-end metric recording
-through the flow and the serving engine (serial and worker fan-out).
+Covers cycles per datapath run staying undiluted by failed items,
+bounded latency reservoirs, thread-safe cache counters, race-free
+default-engine construction, registry snapshot/merge round-trips,
+export schema validation against the declaration table, Prometheus
+rendering with ``# HELP``, the table-driven report, and end-to-end
+metric recording through the flow and the serving engine (serial and
+worker fan-out).
 """
 
 import json
@@ -15,11 +16,13 @@ import threading
 import pytest
 
 from repro.obs import (
+    DEFAULT_RESERVOIR_CAP,
     ExportSchemaError,
     MetricsRegistry,
     NullRegistry,
     Reservoir,
     counter_value,
+    declared,
     ensure_valid,
     percentile,
     render_report,
@@ -27,7 +30,6 @@ from repro.obs import (
     validate_export,
     write_exports,
 )
-from repro.serve.stats import LATENCY_SAMPLE_CAP, BatchStats
 
 
 # -- reservoir ---------------------------------------------------------
@@ -232,6 +234,40 @@ def test_prometheus_rendering():
     assert 'lat_seconds_count 3' in text
 
 
+def test_declared_series_carry_help_and_gate_the_schema():
+    reg = MetricsRegistry()
+    reg.counter("repro_datapath_cycles_total").inc(10)
+    text = to_prometheus(reg.snapshot())
+    help_text = declared("repro_datapath_cycles_total").help
+    assert (
+        f"# HELP repro_datapath_cycles_total {help_text}\n"
+        "# TYPE repro_datapath_cycles_total counter\n"
+    ) in text
+    assert validate_export(reg.snapshot()) == []
+
+    bad = MetricsRegistry()
+    bad.counter("repro_not_declared_total").inc()
+    bad.counter("repro_pool_state").inc()  # declared as a gauge
+    errors = validate_export(bad.snapshot())
+    assert any("repro_not_declared_total is not a declared series" in e
+               for e in errors)
+    assert any("repro_pool_state is declared as a gauge" in e for e in errors)
+
+
+def test_observability_doc_tables_match_declaration_table():
+    """docs/observability.md carries the table-rendered reference
+    verbatim; regenerate it with ``repro.obs.series.reference_markdown()``."""
+    from pathlib import Path
+
+    from repro.obs.series import reference_markdown
+
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "observability.md").read_text()
+    begin = "<!-- metric-reference:begin -->\n"
+    end = "<!-- metric-reference:end -->"
+    assert doc.count(begin) == 1 and doc.count(end) == 1
+    assert doc[doc.index(begin) + len(begin):doc.index(end)] == reference_markdown()
+
+
 def test_write_exports_round_trip(tmp_path):
     reg = MetricsRegistry()
     reg.counter("x_total").inc()
@@ -280,12 +316,14 @@ def test_render_report_network_front_door_section():
     reg.histogram("repro_net_request_latency_seconds").observe(0.012)
     report = render_report(reg.snapshot())
     assert "network front door (TCP)" in report
-    assert "opened=3" in report and "refused=1" in report
-    assert "ok        : 40" in report
-    assert "shed[pending_cap]: 5" in report
-    assert "protocol error[bad_body]: 1" in report
-    assert "rr grants   : 42" in report
-    assert "request latency" in report
+    assert 'repro_net_connections_total{event="opened"} 3' in report
+    assert 'repro_net_connections_total{event="refused"} 1' in report
+    assert 'repro_net_connections_open 2' in report
+    assert 'repro_net_requests_total{kind="sm",outcome="ok"} 40' in report
+    assert 'repro_net_shed_total{reason="pending_cap"} 5' in report
+    assert 'repro_net_protocol_errors_total{kind="bad_body"} 1' in report
+    assert "repro_net_rr_grants_total 42" in report
+    assert "repro_net_request_latency_seconds n=1 mean 12.0 ms" in report
 
 
 def test_render_report_skips_net_section_when_absent():
@@ -294,50 +332,69 @@ def test_render_report_skips_net_section_when_absent():
     assert "network front door" not in render_report(reg.snapshot())
 
 
-# -- BatchStats bugfixes -----------------------------------------------
+# -- per-op figures under failures --------------------------------------
 
 
 def test_cycles_per_op_divides_by_ok_count():
-    stats = BatchStats()
-    stats.ops = 8  # 8 items total, 2 failed -> 6 ok
-    stats.simulated_cycles = 6000
-    stats.record_error("decoding", 0.01)
-    stats.record_error("small_order", 0.01)
-    assert stats.ok_count == 6
-    assert stats.cycles_per_op == pytest.approx(1000.0)  # not 6000/8 == 750
+    """Failed items simulate nothing: cycles per datapath run stay the
+    per-operation hardware cost under poison, never diluted by the
+    failures."""
+    from repro.curve.encoding import encode_point
+    from repro.curve.point import AffinePoint
+    from repro.dsa import fourq_dh
+
+    rng = random.Random(0xC1C)
+    pubs = [fourq_dh.generate_keypair(rng).public_bytes for _ in range(2)]
+    engine, reg = _private_engine()
+    result = engine.batch_dh(
+        5, [pubs[0], b"\xff" * 32, encode_point(AffinePoint.identity()), pubs[1]]
+    )
+    assert result.ok_count == 2
+    snap = reg.snapshot()
+    runs = counter_value(snap, "repro_datapath_runs_total")
+    assert runs == 2  # one per successful item, none for the failures
+    assert counter_value(snap, "repro_datapath_cycles_total") / runs == 2069
+    assert "cycles per run        : 2069.0" in render_report(snap)
 
 
 def test_cycles_per_op_all_failed_is_zero():
-    stats = BatchStats()
-    stats.ops = 2
-    stats.record_error("decoding", 0.01)
-    stats.record_error("decoding", 0.01)
-    assert stats.cycles_per_op == 0.0
+    engine, reg = _private_engine()
+    result = engine.batch_dh(5, [b"\xff" * 32, b"\xff" * 32])
+    assert result.ok_count == 0
+    snap = reg.snapshot()
+    assert counter_value(snap, "repro_datapath_cycles_total") == 0
+    assert counter_value(snap, "repro_serve_errors_total", kind="decoding") == 2
+    assert "cycles per run" not in render_report(snap)
 
 
 def test_latency_reservoirs_are_bounded():
-    stats = BatchStats()
+    reg = MetricsRegistry()
+    hist = reg.histogram("repro_serve_latency_seconds", kind="sm")
     for i in range(5000):
-        stats.latencies.append(float(i))
-    assert len(stats.latencies) <= LATENCY_SAMPLE_CAP
-    assert stats.latencies.count == 5000
+        hist.observe(float(i))
+    (entry,) = reg.snapshot()["histograms"]
+    assert len(entry["samples"]) <= DEFAULT_RESERVOIR_CAP
+    assert entry["count"] == 5000
     # Quantiles still answer over the retained samples.
-    assert 0.0 <= stats.p50_latency < 5000.0
+    assert 0.0 <= entry["p50"] < 5000.0
 
 
-def test_batchstats_merge_folds_reservoirs():
-    a, b = BatchStats(), BatchStats()
-    a.ops = b.ops = 2
-    a.latencies.extend([0.1, 0.2])
-    b.latencies.extend([0.3, 0.4])
-    b.simulated_cycles = 10
-    b.record_error("timeout", 0.5)
-    a.merge(b)
-    assert a.ops == 4
-    assert a.latencies.count == 4
-    assert sorted(a.latencies) == [0.1, 0.2, 0.3, 0.4]
-    assert a.errors_by_kind == {"timeout": 1}
-    assert len(a.error_latencies) == 1
+def test_worker_partial_histograms_fold_on_merge():
+    """A worker's partial registry folds home: counters add, histogram
+    counts add and retained samples union exactly under the cap."""
+    parent, worker = MetricsRegistry(), MetricsRegistry()
+    for reg, samples in ((parent, (0.1, 0.2)), (worker, (0.3, 0.4))):
+        reg.counter("repro_serve_items_total", kind="sm", outcome="ok").inc(2)
+        for v in samples:
+            reg.histogram("repro_serve_latency_seconds", kind="sm").observe(v)
+    worker.counter("repro_serve_errors_total", kind="timeout").inc()
+    parent.merge_snapshot(worker.snapshot())
+    snap = parent.snapshot()
+    assert counter_value(snap, "repro_serve_items_total") == 4
+    assert counter_value(snap, "repro_serve_errors_total", kind="timeout") == 1
+    hist = parent.histogram("repro_serve_latency_seconds", kind="sm")
+    assert hist.count == 4
+    assert sorted(hist.reservoir.samples) == [0.1, 0.2, 0.3, 0.4]
 
 
 # -- thread-safety -----------------------------------------------------
@@ -435,7 +492,7 @@ def test_engine_records_flow_and_serve_metrics():
     engine, reg = _private_engine()
     engine.warm()
     result = engine.batch_scalarmult([3, 5, 7])
-    assert result.stats.ops == 3
+    assert result.ok_count == 3
     snap = reg.snapshot()
     assert validate_export(snap) == []
     assert counter_value(snap, "repro_serve_items_total", outcome="ok") == 3
@@ -467,7 +524,7 @@ def test_engine_records_error_taxonomy():
     bad_decode = b"\xff" * 32
     small_order = encode_point(AffinePoint.identity())
     result = engine.batch_dh(5, [good, bad_decode, small_order])
-    assert result.stats.errors == 2
+    assert len(result.errors) == 2
     snap = reg.snapshot()
     assert counter_value(snap, "repro_serve_items_total", outcome="error") == 2
     assert counter_value(snap, "repro_serve_errors_total", kind="decoding") == 1

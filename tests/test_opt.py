@@ -312,7 +312,7 @@ class TestOptObservability:
         run_flow(trace_loop_iterations(8), metrics=reg, optimize="full")
         report = render_report(reg.snapshot())
         assert "trace optimizer" in report
-        assert "runs (full): 1" in report
-        assert "segments (reused)" in report
+        assert 'repro_opt_runs_total{level="full"} 1' in report
+        assert 'repro_opt_segments_total{outcome="reused"}' in report
         # The optimize stage records a wall-time span like any other.
         assert "optimize" in report

@@ -59,6 +59,7 @@ from repro.serve.resilience import (
     RetryPolicy,
     TokenBucket,
 )
+from tests.metrics_util import count
 
 SEED = int(os.environ.get("PYTEST_SEED", "0xF10C"), 0)
 
@@ -458,7 +459,7 @@ class TestEngineCircuitModes:
         )
         result = engine.run_jobs(_noop_jobs(4), workers=2, min_chunk=1)
         assert result.results == [("fault", "noop")] * 4
-        assert result.stats.workers == 0  # never touched the pool
+        assert engine.supervisor is None  # never touched the pool
 
     def test_fail_fast_mode_is_typed_and_instant(self):
         engine = BatchEngine(
@@ -501,8 +502,8 @@ class TestEngineRetryIntegration:
             engine.close()
         # Exactly one outcome per input, in input order, all recovered.
         assert [r for r in result.results] == [("fault", m) for m in modes]
-        assert result.stats.requeues >= 1
-        assert result.stats.retries >= 1
+        assert count(engine.metrics, "repro_serve_chunk_requeues_total") >= 1
+        assert count(engine.metrics, "repro_serve_chunk_retries_total") >= 1
 
     def test_equal_seeds_equal_recovery(self):
         modes = ["exit", "noop", "noop", "exit"]
@@ -515,7 +516,9 @@ class TestEngineRetryIntegration:
             finally:
                 engine.close()
             outcomes.append(result.results)
-            retries.append(result.stats.retries)
+            retries.append(
+                count(engine.metrics, "repro_serve_chunk_retries_total")
+            )
         assert outcomes[0] == outcomes[1] == [("fault", m) for m in modes]
         assert retries[0] == retries[1]
 

@@ -16,18 +16,21 @@ from repro.curve.params import SUBGROUP_ORDER_N
 from repro.curve.point import AffinePoint, random_subgroup_point
 from repro.curve.scalarmult import scalar_mul_fourq
 from repro.flow import run_flow
+from repro.obs import MetricsRegistry, percentile, render_report
 from repro.sched.jobshop import MachineSpec
-from repro.serve import BatchEngine, BatchResult, BatchStats, Failed, percentile
+from repro.serve import BatchEngine, BatchResult, Failed
 from repro.serve.cache import FlowArtifactCache, FlowArtifacts, trace_shape_key
 from repro.serve.engine import _chunk
 from repro.trace import trace_loop_iteration, trace_scalar_mult
+from tests.metrics_util import counted
 
 
 @pytest.fixture(scope="module")
 def engine():
-    eng = BatchEngine()
+    eng = BatchEngine(metrics=MetricsRegistry())
     eng.warm()
     return eng
+
 
 
 def _stub_entry(key: str) -> FlowArtifacts:
@@ -166,18 +169,24 @@ class TestFallbackSelfHealing:
 class TestBatchSemantics:
     def test_dedup_computes_once(self, engine):
         k1, k2 = 0xD00D, 0xBEEF
-        result = engine.batch_scalarmult([k1, k1, k2, k1 + SUBGROUP_ORDER_N])
-        assert result.stats.ops == 4
+        result, delta = counted(
+            engine.metrics,
+            lambda: engine.batch_scalarmult([k1, k1, k2, k1 + SUBGROUP_ORDER_N]),
+        )
+        assert delta("repro_serve_items_total") == 4
         # Three of the four jobs share one canonical (k mod N, P) key.
-        assert len(result.stats.latencies) == 2
+        assert delta("repro_serve_items_total", outcome="ok") == 2
+        assert delta("repro_serve_items_total", outcome="dedup") == 2
         assert (result[0].x, result[0].y) == (result[1].x, result[1].y)
         assert (result[0].x, result[0].y) == (result[3].x, result[3].y)
         ref = scalar_mul_fourq(k2, AffinePoint.generator())
         assert (result[2].x, result[2].y) == (ref.x, ref.y)
 
     def test_dedup_off_executes_all(self, engine):
-        result = engine.batch_scalarmult([5, 5], dedup=False)
-        assert len(result.stats.latencies) == 2
+        _, delta = counted(
+            engine.metrics, lambda: engine.batch_scalarmult([5, 5], dedup=False)
+        )
+        assert delta("repro_serve_items_total", outcome="ok") == 2
 
     def test_batch_dh_matches_reference(self, engine):
         from repro.dsa import fourq_dh
@@ -206,19 +215,22 @@ class TestBatchSemantics:
     def test_workers_reports_chunks_actually_used(self, engine):
         """3 jobs never occupy more than 3 workers, whatever was asked."""
         result = engine.batch_scalarmult([31, 32, 33], workers=8, dedup=False)
-        assert result.stats.workers == 3
+        assert engine.supervisor.size == 3
         ref = scalar_mul_fourq(31, AffinePoint.generator())
         assert (result[0].x, result[0].y) == (ref.x, ref.y)
 
     def test_stats_accounting(self, engine):
-        result = engine.batch_scalarmult([11, 12, 13], dedup=False)
-        s = result.stats
-        assert s.ops == 3
-        assert s.cache_hit_rate == 1.0  # engine is warm
-        assert s.fallbacks == 0
-        assert s.simulated_cycles > 0 and s.cycles_per_op > 0
-        assert s.wall_seconds >= sum(s.latencies) * 0.5
-        assert "ops/s" in s.report()
+        _, delta = counted(
+            engine.metrics, lambda: engine.batch_scalarmult([11, 12, 13], dedup=False)
+        )
+        assert delta("repro_serve_items_total", outcome="ok") == 3
+        # The engine is warm: every item hit the artifact cache.
+        assert delta("repro_cache_events_total", event="hit") == 3
+        assert delta("repro_cache_events_total", event="miss") == 0
+        assert delta("repro_flow_requests_total", path="fallback") == 0
+        assert delta("repro_datapath_cycles_total") == 3 * 2069
+        assert delta("repro_datapath_runs_total") == 3
+        assert "cache hit rate" in render_report(engine.metrics.snapshot())
 
 
 class TestPercentile:
@@ -270,7 +282,7 @@ class TestBatchResultEnvelope:
 
     def _mixed(self):
         failed = Failed(kind="value", message="boom", index=1)
-        return BatchResult(results=["a", failed, "c"], stats=BatchStats(ops=3))
+        return BatchResult(results=["a", failed, "c"])
 
     def test_error_accessors(self):
         result = self._mixed()
@@ -287,7 +299,7 @@ class TestBatchResultEnvelope:
             result.raise_any()
         with pytest.raises(ValueError, match="boom"):
             result.unwrap()
-        clean = BatchResult(results=["a", "b"], stats=BatchStats(ops=2))
+        clean = BatchResult(results=["a", "b"])
         clean.raise_any()  # no error: a no-op
         assert clean.unwrap() == ["a", "b"]
 

@@ -24,6 +24,7 @@ from repro.curve.point import AffinePoint
 from repro.curve.scalarmult import scalar_mul_fourq
 from repro.dsa import fourq_dh, fourq_schnorr
 from repro.dsa.fourq_dh import SmallOrderPoint
+from repro.obs import MetricsRegistry
 from repro.serve import BatchEngine, Failed
 from repro.serve.faults import (
     KIND_DECODING,
@@ -31,6 +32,7 @@ from repro.serve.faults import (
     KIND_TYPE,
     classify_exception,
 )
+from tests.metrics_util import counted
 
 #: Decodes fine, collapses to the identity at cofactor clearing.
 SMALL_ORDER_ENCODING = encode_point(AffinePoint.identity())
@@ -43,7 +45,7 @@ N_BAD = 8
 
 @pytest.fixture(scope="module")
 def engine():
-    eng = BatchEngine()
+    eng = BatchEngine(metrics=MetricsRegistry())
     eng.warm()
     return eng
 
@@ -69,17 +71,23 @@ def poisoned_dh():
 
 
 @pytest.fixture(scope="module")
-def serial_dh_result(engine, poisoned_dh):
+def serial_dh(engine, poisoned_dh):
+    """The serial poisoned batch and its counter-delta reader."""
     me, pubs, _, _ = poisoned_dh
-    return engine.batch_dh(me.private, pubs)
+    return counted(engine.metrics, lambda: engine.batch_dh(me.private, pubs))
+
+
+@pytest.fixture(scope="module")
+def serial_dh_result(serial_dh):
+    return serial_dh[0]
 
 
 class TestPoisonedBatchDH:
     """The acceptance scenario: 64 items, 8 poisoned, nothing lost."""
 
-    def test_serial_isolation(self, serial_dh_result, poisoned_dh):
+    def test_serial_isolation(self, serial_dh, poisoned_dh):
         _, _, expected_kinds, references = poisoned_dh
-        result = serial_dh_result
+        result, delta = serial_dh
         assert len(result) == N_ITEMS
         assert result.ok_count == N_ITEMS - N_BAD
 
@@ -94,26 +102,29 @@ class TestPoisonedBatchDH:
             assert isinstance(failure, Failed)
             assert failure.kind == expected_kinds[failure.index]
             assert failure.message
+            assert failure.latency > 0.0
 
         # Observability matches the injected faults exactly.
-        assert result.stats.errors == N_BAD
-        assert result.stats.errors_by_kind == {
-            KIND_SMALL_ORDER: N_BAD // 2,
-            KIND_DECODING: N_BAD // 2,
-        }
-        assert len(result.stats.error_latencies) == N_BAD
-        assert result.stats.ok_count == N_ITEMS - N_BAD
-        assert len(result.stats.latencies) == N_ITEMS - N_BAD
-        assert "isolated" in result.stats.report()
+        assert delta("repro_serve_errors_total") == N_BAD
+        assert delta("repro_serve_errors_total", kind=KIND_SMALL_ORDER) == N_BAD // 2
+        assert delta("repro_serve_errors_total", kind=KIND_DECODING) == N_BAD // 2
+        assert delta("repro_serve_items_total", outcome="error") == N_BAD
+        assert delta("repro_serve_items_total", outcome="ok") == N_ITEMS - N_BAD
 
-    def test_workers2_identical_to_serial(self, engine, poisoned_dh, serial_dh_result):
+    def test_workers2_identical_to_serial(self, engine, poisoned_dh, serial_dh):
         me, pubs, _, _ = poisoned_dh
-        parallel = engine.batch_dh(me.private, pubs, workers=2)
+        parallel, delta = counted(
+            engine.metrics, lambda: engine.batch_dh(me.private, pubs, workers=2)
+        )
+        serial, serial_delta = serial_dh
         # Byte-identical values, equal envelopes (latency excluded from
         # envelope identity), same order.
-        assert parallel.results == serial_dh_result.results
-        assert parallel.stats.workers == 2
-        assert parallel.stats.errors_by_kind == serial_dh_result.stats.errors_by_kind
+        assert parallel.results == serial.results
+        assert engine.supervisor.size == 2
+        for kind in (KIND_SMALL_ORDER, KIND_DECODING):
+            assert delta("repro_serve_errors_total", kind=kind) == serial_delta(
+                "repro_serve_errors_total", kind=kind
+            )
 
     def test_strict_reproduces_raise_behaviour(self, engine, poisoned_dh):
         me, pubs, expected_kinds, _ = poisoned_dh
@@ -148,19 +159,20 @@ class TestBatchVerifyFaults:
         # Unprocessable material: a typed Failed envelope.
         junk = dataclasses.replace(sig, s="junk")
 
-        result = engine.batch_verify(
+        result, delta = counted(engine.metrics, lambda: engine.batch_verify(
             [
                 (key.public, b"serve", sig),
                 (key.public, b"serve", junk),
                 (key.public, b"serve", wrong_s),
             ]
-        )
+        ))
         assert result[0] is True
         assert isinstance(result[1], Failed) and result[1].kind == KIND_TYPE
         assert result[1].index == 1
         assert result[2] is False
         assert result.ok_count == 2
-        assert result.stats.errors_by_kind == {KIND_TYPE: 1}
+        assert delta("repro_serve_errors_total") == 1
+        assert delta("repro_serve_errors_total", kind=KIND_TYPE) == 1
 
         with pytest.raises(TypeError):
             engine.batch_verify([(key.public, b"serve", junk)], strict=True)
@@ -173,9 +185,11 @@ class TestWorkerRecovery:
         jobs = [("fault", ("exit",))] + [
             ("sm", (k, AffinePoint.generator())) for k in scalars
         ]
-        result = engine._run_batch(jobs, workers=2, dedup=False)
-        assert result.stats.requeues >= 1
-        assert result.stats.retries >= 1
+        result, delta = counted(
+            engine.metrics, lambda: engine._run_batch(jobs, workers=2, dedup=False)
+        )
+        assert delta("repro_serve_chunk_requeues_total") >= 1
+        assert delta("repro_serve_chunk_retries_total") >= 1
         # The fault job was recovered by the parent's serial re-run.
         assert result[0] == ("fault", "exit")
         for k, got in zip(scalars, result.results[1:]):
@@ -186,14 +200,14 @@ class TestWorkerRecovery:
         """A chunk over its time budget is requeued, not waited on."""
         engine.chunk_timeout = 0.25
         try:
-            result = engine._run_batch(
+            result, delta = counted(engine.metrics, lambda: engine._run_batch(
                 [("fault", ("sleep", 3.0)), ("fault", ("noop",))],
                 workers=2,
                 dedup=False,
-            )
+            ))
         finally:
             engine.chunk_timeout = None
-        assert result.stats.requeues >= 1
+        assert delta("repro_serve_chunk_requeues_total") >= 1
         assert result.results == [("fault", "sleep"), ("fault", "noop")]
 
 
