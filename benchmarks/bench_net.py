@@ -1,11 +1,11 @@
 """N-net — the TCP front door vs the in-process Frontend.
 
 The transport's claim (docs/protocol.md, docs/serving.md "The network
-front door"): framing, codec round-trips, and the server's round-robin
-dispatch cost so little next to the curve arithmetic that **aggregate
-throughput from >= 4 concurrent TCP clients at saturation stays within
-2x of the in-process Frontend** at the same ``max_batch`` /
-``max_wait_ms``.  A second phase checks the fairness promise under
+front door"): framing, codec round-trips, and the server's hand-off
+into the Frontend cost so little next to the curve arithmetic that
+**aggregate throughput from >= 4 concurrent TCP clients at saturation
+stays within 2x of the in-process Frontend** at the same
+``max_batch`` / ``max_wait_ms``.  A second phase checks the fairness promise under
 adversarial load: one firehose client saturating the server must not
 starve the polite clients — every client's completed share stays at or
 above half its fair share.
@@ -66,7 +66,7 @@ def run_net(engine, scalars, *, n_clients, max_batch, max_wait_ms):
     """Saturation ops/s through the TCP server from ``n_clients`` sockets.
 
     The same engine, the same flush knobs — the only new cost is the
-    wire: framing, JSON codec, the server's admission/dispatch machinery.
+    wire: framing, JSON codec, the server's request validation and hand-off.
     """
     from repro.curve.point import AffinePoint
     from repro.obs import MetricsRegistry, counter_value
@@ -122,9 +122,9 @@ def run_fairness(engine, *, n_polite, duration_s, max_batch, max_wait_ms):
 
     The firehose keeps 24 submissions outstanding; each polite client
     keeps 3.  Returns ``(shares, total)`` where ``shares`` maps client
-    label -> fraction of all completed requests.  Round-robin dispatch
-    (docs/serving.md) should hold every share near ``1/n_clients``
-    despite the 8x outstanding-work imbalance.
+    label -> fraction of all completed requests.  The Frontend's
+    per-source batch rotation (docs/serving.md) should hold every share
+    near ``1/n_clients`` despite the 8x outstanding-work imbalance.
     """
     from repro.curve.point import AffinePoint
     from repro.obs import MetricsRegistry
@@ -133,7 +133,6 @@ def run_fairness(engine, *, n_polite, duration_s, max_batch, max_wait_ms):
 
     generator = AffinePoint.generator()
     rng = random.Random(0xFA1)
-    n_clients = n_polite + 1
 
     async def driver():
         fe = Frontend(engine, config=FrontendConfig(
@@ -143,15 +142,6 @@ def run_fairness(engine, *, n_polite, duration_s, max_batch, max_wait_ms):
                            config=NetServerConfig(
                                port=0,
                                max_inflight_per_conn=64,
-                               # The fairness lever: dispatch is the
-                               # bottleneck, so requests queue per
-                               # connection and the RR grant decides.
-                               # Each client can fill at most its own
-                               # window of slots per sweep, so slots a
-                               # polite client cannot cover go to the
-                               # firehose; ~2 slots per client keeps
-                               # the split even.
-                               max_dispatch_inflight=2 * n_clients,
                            ))
         await server.start()
         completed = {}
@@ -276,7 +266,7 @@ def test_tcp_fanin_near_inprocess_throughput():
 
 
 def test_firehose_does_not_starve_polite_clients():
-    """Round-robin dispatch holds every client's share near fair.
+    """Per-source batch rotation holds every client's share near fair.
 
     The CLI gate is 0.5/n; under pytest we relax to 0.25/n — a firehose
     that actually starves a client drives its share to ~0, an order of

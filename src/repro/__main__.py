@@ -141,16 +141,13 @@ def cmd_serve_bench(argv=()) -> int:
                              "requests and report isolation overhead")
     parser.add_argument("--smoke", action="store_true",
                         help="small CI-sized run (N=6, baseline=1)")
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write the metrics registry as JSON to PATH "
-                             "(+ Prometheus text alongside)")
+    _metrics_out_flag(parser)
     args = parser.parse_args(list(argv))
     if args.n is None:
         args.n = 6 if args.smoke else 16
     if args.baseline is None:
         args.baseline = 1 if args.smoke else 3
-    if not 0.0 <= args.poison < 1.0:
-        print("--poison must be in [0, 1)", file=sys.stderr)
+    if _bad_poison(args):
         return 2
 
     from .flow import run_flow
@@ -221,6 +218,58 @@ def cmd_serve_bench(argv=()) -> int:
     return _write_metrics(registry, args.metrics_out)
 
 
+def _metrics_out_flag(parser) -> None:
+    parser.add_argument("--metrics-out", metavar="PATH", default=None,
+                        help="write the metrics registry as JSON to PATH "
+                             "(+ Prometheus text alongside)")
+
+
+def _bad_poison(args) -> bool:
+    if 0.0 <= args.poison < 1.0:
+        return False
+    print("--poison must be in [0, 1)", file=sys.stderr)
+    return True
+
+
+def _front_door_flags(parser, n_help: str) -> None:
+    """Flags ``serve`` and ``serve-net`` share: stream + front door."""
+    add = parser.add_argument
+    add("n", nargs="?", type=int, default=None, help=n_help)
+    add("--max-batch", type=int, default=16,
+        help="coalescer flush size (default 16)")
+    add("--max-wait-ms", type=float, default=5.0,
+        help="coalescer flush deadline in ms (default 5)")
+    add("--policy", choices=("block", "reject", "shed"), default="block",
+        help="admission policy when the queue is full (default block)")
+    add("--queue", type=int, default=256,
+        help="per-kind queue bound (default 256)")
+    add("--workers", type=int, default=0,
+        help="engine fan-out per flush (0 = serial)")
+    add("--poison", type=float, default=0.0, metavar="R",
+        help="ratio in [0, 1) of requests replaced by invalid DH material; "
+             "with serve --verify, also the ratio of tampered signatures")
+    add("--deadline-ms", type=float, default=None,
+        help="end-to-end request deadline in ms (default: unbounded; "
+             "a serve-net server clamps client budgets to it)")
+    add("--seed", type=lambda s: int(s, 0), default=0x5EED)
+    _metrics_out_flag(parser)
+
+
+def _frontend_config(args, **extra):
+    """The FrontendConfig the shared front-door flags describe."""
+    from .serve import FrontendConfig
+
+    return FrontendConfig(
+        max_batch=args.max_batch,
+        max_wait_ms=args.max_wait_ms,
+        max_queue=args.queue,
+        policy=args.policy,
+        workers=args.workers,
+        default_deadline_ms=args.deadline_ms,
+        **extra,
+    )
+
+
 def _write_metrics(registry, path) -> int:
     """``--metrics-out``: export ``registry`` (JSON + Prometheus text)."""
     if not path:
@@ -233,6 +282,125 @@ def _write_metrics(registry, path) -> int:
         print(f"FAIL: metrics export is schema-invalid: {exc}", file=sys.stderr)
         return 1
     print(f"metrics written  : {json_path} (+ {prom_path})")
+    return 0
+
+
+def _request_stream(n, seed, poison=0.0, verify=0.0, chaos=False):
+    """The seeded demo stream: ``(requests, rng)``.
+
+    ``requests`` holds ``(kind, payload, poisoned)`` triples — clean
+    ``sm`` jobs, a ratio ``poison`` of invalid DH material, a ratio
+    ``verify`` of Schnorr ``verify_msm`` jobs (``poison`` then also
+    tampers that ratio of their messages), and with ``chaos`` every 4th
+    request a worker kill or hang.  ``rng`` is returned so a caller can
+    keep drawing (arrival times) from the same seeded stream.
+    """
+    import random
+
+    from .curve.encoding import encode_point
+    from .curve.point import AffinePoint
+    from .dsa import fourq_dh, fourq_schnorr
+
+    rng = random.Random(seed)
+    generator = AffinePoint.generator()
+    me = fourq_dh.generate_keypair(rng)
+    signer_kps = (
+        [fourq_schnorr.generate_keypair(rng) for _ in range(4)]
+        if verify
+        else []
+    )
+    requests = []
+    for i in range(n):
+        if chaos and i % 4 == 2:
+            # Every 4th request is sabotage: a worker kill or a hang.
+            mode = ("exit",) if (i // 4) % 2 == 0 else ("sleep", 3.0)
+            requests.append(("fault", mode, False))
+        elif verify and rng.random() < verify:
+            kp = signer_kps[i % len(signer_kps)]
+            msg = b"serve-msg-%d" % i
+            sig = fourq_schnorr.sign(kp, msg)
+            if poison and rng.random() < poison:
+                # Tampered message: the signature no longer matches, so
+                # this item must come back Ok(False) — a verdict, not a
+                # Failed envelope (the fallback path's contract).
+                msg += b"-tampered"
+            requests.append(("verify_msm", (kp.public, msg, sig), False))
+        elif poison and rng.random() < poison:
+            bad = (encode_point(AffinePoint.identity())
+                   if i % 2 == 0 else b"\xff" * 32)
+            requests.append(("dh", (me.private, bad), True))
+        else:
+            requests.append(("sm", (rng.randrange(2**256), generator), False))
+    return requests, rng
+
+
+def _check_outcomes(requests, outcomes, wall, deadline_ms) -> int:
+    """Report and self-check a demo run; return the exit code.
+
+    Prints the outcome mix and streamed ops/s over ``wall`` seconds,
+    then PASS or FAIL.  Every request must have resolved exactly once;
+    every poisoned request failed as a typed envelope (and nothing else did); every
+    ``verify_msm`` verdict matches the per-item reference verifier;
+    chaos sabotage resolved as a marker or a typed failure; and the
+    first 8 clean scalarmults match ``scalar_mul_fourq``.  With a
+    deadline, a typed deadline failure is a legitimate outcome.
+    """
+    from .curve.scalarmult import scalar_mul_fourq
+    from .dsa import fourq_schnorr
+    from .serve import Failed
+
+    ok = sum(1 for o in outcomes if not isinstance(o, Failed))
+    kinds = {}
+    for o in outcomes:
+        if isinstance(o, Failed):
+            kinds[o.kind] = kinds.get(o.kind, 0) + 1
+    print(f"completed        : {len(outcomes)}/{len(requests)} ({ok} ok"
+          + "".join(f", {k}={v}" for k, v in sorted(kinds.items())) + ")")
+    print(f"wall time        : {wall * 1e3:.1f} ms")
+    print(f"streamed ops/s   : {ok / wall:.2f}")
+    if len(outcomes) != len(requests):
+        print(f"FAIL: {len(requests)} requests but {len(outcomes)} outcomes",
+              file=sys.stderr)
+        return 1
+    checked = mismatches = deadline_hits = verified = 0
+    for (kind, payload, poisoned), outcome in zip(requests, outcomes):
+        failed = isinstance(outcome, Failed)
+        if failed and outcome.kind == "deadline" and deadline_ms:
+            deadline_hits += 1
+            continue
+        if kind == "verify_msm":
+            public, message, sig = payload
+            if failed or outcome.value != fourq_schnorr.verify(
+                public, message, sig
+            ):
+                mismatches += 1
+            else:
+                verified += 1
+            continue
+        if kind == "fault":
+            if failed and outcome.kind not in (
+                "deadline", "timeout", "worker_crash", "circuit_open",
+                "internal",
+            ):
+                mismatches += 1
+            continue
+        if poisoned != failed:
+            mismatches += 1
+        elif kind == "sm" and not failed and checked < 8:
+            k, p = payload
+            ref = scalar_mul_fourq(k, p)
+            if (outcome.value.x, outcome.value.y) != (ref.x, ref.y):
+                mismatches += 1
+            checked += 1
+    if mismatches:
+        print(f"FAIL: {mismatches} outcome(s) diverged", file=sys.stderr)
+        return 1
+    print(f"PASS: outcomes verified ({checked} re-checked against the "
+          f"math layer"
+          + (f"; {verified} batch-MSM verdicts matched the reference "
+             "verifier" if verified else "")
+          + (f"; {deadline_hits} hit their deadline" if deadline_hits else "")
+          + ")")
     return 0
 
 
@@ -276,34 +444,14 @@ def cmd_serve(argv=()) -> int:
     import time
 
     parser = argparse.ArgumentParser(prog="repro serve")
-    parser.add_argument("n", nargs="?", type=int, default=None,
-                        help="requests to stream (default 64; 8 with --smoke)")
+    _front_door_flags(parser, "requests to stream (default 64; 8 with --smoke)")
     parser.add_argument("--rate", type=float, default=0.0,
                         help="Poisson arrival rate in req/s "
                              "(0 = saturation: submit as fast as possible)")
-    parser.add_argument("--max-batch", type=int, default=16,
-                        help="coalescer flush size (default 16)")
-    parser.add_argument("--max-wait-ms", type=float, default=5.0,
-                        help="coalescer flush deadline in ms (default 5)")
-    parser.add_argument("--policy", choices=("block", "reject", "shed"),
-                        default="block", help="admission policy when the "
-                        "queue is full (default block)")
-    parser.add_argument("--queue", type=int, default=256,
-                        help="per-kind queue bound (default 256)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="engine fan-out per flush (0 = serial)")
-    parser.add_argument("--poison", type=float, default=0.0, metavar="R",
-                        help="ratio in [0, 1) of requests replaced by "
-                             "invalid DH material (streamed isolation demo); "
-                             "with --verify, also the ratio of tampered "
-                             "signatures")
     parser.add_argument("--verify", type=float, default=0.0, metavar="R",
                         help="ratio in [0, 1] of requests submitted as "
                              "Schnorr verify_msm jobs (grouped per flush "
                              "into one randomized MSM)")
-    parser.add_argument("--deadline-ms", type=float, default=None,
-                        help="end-to-end request deadline in ms "
-                             "(default: unbounded)")
     parser.add_argument("--retries", type=int, default=None,
                         help="pool executions a transient chunk fault may "
                              "consume before serial recovery (default: "
@@ -312,17 +460,12 @@ def cmd_serve(argv=()) -> int:
                         help="inject worker kills and hangs into the "
                              "stream (forces workers>=2) to exercise the "
                              "fault-tolerance layer")
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=0x5EED)
     parser.add_argument("--smoke", action="store_true",
                         help="small CI-sized run (N=8)")
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write the metrics registry as JSON to PATH "
-                             "(+ Prometheus text alongside)")
     args = parser.parse_args(list(argv))
     if args.n is None:
         args.n = 8 if args.smoke else 64
-    if not 0.0 <= args.poison < 1.0:
-        print("--poison must be in [0, 1)", file=sys.stderr)
+    if _bad_poison(args):
         return 2
     if not 0.0 <= args.verify <= 1.0:
         print("--verify must be in [0, 1]", file=sys.stderr)
@@ -333,52 +476,11 @@ def cmd_serve(argv=()) -> int:
     if args.chaos:
         args.workers = max(args.workers, 2)
 
-    from .curve.encoding import encode_point
-    from .curve.point import AffinePoint
-    from .curve.scalarmult import scalar_mul_fourq
-    from .dsa import fourq_dh
     from .obs import MetricsRegistry, render_report
-    from .serve import (
-        BatchEngine,
-        Failed,
-        Frontend,
-        FrontendConfig,
-        Overloaded,
-        RetryPolicy,
-    )
+    from .serve import BatchEngine, Failed, Frontend, FrontendConfig, Overloaded, RetryPolicy
 
-    from .dsa import fourq_schnorr
-
-    rng = random.Random(args.seed)
-    generator = AffinePoint.generator()
-    me = fourq_dh.generate_keypair(rng)
-    signer_kps = (
-        [fourq_schnorr.generate_keypair(rng) for _ in range(4)]
-        if args.verify
-        else []
-    )
-    requests = []  # (kind, payload, poisoned?)
-    for i in range(args.n):
-        if args.chaos and i % 4 == 2:
-            # Every 4th request is sabotage: a worker kill or a hang.
-            mode = ("exit",) if (i // 4) % 2 == 0 else ("sleep", 3.0)
-            requests.append(("fault", mode, False))
-        elif args.verify and rng.random() < args.verify:
-            kp = signer_kps[i % len(signer_kps)]
-            msg = b"serve-msg-%d" % i
-            sig = fourq_schnorr.sign(kp, msg)
-            if args.poison and rng.random() < args.poison:
-                # Tampered message: the signature no longer matches, so
-                # this item must come back Ok(False) — a verdict, not a
-                # Failed envelope (the fallback path's contract).
-                msg += b"-tampered"
-            requests.append(("verify_msm", (kp.public, msg, sig), False))
-        elif args.poison and rng.random() < args.poison:
-            bad = (encode_point(AffinePoint.identity())
-                   if i % 2 == 0 else b"\xff" * 32)
-            requests.append(("dh", (me.private, bad), True))
-        else:
-            requests.append(("sm", (rng.randrange(2**256), generator), False))
+    requests, rng = _request_stream(args.n, args.seed, args.poison,
+                                    args.verify, args.chaos)
     delays, t = [], 0.0
     for _ in requests:
         t += rng.expovariate(args.rate) if args.rate > 0 else 0.0
@@ -408,20 +510,12 @@ def cmd_serve(argv=()) -> int:
           + (", CHAOS" if args.chaos else "") + "...")
 
     async def driver():
-        fe = Frontend(
-            engine,
-            metrics=registry,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.queue,
-            policy=args.policy,
-            workers=args.workers,
-            # Under chaos even a tiny fault-lane flush must fan out, or
-            # the sabotage degrades to the serial path and never
-            # touches the pool it is meant to break.
-            min_chunk=1 if args.chaos else FrontendConfig().min_chunk,
-            default_deadline_ms=args.deadline_ms,
-        )
+        # Under chaos even a tiny fault-lane flush must fan out, or the
+        # sabotage degrades to the serial path and never touches the
+        # pool it is meant to break.
+        fe = Frontend(engine, metrics=registry, config=_frontend_config(
+            args, min_chunk=1 if args.chaos else FrontendConfig().min_chunk
+        ))
 
         async def client(kind, payload, delay):
             await asyncio.sleep(delay)
@@ -443,65 +537,9 @@ def cmd_serve(argv=()) -> int:
 
     print()
     print(render_report(registry.snapshot()))
-    completed = sum(1 for o in outcomes if not isinstance(o, Failed))
-    print(f"wall time        : {wall * 1e3:.1f} ms")
-    print(f"streamed ops/s   : {completed / wall:.2f}")
-
-    # Self-check: every request resolved exactly once; every clean
-    # scalarmult matches the math layer; every poisoned request failed
-    # as a typed envelope (and nothing else did).  With a deadline or
-    # under chaos, a typed deadline failure is a legitimate outcome.
-    if len(outcomes) != len(requests):
-        print(f"FAIL: {len(requests)} requests but {len(outcomes)} outcomes",
-              file=sys.stderr)
-        return 1
-    checked = mismatches = deadline_hits = verified = 0
-    for (kind, payload, poisoned), outcome in zip(requests, outcomes):
-        failed = isinstance(outcome, Failed)
-        if failed and outcome.kind == "deadline" and args.deadline_ms:
-            deadline_hits += 1
-            continue
-        if kind == "verify_msm":
-            # The batch-MSM verdict must match the per-item reference
-            # verifier — True for honest items, False for tampered ones.
-            public, message, sig = payload
-            if failed or outcome.value != fourq_schnorr.verify(
-                public, message, sig
-            ):
-                mismatches += 1
-            else:
-                verified += 1
-            continue
-        if kind == "fault":
-            # Chaos sabotage: recovered Ok marker or a typed failure —
-            # anything but an unresolved/untyped outcome is a pass.
-            if failed and outcome.kind not in (
-                "deadline", "timeout", "worker_crash", "circuit_open",
-                "internal",
-            ):
-                mismatches += 1
-            continue
-        if poisoned != failed:
-            mismatches += 1
-        elif kind == "sm" and not failed and checked < 8:
-            k, p = payload
-            ref = scalar_mul_fourq(k, p)
-            if (outcome.value.x, outcome.value.y) != (ref.x, ref.y):
-                mismatches += 1
-            checked += 1
-    if mismatches:
-        print(f"FAIL: {mismatches} streamed outcome(s) diverged",
-              file=sys.stderr)
-        return 1
-    print(f"PASS: outcomes verified ({checked} re-checked against the "
-          f"math layer"
-          + (f"; {verified} batch-MSM verdicts matched the reference "
-             "verifier" if verified else "")
-          + (f"; {deadline_hits} hit their deadline" if deadline_hits else "")
-          + ")")
-
+    rc = _check_outcomes(requests, outcomes, wall, args.deadline_ms)
     engine.close()
-    return _write_metrics(registry, args.metrics_out)
+    return rc or _write_metrics(registry, args.metrics_out)
 
 
 def cmd_serve_net(argv=()) -> int:
@@ -529,9 +567,8 @@ def cmd_serve_net(argv=()) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(prog="repro serve-net")
-    parser.add_argument("n", nargs="?", type=int, default=None,
-                        help="client mode: requests to stream "
-                             "(default 32; 12 with --smoke)")
+    _front_door_flags(parser, "client mode: requests to stream "
+                              "(default 32; 12 with --smoke)")
     parser.add_argument("--connect", metavar="HOST:PORT", default=None,
                         help="run as a client against a serving instance")
     parser.add_argument("--host", default="127.0.0.1",
@@ -547,38 +584,12 @@ def cmd_serve_net(argv=()) -> int:
     parser.add_argument("--clients", type=int, default=4,
                         help="client mode: concurrent connections "
                              "(default 4)")
-    parser.add_argument("--poison", type=float, default=0.0, metavar="R",
-                        help="client mode: ratio in [0, 1) of requests "
-                             "replaced by invalid DH material")
-    parser.add_argument("--deadline-ms", type=float, default=None,
-                        help="client mode: per-request relative budget; "
-                             "server mode: Frontend default_deadline_ms "
-                             "clamp")
-    parser.add_argument("--max-batch", type=int, default=16,
-                        help="server mode: coalescer flush size")
-    parser.add_argument("--max-wait-ms", type=float, default=5.0,
-                        help="server mode: coalescer flush deadline (ms)")
-    parser.add_argument("--policy", choices=("block", "reject", "shed"),
-                        default="block",
-                        help="server mode: Frontend admission policy")
-    parser.add_argument("--queue", type=int, default=256,
-                        help="server mode: per-kind queue bound")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="server mode: engine fan-out per flush")
     parser.add_argument("--max-inflight", type=int, default=32,
                         help="server mode: per-connection outstanding cap")
-    parser.add_argument("--max-pending", type=int, default=1024,
-                        help="server mode: global pending cap before "
-                             "oldest-deadline-first shedding")
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=0x5EED)
     parser.add_argument("--smoke", action="store_true",
                         help="two-process end-to-end smoke (CI)")
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write the metrics registry as JSON to PATH "
-                             "(+ Prometheus text alongside)")
     args = parser.parse_args(list(argv))
-    if not 0.0 <= args.poison < 1.0:
-        print("--poison must be in [0, 1)", file=sys.stderr)
+    if _bad_poison(args):
         return 2
     if args.clients < 1:
         print("--clients must be >= 1", file=sys.stderr)
@@ -603,7 +614,7 @@ def _serve_net_server(args, registry) -> int:
     import os
 
     from .obs import render_report
-    from .serve import BatchEngine, FrontendConfig
+    from .serve import BatchEngine
     from .serve.net import NetServer, NetServerConfig
 
     print("Warming the engine (one-time curve artifacts + first flow)...",
@@ -613,19 +624,11 @@ def _serve_net_server(args, registry) -> int:
     server = NetServer(
         engine=engine,
         metrics=registry,
-        frontend_config=FrontendConfig(
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.queue,
-            policy=args.policy,
-            workers=args.workers,
-            default_deadline_ms=args.deadline_ms,
-        ),
+        frontend_config=_frontend_config(args),
         config=NetServerConfig(
             host=args.host,
             port=args.port,
             max_inflight_per_conn=args.max_inflight,
-            max_pending_total=args.max_pending,
         ),
     )
 
@@ -663,14 +666,8 @@ def _serve_net_server(args, registry) -> int:
 def _serve_net_client(args) -> int:
     """``serve-net --connect`` client mode: drive, self-check, report."""
     import asyncio
-    import random
     import time
 
-    from .curve.encoding import encode_point
-    from .curve.point import AffinePoint
-    from .curve.scalarmult import scalar_mul_fourq
-    from .dsa import fourq_dh
-    from .serve import Failed
     from .serve.net import NetClient
 
     host, _, port_s = args.connect.rpartition(":")
@@ -682,18 +679,7 @@ def _serve_net_client(args) -> int:
         return 2
     host = host or "127.0.0.1"
 
-    rng = random.Random(args.seed)
-    generator = AffinePoint.generator()
-    me = fourq_dh.generate_keypair(rng)
-    requests = []  # (kind, payload, poisoned?)
-    for i in range(args.n):
-        if args.poison and rng.random() < args.poison:
-            bad = (encode_point(AffinePoint.identity())
-                   if i % 2 == 0 else b"\xff" * 32)
-            requests.append(("dh", (me.private, bad), True))
-        else:
-            requests.append(("sm", (rng.randrange(2**256), generator), False))
-
+    requests, _ = _request_stream(args.n, args.seed, args.poison)
     deadline = args.deadline_ms / 1000.0 if args.deadline_ms else None
     print(f"Streaming {args.n} requests over {args.clients} TCP "
           f"connection(s) to {host}:{port}"
@@ -722,47 +708,13 @@ def _serve_net_client(args) -> int:
         return outcomes, wall
 
     outcomes, wall = asyncio.run(asyncio.wait_for(drive(), timeout=600))
-
-    ok = sum(1 for o in outcomes if not isinstance(o, Failed))
-    kinds = {}
-    for o in outcomes:
-        if isinstance(o, Failed):
-            kinds[o.kind] = kinds.get(o.kind, 0) + 1
-    print(f"completed        : {len(outcomes)}/{args.n} "
-          f"({ok} ok"
-          + "".join(f", {k}={v}" for k, v in sorted(kinds.items())) + ")")
-    print(f"wall time        : {wall * 1e3:.1f} ms")
-    print(f"streamed ops/s   : {len(outcomes) / wall:.2f}")
-
-    # Self-check: typed outcomes line up with what was sent, and a
-    # sample of clean scalarmults matches the math layer.
-    checked = mismatches = deadline_hits = 0
-    for (kind, payload, poisoned), outcome in zip(requests, outcomes):
-        failed = isinstance(outcome, Failed)
-        if failed and outcome.kind == "deadline" and args.deadline_ms:
-            deadline_hits += 1
-            continue
-        if poisoned != failed:
-            mismatches += 1
-        elif kind == "sm" and not failed and checked < 8:
-            k, p = payload
-            ref = scalar_mul_fourq(k, p)
-            if (outcome.value.x, outcome.value.y) != (ref.x, ref.y):
-                mismatches += 1
-            checked += 1
-    if mismatches:
-        print(f"FAIL: {mismatches} wire outcome(s) diverged", file=sys.stderr)
-        return 1
-    print(f"PASS: outcomes verified ({checked} re-checked against the "
-          f"math layer"
-          + (f"; {deadline_hits} hit their deadline" if deadline_hits else "")
-          + ")")
-    return 0
+    return _check_outcomes(requests, outcomes, wall, args.deadline_ms)
 
 
 def _serve_net_smoke(args) -> int:
     """``serve-net --smoke``: spawn a real server process, drive it,
     SIGTERM it, and require a graceful exit — the CI end-to-end."""
+    import argparse
     import os
     import signal
     import subprocess
@@ -802,8 +754,9 @@ def _serve_net_smoke(args) -> int:
                 port = int(fh.read().strip())
             print(f"smoke: server is up on port {port}", flush=True)
 
-            client_args = _SmokeClientArgs(args, port, n)
-            rc = _serve_net_client(client_args)
+            rc = _serve_net_client(argparse.Namespace(
+                **{**vars(args), "connect": f"127.0.0.1:{port}", "n": n}
+            ))
             if rc != 0:
                 return rc
 
@@ -824,18 +777,6 @@ def _serve_net_smoke(args) -> int:
         return 1
     print("smoke: PASS (served, verified, drained, exited 0)")
     return 0
-
-
-class _SmokeClientArgs:
-    """Client-mode view of the smoke's argparse namespace."""
-
-    def __init__(self, args, port: int, n: int):
-        self.connect = f"127.0.0.1:{port}"
-        self.n = n
-        self.clients = args.clients
-        self.poison = args.poison
-        self.deadline_ms = args.deadline_ms
-        self.seed = args.seed
 
 
 def cmd_metrics(argv=()) -> int:

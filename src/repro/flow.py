@@ -47,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve imports flow)
 FLOW_STAGE_SECONDS = "repro_flow_stage_seconds"
 #: Counter of flow passes, labeled ``path=`` miss / hit / fallback.
 FLOW_REQUESTS = "repro_flow_requests_total"
+#: Counter of flow-artifact cache events, labeled ``event=`` hit / miss
+#: / fallback / eviction (a fallback also counts as a miss).
+CACHE_EVENTS = "repro_cache_events_total"
 #: Counter of optimizer invocations, labeled ``level=``.
 OPT_RUNS = "repro_opt_runs_total"
 #: Counter of micro-ops removed by the rewrite passes, labeled
@@ -284,6 +287,7 @@ def run_flow(
                 result = _run_from_artifacts(
                     work_program, entry, machine, check_golden, simulator, key, obs
                 )
+                obs.counter(CACHE_EVENTS, event="hit").inc()
                 result.trace_program = trace_program
                 result.optimize = optimize
                 result.opt_stats = opt_stats
@@ -296,9 +300,9 @@ def run_flow(
                 # Shape-key collision or stale artifacts: recompute the
                 # full flow and replace the entry.  Correctness is never
                 # at stake — the golden/output checks caught the issue.
-                # The get() above counted a hit, but the fast path did
-                # not complete: reclassify it so hit_rate stays honest.
-                cache.demote_hit()
+                # The fast path did not complete, so this is a miss.
+                obs.counter(CACHE_EVENTS, event="miss").inc()
+                obs.counter(CACHE_EVENTS, event="fallback").inc()
                 true_key = cache.key_for(
                     trace_program, machine, scheduler, optimize
                 )
@@ -310,11 +314,14 @@ def run_flow(
                 # and file this request under its true key below.
                 key = true_key
                 fallback = True
-        elif cache_key is not None:
-            # The caller-supplied key missed: recompute the true digest
-            # so the artifacts are filed under their real shape key (a
-            # stale memo must not leak into the cache's key space).
-            key = cache.key_for(trace_program, machine, scheduler, optimize)
+        else:
+            obs.counter(CACHE_EVENTS, event="miss").inc()
+            if cache_key is not None:
+                # The caller-supplied key missed: recompute the true
+                # digest so the artifacts are filed under their real
+                # shape key (a stale memo must not leak into the
+                # cache's key space).
+                key = cache.key_for(trace_program, machine, scheduler, optimize)
 
     t0 = perf_counter()
     problem = problem_from_trace(tracer.trace, machine)
@@ -385,7 +392,7 @@ def run_flow(
     if cache is not None and key is not None:
         from .serve.cache import FlowArtifacts
 
-        cache.put(
+        evicted = cache.put(
             FlowArtifacts(
                 key=key,
                 problem=problem,
@@ -396,6 +403,8 @@ def run_flow(
                 template=template,
             )
         )
+        if evicted:
+            obs.counter(CACHE_EVENTS, event="eviction").inc(evicted)
 
     return FlowResult(
         trace_program=trace_program,

@@ -114,23 +114,17 @@ SERIES: Tuple[Series, ...] = (
     _s("repro_frontend_flush_errors_total", "counter", "kind", "frontend",
        "whole-flush engine failures (every caller got a Failed)"),
     _s("repro_frontend_resolved_total", "counter", "kind outcome", "frontend",
-       "admitted requests resolved: ok, failed, cancelled (closed undrained)"),
+       "admitted requests resolved: ok, failed, cancelled (closed undrained or withdrawn)"),
     _s("repro_net_connections_total", "counter", "event", "net",
        "connection lifecycle: opened, closed, refused"),
     _s("repro_net_connections_open", "gauge", "", "net",
        "currently registered connections"),
-    _s("repro_net_conn_queue_depth", "gauge", "", "net",
-       "per-connection pending-queue high-water mark (max gauge)"),
     _s("repro_net_frames_total", "counter", "direction type", "net",
        "frames by direction (in, out) and frame type"),
     _s("repro_net_bytes_total", "counter", "direction", "net",
        "wire bytes by direction, length prefix included"),
     _s("repro_net_requests_total", "counter", "kind outcome", "net",
        "RESPONSE frames by job kind and status: ok, failed, overloaded"),
-    _s("repro_net_rr_grants_total", "counter", "", "net",
-       "round-robin dispatcher grants into the frontend"),
-    _s("repro_net_shed_total", "counter", "reason", "net",
-       "requests shed at the pending wall (queue_full) or at drain timeout"),
     _s("repro_net_protocol_errors_total", "counter", "kind", "net",
        "connection-level protocol violations by taxonomy slug"),
     _s("repro_net_request_latency_seconds", "histogram", "", "net",
@@ -162,7 +156,7 @@ SERIES: Tuple[Series, ...] = (
     _s("repro_retry_exhausted_total", "counter", "", "resilience",
        "chunks out of pool attempts, sent to serial recovery"),
     _s("repro_deadline_expired_total", "counter", "stage", "resilience",
-       "expired requests by stage: admission, queued, net, engine"),
+       "expired requests by stage: admission, queued, engine"),
 )
 
 _BY_NAME: Dict[str, Series] = {s.name: s for s in SERIES}

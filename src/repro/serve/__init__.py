@@ -23,9 +23,9 @@ requests the way the paper's chip amortizes its silicon:
   deadlines, graceful drain;
 * :mod:`~repro.serve.net` — the network front door:
   :class:`~repro.serve.net.server.NetServer` exposes the Frontend over
-  a length-prefixed framed TCP protocol with round-robin
-  per-connection fairness, layered load shedding, clamped deadline
-  propagation, and graceful GOAWAY drain;
+  a length-prefixed framed TCP protocol with per-connection
+  fairness in the Frontend queue, per-connection backpressure, clamped
+  deadline propagation, and graceful GOAWAY drain;
   :class:`~repro.serve.net.client.NetClient` is the matching pipelined
   client library (see ``docs/protocol.md``);
 * :mod:`~repro.serve.resilience` — the fault-tolerance primitives:

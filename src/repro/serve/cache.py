@@ -6,9 +6,11 @@ workload *shape* (the micro-op DAG structure and the machine model),
 not on the concrete scalar or point.  FourQ's constant-time recoding
 guarantees that every 256-bit scalar produces the same shape: the same
 op sequence, the same dependencies, the same 64-iteration loop.  This
-module memoizes those per-shape artifacts behind an LRU bound with
-hit/miss counters, so a batch of N requests pays one solve + N cheap
-rebinds (new input values, new mux routings, new golden vector).
+module memoizes those per-shape artifacts behind an LRU bound, so a
+batch of N requests pays one solve + N cheap rebinds (new input values,
+new mux routings, new golden vector).  The cache keeps no counters:
+``run_flow`` records each hit, miss, fallback and eviction in
+``repro_cache_events_total`` where it decides the path.
 
 Soundness does not rest on the key: every cache-hit simulation still
 golden-checks each writeback against the fresh trace and the engine
@@ -22,7 +24,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..isa.fsm import FSMController
 from ..isa.microcode import ProgramTemplate
@@ -98,19 +100,14 @@ class FlowArtifacts:
 class FlowArtifactCache:
     """LRU-bounded cache of :class:`FlowArtifacts` keyed by shape digest.
 
-    Thread-safe: every mutation of the LRU order and the counters runs
-    under one re-entrant lock, so concurrent ``get``/``put`` from a
-    multi-threaded server can neither corrupt the ``OrderedDict`` nor
-    lose counter increments (``hits + misses`` always equals the number
-    of ``get`` calls).  The lock is process-local and excluded from
-    pickling (each worker process owns its own cache).
+    Thread-safe: every mutation of the LRU order runs under one
+    re-entrant lock, so concurrent ``get``/``put`` from a
+    multi-threaded server cannot corrupt the ``OrderedDict``.  The lock
+    is process-local and excluded from pickling (each worker process
+    owns its own cache).
     """
 
     max_entries: int = 16
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    fallbacks: int = 0
     _entries: "OrderedDict[str, FlowArtifacts]" = field(default_factory=OrderedDict)
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
@@ -143,35 +140,19 @@ class FlowArtifactCache:
     def get(self, key: str) -> Optional[FlowArtifacts]:
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
+            if entry is not None:
+                self._entries.move_to_end(key)
             return entry
 
-    def put(self, entry: FlowArtifacts) -> None:
+    def put(self, entry: FlowArtifacts) -> int:
+        """Insert ``entry`` as most recent; return how many were evicted."""
         with self._lock:
             self._entries[entry.key] = entry
             self._entries.move_to_end(entry.key)
-            while len(self._entries) > self.max_entries:
+            evicted = max(0, len(self._entries) - self.max_entries)
+            for _ in range(evicted):
                 self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def demote_hit(self) -> None:
-        """Reclassify the most recent hit as a failed fast path.
-
-        ``run_flow`` calls this when a :meth:`get` succeeded but the
-        rebind or a verification check rejected the artifacts and the
-        full flow had to be recomputed.  The request did not complete
-        through the fast path, so it must count as a miss (plus a
-        ``fallbacks`` tick), keeping :attr:`hit_rate` an honest measure
-        of successful fast-path completions.
-        """
-        with self._lock:
-            self.hits = max(0, self.hits - 1)
-            self.misses += 1
-            self.fallbacks += 1
+            return evicted
 
     def invalidate(self, key: str) -> None:
         with self._lock:
@@ -180,36 +161,3 @@ class FlowArtifactCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
-    def counters(self) -> Tuple[int, int, int]:
-        """(hits, misses, evictions) snapshot — legacy convenience view.
-
-        Kept for callers written against the original three-counter API;
-        it is a strict subset of :meth:`stats_snapshot` (same lock, same
-        consistency guarantee) and delegates to it.  New code should
-        prefer :meth:`stats_snapshot`, which also reports ``fallbacks``
-        and the live ``entries`` count.
-        """
-        snap = self.stats_snapshot()
-        return (snap["hits"], snap["misses"], snap["evictions"])
-
-    def stats_snapshot(self) -> Dict[str, int]:
-        """Consistent snapshot of all five stats, one lock acquisition.
-
-        Keys: ``hits``, ``misses``, ``evictions``, ``fallbacks`` (the
-        four monotone counters) plus ``entries`` (the current LRU size).
-        """
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "fallbacks": self.fallbacks,
-                "entries": len(self._entries),
-            }

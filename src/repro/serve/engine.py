@@ -751,7 +751,6 @@ class BatchEngine:
         seen: Dict[tuple, Any] = {}
         results: List[Any] = []
         m = self.metrics
-        cache0 = self.cache.stats_snapshot()
         for kind, payload in jobs:
             if deadline is not None and deadline.expired:
                 if strict:
@@ -797,18 +796,6 @@ class BatchEngine:
             if key is not None:
                 seen[key] = result
             results.append(result)
-        cache1 = self.cache.stats_snapshot()
-        # demote_hit decrements hits, so a window delta can only dip below
-        # zero transiently; clamp so the monotone counters never regress.
-        for field_name, event in (
-            ("hits", "hit"),
-            ("misses", "miss"),
-            ("evictions", "eviction"),
-            ("fallbacks", "fallback"),
-        ):
-            delta = max(0, cache1[field_name] - cache0[field_name])
-            if delta:
-                m.counter("repro_cache_events_total", event=event).inc(delta)
         return results
 
     def _run_batch(

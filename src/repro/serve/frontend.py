@@ -19,18 +19,30 @@ engine's typed per-item :class:`~repro.serve.faults.Ok` /
 rejects exactly one caller and a worker-chunk crash or timeout is
 recovered by the engine before the front door ever sees it.
 
+Fairness is per ``source``.  A caller may tag its request with a
+``source`` key (the TCP server passes the connection id); when a flush
+pops a batch, it takes one request per source per rotation, sources
+rotating in the order of their oldest queued request, FIFO within each
+source.  Admission at a full lane is source-aware too (below), so a
+firehose source cannot crowd a polite one out of the lane or a batch.
+With a single source (every in-process caller by default) both reduce
+to plain FIFO.  A caller that cancels its submit withdraws the request:
+it never runs unless a flush has already taken it.
+
 Admission control is explicit.  Every kind's queue is bounded
 (``max_queue``); when it is full the configured policy decides:
 
 * ``"block"``  — the submitter awaits until the coalescer drains space
-  (backpressure propagates to the producer, nothing is lost);
+  (backpressure propagates to the producer, nothing is lost); freed
+  space goes to the blocked source with the fewest queued requests;
 * ``"reject"`` — :meth:`Frontend.submit` raises the typed
   :class:`~repro.serve.faults.Overloaded` error immediately
   (:meth:`Frontend.submit_outcome` returns the equivalent ``Failed``
-  envelope instead of raising);
-* ``"shed"``   — the *oldest* queued request is resolved with an
-  ``overloaded`` failure and the new one is admitted (freshest-first
-  under overload).
+  envelope instead of raising) — unless a lighter source is knocking,
+  which displaces the heaviest source's newest request instead;
+* ``"shed"``   — the *oldest* request of the heaviest source (most
+  queued requests) is resolved with an ``overloaded`` failure and the
+  new one is admitted (freshest-first under overload).
 
 Deadlines are end-to-end.  ``submit(kind, payload, deadline=seconds)``
 (or a config-wide ``default_deadline_ms``) bounds queue-to-result time:
@@ -62,10 +74,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from itertools import zip_longest
+from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
 from ..obs import MetricsRegistry, get_registry
 from .engine import BatchEngine, default_engine
@@ -173,6 +186,8 @@ class _Pending:
     enqueued_at: float
     #: Absolute ``time.perf_counter()`` expiry, or None for unbounded.
     expires_at: Optional[float] = None
+    #: Fairness key: batches rotate over sources (None is one source).
+    source: Hashable = None
 
     def resolve(self, outcome: Any) -> None:
         """Resolve the caller's future exactly once (idempotent)."""
@@ -183,15 +198,16 @@ class _Pending:
 class _Lane:
     """Per-kind queue + the coalescer state that drains it."""
 
-    __slots__ = ("kind", "queue", "arrival", "space", "task")
+    __slots__ = ("kind", "queue", "arrival", "blocked", "task")
 
     def __init__(self, kind: str):
         self.kind = kind
         self.queue: Deque[_Pending] = deque()
         #: Set on every admission; the coalescer clears and re-awaits.
         self.arrival = asyncio.Event()
-        #: Notified after every flush so blocked submitters re-check.
-        self.space = asyncio.Condition()
+        #: Per source, (request, grant) pairs blocked at the full lane;
+        #: the grant resolves True on admission, False on shutdown.
+        self.blocked: Dict[Hashable, Deque[Tuple[_Pending, asyncio.Future]]] = {}
         self.task: Optional[asyncio.Task] = None
 
 
@@ -233,14 +249,18 @@ class Frontend:
         self._executor: Optional[ThreadPoolExecutor] = None
 
     # -- submission ----------------------------------------------------
-    async def submit(self, kind: str, payload: Any, deadline: Optional[float] = None) -> Any:
+    async def submit(
+        self, kind: str, payload: Any, deadline: Optional[float] = None, source: Hashable = None
+    ) -> Any:
         """Submit one request; return its value or raise its failure.
 
         ``deadline`` is an end-to-end budget in seconds (defaulting to
         the config's ``default_deadline_ms``): if it expires while the
         request is queued or blocked at admission, the request never
         executes and this raises
-        :class:`~repro.serve.faults.DeadlineExceeded`.
+        :class:`~repro.serve.faults.DeadlineExceeded`.  ``source`` is
+        the fairness key: batches take one request per source per
+        rotation (see module docstring).
 
         Raises :class:`~repro.serve.faults.Overloaded` when the
         ``reject`` policy refuses admission (or a queued request is
@@ -249,13 +269,13 @@ class Frontend:
         (``SmallOrderPoint``, ``DecodingError``, ...) when the engine
         isolated this request as failed.
         """
-        outcome = await self.submit_outcome(kind, payload, deadline=deadline)
+        outcome = await self.submit_outcome(kind, payload, deadline=deadline, source=source)
         if isinstance(outcome, Failed):
             raise outcome.to_exception()
         return outcome.value
 
     async def submit_outcome(
-        self, kind: str, payload: Any, deadline: Optional[float] = None
+        self, kind: str, payload: Any, deadline: Optional[float] = None, source: Hashable = None
     ) -> Any:
         """Like :meth:`submit` but returns the ``Ok``/``Failed`` envelope.
 
@@ -282,10 +302,15 @@ class Frontend:
             future=loop.create_future(),
             enqueued_at=now,
             expires_at=None if deadline is None else now + deadline,
+            source=source,
         )
         lane = self._lane(kind)
-        await self._admit(lane, pending)
-        outcome = await pending.future
+        try:
+            await self._admit(lane, pending)
+            outcome = await pending.future
+        except asyncio.CancelledError:
+            self._withdraw(lane, pending)
+            raise
         elapsed = time.perf_counter() - pending.enqueued_at
         self.metrics.histogram(
             "repro_frontend_e2e_latency_seconds", kind=kind
@@ -293,101 +318,123 @@ class Frontend:
         return outcome
 
     async def _admit(self, lane: _Lane, pending: _Pending) -> None:
-        cfg = self.config
-        m = self.metrics
-        if cfg.policy == "reject" and len(lane.queue) >= cfg.max_queue:
-            m.counter(
-                "repro_frontend_admissions_total",
-                kind=lane.kind, outcome="rejected",
-            ).inc()
-            raise Overloaded(
-                f"{lane.kind} queue full ({cfg.max_queue}); request rejected"
-            )
-        if cfg.policy == "block":
-            # A blocked submitter waits for space, but never forever:
-            # the request's own deadline and the config's admission
-            # timeout both bound the wait (whichever is sooner).
-            timeout_at = None
-            if cfg.admission_timeout_ms is not None:
-                timeout_at = pending.enqueued_at + cfg.admission_timeout_ms / 1000.0
-            while len(lane.queue) >= cfg.max_queue:
-                async with lane.space:
-                    if len(lane.queue) < cfg.max_queue:
-                        break
-                    if self._draining:
-                        # Woken by shutdown, not by space: this request
-                        # was never admitted, so refusing it keeps the
-                        # resolve-exactly-once contract for the queue.
-                        m.counter(
-                            "repro_frontend_admissions_total",
-                            kind=lane.kind, outcome="rejected",
-                        ).inc()
-                        raise Overloaded(
-                            f"{lane.kind} queue still full at shutdown; "
-                            "blocked request refused"
-                        )
-                    now = time.perf_counter()
-                    if pending.expires_at is not None and now >= pending.expires_at:
-                        # The caller's budget ran out at the door: a
-                        # typed envelope, never an execution.
-                        m.counter(
-                            "repro_deadline_expired_total", stage="admission"
-                        ).inc()
-                        m.counter(
-                            "repro_frontend_admissions_total",
-                            kind=lane.kind, outcome="deadline",
-                        ).inc()
-                        pending.resolve(
-                            Failed(
-                                kind=KIND_DEADLINE,
-                                message=(
-                                    f"deadline expired while blocked at the "
-                                    f"full {lane.kind} queue"
-                                ),
-                                latency=now - pending.enqueued_at,
-                            )
-                        )
-                        return
-                    if timeout_at is not None and now >= timeout_at:
-                        m.counter(
-                            "repro_frontend_admissions_total",
-                            kind=lane.kind, outcome="rejected",
-                        ).inc()
-                        raise Overloaded(
-                            f"{lane.kind} queue still full after "
-                            f"{cfg.admission_timeout_ms:g} ms admission timeout"
-                        )
-                    bounds = [
-                        b for b in (pending.expires_at, timeout_at)
-                        if b is not None
-                    ]
-                    wait_timeout = (min(bounds) - now) if bounds else None
-                    try:
-                        await asyncio.wait_for(
-                            lane.space.wait(), timeout=wait_timeout
-                        )
-                    except asyncio.TimeoutError:
-                        continue  # re-check which bound fired
-        elif cfg.policy == "shed" and len(lane.queue) >= cfg.max_queue:
-            oldest = lane.queue.popleft()
-            oldest.resolve(
-                Failed(
-                    kind=KIND_OVERLOADED,
-                    message=f"shed from full {lane.kind} queue by a newer arrival",
-                    latency=time.perf_counter() - oldest.enqueued_at,
-                )
-            )
-            m.counter(
-                "repro_frontend_admissions_total", kind=lane.kind, outcome="shed"
-            ).inc()
+        """Queue ``pending``, or apply the policy when its lane is full.
+
+        At a full lane the request that waits or goes belongs to the
+        heaviest source (most queued; the newcomer's own on a tie).
+        """
+        cfg, m = self.config, self.metrics
+        if len(lane.queue) >= cfg.max_queue and cfg.policy == "block":
+            await self._await_grant(lane, pending)
+            return
+        if len(lane.queue) >= cfg.max_queue:
+            counts = Counter(p.source for p in lane.queue)
+            heaviest = max(counts, key=counts.__getitem__)
+            if counts[pending.source] >= counts[heaviest]:
+                heaviest = pending.source
+            if cfg.policy == "reject" and heaviest == pending.source:
+                m.counter("repro_frontend_admissions_total",
+                          kind=lane.kind, outcome="rejected").inc()
+                raise Overloaded(f"{lane.kind} queue full ({cfg.max_queue}); request rejected")
+            victims = [p for p in lane.queue if p.source == heaviest]
+            if cfg.policy == "reject":
+                # A lighter source is knocking: the heaviest's newest goes.
+                victim, outcome, why = victims[-1], "rejected", "by a lighter source"
+            else:
+                victim, outcome, why = victims[0], "shed", "by a newer arrival"
+            _remove(lane.queue, victim)
+            victim.resolve(Failed(
+                kind=KIND_OVERLOADED,
+                message=f"{outcome} from the full {lane.kind} queue {why}",
+                latency=time.perf_counter() - victim.enqueued_at,
+            ))
+            m.counter("repro_frontend_admissions_total", kind=lane.kind, outcome=outcome).inc()
+        self._enqueue(lane, pending)
+
+    def _enqueue(self, lane: _Lane, pending: _Pending) -> None:
         lane.queue.append(pending)
-        m.counter(
-            "repro_frontend_admissions_total", kind=lane.kind, outcome="accepted"
-        ).inc()
-        m.gauge("repro_frontend_queue_depth", mode="max", kind=lane.kind).set(
-            len(lane.queue)
-        )
+        m = self.metrics
+        m.counter("repro_frontend_admissions_total", kind=lane.kind, outcome="accepted").inc()
+        m.gauge("repro_frontend_queue_depth", mode="max", kind=lane.kind).set(len(lane.queue))
         lane.arrival.set()
+
+    async def _await_grant(self, lane: _Lane, pending: _Pending) -> None:
+        """Full lane under ``block``: wait for :meth:`_grant_space`.
+
+        The wait is bounded by the request's own deadline and the
+        config's admission timeout, whichever is sooner.
+        """
+        cfg, m = self.config, self.metrics
+        bounds = [] if pending.expires_at is None else [pending.expires_at]
+        if cfg.admission_timeout_ms is not None:
+            bounds.append(pending.enqueued_at + cfg.admission_timeout_ms / 1000.0)
+        grant = asyncio.get_running_loop().create_future()
+        lane.blocked.setdefault(pending.source, deque()).append((pending, grant))
+        while not grant.done():
+            now = time.perf_counter()
+            if bounds and now >= min(bounds):
+                break
+            await asyncio.wait((grant,), timeout=min(bounds) - now if bounds else None)
+        if grant.done() and grant.result():
+            return  # admitted: _grant_space queued it
+        self._withdraw(lane, pending)
+        now = time.perf_counter()
+        if not grant.done() and pending.expires_at is not None and now >= pending.expires_at:
+            # The caller's budget ran out at the door: a typed
+            # envelope, never an execution.
+            m.counter("repro_deadline_expired_total", stage="admission").inc()
+            m.counter("repro_frontend_admissions_total",
+                      kind=lane.kind, outcome="deadline").inc()
+            pending.resolve(Failed(
+                kind=KIND_DEADLINE,
+                message=f"deadline expired while blocked at the full {lane.kind} queue",
+                latency=now - pending.enqueued_at,
+            ))
+            return
+        # Refused by shutdown (never admitted, so resolve-exactly-once
+        # holds) or by the admission timeout.
+        m.counter("repro_frontend_admissions_total", kind=lane.kind, outcome="rejected").inc()
+        raise Overloaded(
+            f"{lane.kind} queue still full at shutdown; blocked request refused"
+            if grant.done() else f"{lane.kind} queue still full after "
+            f"{cfg.admission_timeout_ms:g} ms admission timeout"
+        )
+
+    def _grant_space(self, lane: _Lane) -> None:
+        """Hand freed queue space to blocked submitters.
+
+        Each slot goes to the blocked source holding the fewest queued
+        requests (ties: the source that blocked first), FIFO within a
+        source, so a firehose blocked at a full lane cannot keep a
+        polite source out of it.
+        """
+        counts = Counter(p.source for p in lane.queue) if lane.blocked else None
+        while lane.blocked and len(lane.queue) < self.config.max_queue:
+            source = min(lane.blocked, key=counts.__getitem__)
+            waiters = lane.blocked[source]
+            pending, grant = waiters.popleft()
+            if not waiters:
+                del lane.blocked[source]
+            counts[source] += 1
+            self._enqueue(lane, pending)
+            grant.set_result(True)
+
+    def _withdraw(self, lane: _Lane, pending: _Pending) -> None:
+        """Take a request whose caller gave up out of its lane.
+
+        A cancelled submit (a TCP peer gone, a server drain out of
+        time) leaves no work behind; only a request a flush has
+        already taken still runs.
+        """
+        waiters = lane.blocked.get(pending.source)
+        if waiters is not None and _remove(waiters, pending, key=lambda w: w[0]):
+            if not waiters:
+                del lane.blocked[pending.source]
+        elif _remove(lane.queue, pending):
+            self.metrics.counter(
+                "repro_frontend_resolved_total", kind=lane.kind, outcome="cancelled"
+            ).inc()
+            self._grant_space(lane)
 
     def _lane(self, kind: str) -> _Lane:
         lane = self._lanes.get(kind)
@@ -447,16 +494,8 @@ class Frontend:
                 reason = FLUSH_DRAIN
             else:
                 reason = FLUSH_DEADLINE
-            batch = [
-                lane.queue.popleft()
-                for _ in range(min(cfg.max_batch, len(lane.queue)))
-            ]
-            if not batch:
-                # A non-draining close emptied the queue while we were
-                # waiting out the deadline: nothing to dispatch.
-                continue
-            async with lane.space:
-                lane.space.notify_all()
+            batch = _take_batch(lane.queue, cfg.max_batch)
+            self._grant_space(lane)
             self.metrics.gauge(
                 "repro_frontend_queue_depth", mode="max", kind=lane.kind
             ).set(len(lane.queue))
@@ -468,7 +507,7 @@ class Frontend:
         Runs inside the coalescer between waits, so an expired request
         is resolved (exactly once, with a typed envelope) instead of
         dispatching late.  Returns how many requests were swept and
-        notifies blocked submitters about the freed space.
+        grants the freed space to blocked submitters.
         """
         now = time.perf_counter()
         expired: List[_Pending] = []
@@ -500,8 +539,7 @@ class Frontend:
         m.gauge("repro_frontend_queue_depth", mode="max", kind=lane.kind).set(
             len(lane.queue)
         )
-        async with lane.space:
-            lane.space.notify_all()
+        self._grant_space(lane)
         return len(expired)
 
     async def _flush(self, kind: str, batch: List[_Pending], reason: str) -> None:
@@ -589,9 +627,11 @@ class Frontend:
                     ).inc()
         tasks = []
         for lane in self._lanes.values():
+            for waiters in lane.blocked.values():
+                for _, grant in waiters:
+                    grant.set_result(False)
+            lane.blocked.clear()
             lane.arrival.set()
-            async with lane.space:
-                lane.space.notify_all()
             if lane.task is not None:
                 tasks.append(lane.task)
         for task in tasks:
@@ -614,6 +654,39 @@ class Frontend:
     @property
     def closed(self) -> bool:
         return self._closed
+
+
+def _take_batch(queue: Deque[_Pending], max_batch: int) -> List[_Pending]:
+    """Pop up to ``max_batch`` requests, one per source per rotation.
+
+    Sources rotate in the order of their oldest queued request; each
+    source's own requests leave in FIFO order, so a single-source
+    queue pops plain FIFO.
+    """
+    n = min(max_batch, len(queue))
+    by_source: Dict[Hashable, List[_Pending]] = {}
+    for p in queue:
+        by_source.setdefault(p.source, []).append(p)
+    batch: List[_Pending] = []
+    for rotation in zip_longest(*by_source.values()):
+        batch.extend(p for p in rotation if p is not None)
+        if len(batch) >= n:
+            break
+    del batch[n:]
+    taken = {id(p) for p in batch}
+    rest = [p for p in queue if id(p) not in taken]
+    queue.clear()
+    queue.extend(rest)
+    return batch
+
+
+def _remove(queue: Deque[Any], pending: _Pending, key=lambda p: p) -> bool:
+    """Remove the entry whose ``key`` is ``pending`` (by identity)."""
+    for i, entry in enumerate(queue):
+        if key(entry) is pending:
+            del queue[i]
+            return True
+    return False
 
 
 #: Batch-size histogram buckets (requests per flush, not seconds).

@@ -6,8 +6,9 @@ Three modules:
   prefix, versioned header, JSON-or-msgpack bodies, tagged payload
   codec for curve points / signatures / big ints) shared by both ends;
 * :mod:`~repro.serve.net.server` — :class:`NetServer`, the asyncio
-  acceptor with round-robin per-connection fairness, layered load
-  shedding, deadline clamping, and graceful GOAWAY drain;
+  acceptor that hands each request to the Frontend with its
+  connection as the fairness source, pauses reading at a
+  per-connection cap, clamps deadlines, and drains with GOAWAY;
 * :mod:`~repro.serve.net.client` — :class:`NetClient`, the pipelined
   client library with the same ``submit`` / ``submit_outcome`` API as
   the in-process Frontend.

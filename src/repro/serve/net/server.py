@@ -5,55 +5,53 @@
 :mod:`repro.serve.net.protocol`.  Design decisions, in the order they
 matter under fan-in:
 
-**Per-connection fairness (round-robin admission).**  Frames are not
-submitted to the Frontend straight off the socket.  Each connection
-parses into its own bounded pending queue, and a single dispatcher
-grants one request per connection per rotation — so a firehose client
-that keeps 10 000 requests on the wire interleaves 1:1 with a client
-that sends one request at a time.  The firehose's surplus stays in
-*its* queue (and, past :attr:`NetServerConfig.max_inflight_per_conn`,
-in its kernel socket buffer — the server simply stops reading, which is
-TCP's own backpressure), never in front of other clients.
+**One queue.**  The server keeps no queue of its own.  Each REQUEST
+frame is validated and handed straight to the shared Frontend with the
+connection id as its fairness ``source``, so the Frontend's lanes are
+the only place requests wait.  A flush takes one request per
+connection per rotation: a firehose client that keeps its whole window
+on the wire interleaves with a client that sends one request at a
+time, and its surplus waits behind its own earlier requests.  The
+same holds at a full lane: the Frontend's admission always makes the
+heaviest connection wait or lose a request, never a lighter one.
 
-**Load shedding under fan-in.**  Three nested walls:
+**Two walls under fan-in:**
 
 1. per-connection: ``max_inflight_per_conn`` outstanding requests; at
-   the wall the read loop pauses (backpressure, nothing lost);
-2. global: ``max_pending_total`` parsed-but-undispatched requests
-   across all connections; at the wall the server sheds
-   **oldest-deadline-first** — the request whose budget expires
-   soonest (it is the least likely to make it anyway; requests without
-   deadlines shed oldest-received first) resolves as a typed
-   ``Overloaded`` response frame;
-3. the Frontend's own ``block`` / ``reject`` / ``shed`` admission
-   policy applies to every dispatched request exactly as it does
-   in-process — a ``reject``-policy refusal comes back as an
-   ``Overloaded`` frame, never a dropped connection.
+   the wall the read loop pauses and the client's unread frames wait in
+   the kernel socket buffers (TCP backpressure, nothing lost);
+2. the Frontend's own ``block`` / ``reject`` / ``shed`` admission
+   policy applies to every request exactly as it does in-process — a
+   refused or shed request comes back as a typed ``Overloaded`` frame,
+   never a dropped connection.
 
 **Deadline propagation.**  A client sends a *relative* budget
 (``deadline_ms``); the server clamps it to the Frontend's
 ``default_deadline_ms`` (a client cannot buy more time than the
-operator configured) and converts it to an absolute expiry on arrival,
-so time spent queued in the net layer counts.  An expired request
-resolves as a typed ``Failed(kind="deadline")`` response frame — never
-a silently hung socket.
+operator configured) and submits it with the request.  An expired
+request resolves as a typed ``Failed(kind="deadline")`` response frame
+— never a silently hung socket.
 
 **Graceful drain.**  :meth:`NetServer.aclose` (and the SIGTERM/SIGINT
 handlers :meth:`install_signal_handlers` installs) stops accepting
 connections, sends every client a GOAWAY frame, stops reading new
-frames, drains every already-received request through the Frontend
-(bounded by ``drain_timeout_s``; stragglers resolve as ``Overloaded``
-frames), then closes the connections and — when the server owns its
-Frontend — drains the Frontend itself.
+frames, waits for every already-received request to resolve through
+the Frontend (bounded by ``drain_timeout_s``; stragglers are withdrawn
+from the Frontend and resolve as ``Overloaded`` frames), then closes
+the connections and — when the server owns its Frontend — closes the
+Frontend itself.
 
 **Abuse containment.**  Oversized frames are rejected from their
 four-byte length prefix (the body is never buffered); garbage and
 out-of-contract frames produce a typed ERROR frame and a closed
 connection; a peer that stalls mid-frame (slowloris) is cut off by
 ``frame_timeout_s``; a connection that dies mid-request is torn down
-and its undelivered responses discarded, while its already-dispatched
-work completes harmlessly in the Frontend.  None of these paths can
-leave an unresolved future or take the server down.
+and its requests withdrawn from the Frontend, so a client that
+reconnects in a loop leaves no work behind (only requests already taken
+into a flush complete, and their responses are discarded).  Server-side
+work is therefore bounded by the live connections times
+``max_inflight_per_conn``.  None of these paths can leave an unresolved
+future or take the server down.
 
 Everything observable lands in :mod:`repro.obs` under ``repro_net_*``
 (see docs/observability.md), in the registry passed as ``metrics=``.
@@ -63,15 +61,14 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
 from ...obs import MetricsRegistry, get_registry
 from ..engine import BatchEngine
 from ..faults import (
-    KIND_DEADLINE,
     KIND_INTERNAL,
+    KIND_OVERLOADED,
     KIND_VALUE,
     Failed,
     Ok,
@@ -127,22 +124,10 @@ class NetServerConfig:
         port: bind port (0 = ephemeral; read :attr:`NetServer.port`).
         max_frame_bytes: per-frame size bound, both directions; a
             larger length prefix is rejected before the body is read.
-        max_inflight_per_conn: outstanding (queued + dispatched)
-            requests one connection may hold; at the wall the read
-            loop pauses, pushing backpressure into the client's socket.
-        max_pending_total: parsed-but-undispatched requests across all
-            connections; beyond it the server sheds
-            oldest-deadline-first with typed ``Overloaded`` frames.
-        max_dispatch_inflight: requests concurrently dispatched into
-            the Frontend across all connections.  This bound is what
-            makes round-robin grants meaningful: with unbounded
-            dispatch every arrival would be handed straight to the
-            Frontend's FIFO lanes and fairness would degenerate to
-            arrival order.  Size it at a few engine flushes
-            (several ``max_batch``); make it the bottleneck and
-            requests accumulate per connection where the RR grant —
-            and, past ``max_pending_total``, the shed policy — decides
-            who goes next.
+        max_inflight_per_conn: outstanding (submitted, not yet
+            answered) requests one connection may hold; at the wall the
+            read loop pauses, pushing backpressure into the client's
+            socket.
         max_connections: concurrent connections; extras are refused
             with a GOAWAY frame at accept time.
         handshake_timeout_s: a new socket must complete HELLO within
@@ -157,8 +142,6 @@ class NetServerConfig:
     port: int = 0
     max_frame_bytes: int = DEFAULT_MAX_FRAME
     max_inflight_per_conn: int = 32
-    max_pending_total: int = 1024
-    max_dispatch_inflight: int = 64
     max_connections: int = 256
     handshake_timeout_s: float = 5.0
     frame_timeout_s: float = 30.0
@@ -169,10 +152,6 @@ class NetServerConfig:
             raise ValueError("max_frame_bytes must be >= 64")
         if self.max_inflight_per_conn < 1:
             raise ValueError("max_inflight_per_conn must be >= 1")
-        if self.max_pending_total < 1:
-            raise ValueError("max_pending_total must be >= 1")
-        if self.max_dispatch_inflight < 1:
-            raise ValueError("max_dispatch_inflight must be >= 1")
         if self.max_connections < 1:
             raise ValueError("max_connections must be >= 1")
         for name in ("handshake_timeout_s", "frame_timeout_s", "drain_timeout_s"):
@@ -180,31 +159,11 @@ class NetServerConfig:
                 raise ValueError(f"{name} must be > 0")
 
 
-@dataclass
-class _NetRequest:
-    """One parsed REQUEST frame waiting for its round-robin grant."""
-
-    request_id: int
-    kind: str
-    payload: Any
-    received_at: float
-    #: Absolute ``time.perf_counter()`` expiry (clamped), or None.
-    expires_at: Optional[float] = None
-
-    def shed_key(self) -> Tuple[int, float]:
-        """Oldest-deadline-first ordering: soonest expiry sheds first;
-        deadline-less requests shed oldest-received first, after every
-        deadlined one."""
-        if self.expires_at is not None:
-            return (0, self.expires_at)
-        return (1, self.received_at)
-
-
 class _Conn:
-    """Per-connection state: queue, in-flight count, write ordering."""
+    """Per-connection state: in-flight count, write ordering."""
 
     __slots__ = (
-        "id", "peer", "reader", "writer", "codec", "pending", "inflight",
+        "id", "peer", "reader", "writer", "codec", "inflight", "waiting",
         "write_lock", "alive", "space", "idle", "goaway_sent", "task",
     )
 
@@ -214,8 +173,11 @@ class _Conn:
         self.reader = reader
         self.writer = writer
         self.codec = codec
-        self.pending: Deque[_NetRequest] = deque()
+        #: Requests submitted to the Frontend and not yet answered.
         self.inflight = 0
+        #: Their tasks still awaiting a Frontend outcome; cancelling one
+        #: withdraws its request from the Frontend.
+        self.waiting: Set[asyncio.Task] = set()
         self.write_lock = asyncio.Lock()
         self.alive = True
         #: Set while outstanding < max_inflight_per_conn (read may resume).
@@ -226,10 +188,6 @@ class _Conn:
         self.idle.set()
         self.goaway_sent = False
         self.task: Optional[asyncio.Task] = None
-
-    @property
-    def outstanding(self) -> int:
-        return len(self.pending) + self.inflight
 
 
 class NetServer:
@@ -274,14 +232,8 @@ class NetServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._conns: Dict[int, _Conn] = {}
         self._next_conn_id = 1
-        self._rr_pos = 0
-        self._total_pending = 0
-        self._total_inflight = 0
-        self._work = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._dispatcher: Optional[asyncio.Task] = None
-        self._dispatch_tasks: Set[asyncio.Task] = set()
+        #: One task per received REQUEST frame, until its response is out.
+        self._requests: Set[asyncio.Task] = set()
         self._draining = False
         self._closed = False
 
@@ -292,9 +244,6 @@ class NetServer:
             raise RuntimeError("server already started")
         self._server = await asyncio.start_server(
             self._handle_conn, host=self.config.host, port=self.config.port
-        )
-        self._dispatcher = asyncio.get_running_loop().create_task(
-            self._dispatch_loop(), name="repro-net-dispatch"
         )
         return self
 
@@ -332,10 +281,15 @@ class NetServer:
     async def aclose(self, drain: bool = True) -> None:
         """Stop accepting, GOAWAY every client, drain, close.
 
-        ``drain=True`` (default) resolves every already-received
-        request through the Frontend (bounded by ``drain_timeout_s``);
-        ``drain=False`` resolves them as ``Overloaded`` frames
-        immediately.  Idempotent.
+        ``drain=True`` (default) waits for every already-received
+        request to resolve through the Frontend; ``drain=False`` answers
+        the unresolved ones with ``Overloaded`` frames immediately.
+        Either way the connections close within one ``drain_timeout_s``:
+        requests still unresolved then are withdrawn from the Frontend
+        (they never run) and answered ``Overloaded``.  An owned Frontend
+        is closed last, without draining when anything was withdrawn, so
+        only a flush already under way can outlast the budget.
+        Idempotent.
         """
         if self._closed:
             return
@@ -352,40 +306,28 @@ class NetServer:
         for conn in list(self._conns.values()):
             if conn.task is not None and not conn.task.done():
                 conn.task.cancel()
-        if drain:
-            try:
-                await asyncio.wait_for(
-                    self._idle.wait(), timeout=self.config.drain_timeout_s
-                )
-            except asyncio.TimeoutError:
-                pass
-        # Whatever is still queued (drain=False, or the timeout fired)
-        # resolves as a typed Overloaded frame — never silence.
-        for conn in list(self._conns.values()):
-            while conn.pending:
-                req = conn.pending.popleft()
-                self._total_pending -= 1
-                self._shed_counters("drain")
-                await self._respond_overloaded(
-                    conn, req.request_id, "server draining; request not executed"
-                )
-        # In-flight dispatch tasks still resolve (their submits are in
-        # the Frontend); give them the rest of the drain budget.
-        if self._dispatch_tasks:
+        loop = asyncio.get_running_loop()
+        give_up_at = loop.time() + self.config.drain_timeout_s
+        if drain and self._requests:
             await asyncio.wait(
-                list(self._dispatch_tasks),
-                timeout=self.config.drain_timeout_s,
+                list(self._requests), timeout=self.config.drain_timeout_s
             )
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
+        # Whatever still waits on the Frontend (drain=False, or the
+        # timeout fired) is withdrawn and answers with a typed
+        # Overloaded frame — never silence.  Responses already being
+        # written get the rest of the budget to finish.
+        abandoned = [t for conn in self._conns.values() for t in conn.waiting]
+        for task in abandoned:
+            task.cancel()
+        if self._requests:
+            await asyncio.wait(
+                list(self._requests),
+                timeout=max(give_up_at - loop.time(), 0.0),
+            )
         for conn in list(self._conns.values()):
             await self._close_conn(conn)
         if self._owns_frontend and not self.frontend.closed:
-            await self.frontend.aclose(drain=drain)
+            await self.frontend.aclose(drain=drain and not abandoned)
 
     async def __aenter__(self) -> "NetServer":
         if self._server is None:
@@ -443,7 +385,7 @@ class NetServer:
         except asyncio.CancelledError:
             if self._draining:
                 # aclose() stopped this read loop; the connection stays
-                # registered so its queued requests drain to completion.
+                # registered so its requests drain to completion.
                 return
             raise
         except (FrameTooLarge, ProtocolError) as exc:
@@ -519,7 +461,7 @@ class NetServer:
                             max_frame=cfg.max_frame_bytes)
         writer.write(data)
         await writer.drain()
-        self._record_out("hello_ok", len(data))
+        self._record("out", "hello_ok", len(data))
         return conn
 
     async def _read_loop(self, conn: _Conn) -> None:
@@ -527,9 +469,9 @@ class NetServer:
         while not self._draining:
             # Backpressure: at the per-connection wall we stop reading;
             # the client's unread frames wait in kernel buffers.
-            while conn.outstanding >= cfg.max_inflight_per_conn:
+            while conn.inflight >= cfg.max_inflight_per_conn:
                 conn.space.clear()
-                if conn.outstanding < cfg.max_inflight_per_conn:
+                if conn.inflight < cfg.max_inflight_per_conn:
                     break
                 await conn.space.wait()
             frame = await read_frame(
@@ -538,7 +480,7 @@ class NetServer:
                 first_byte_timeout=None,  # idle connections are welcome
                 body_timeout=cfg.frame_timeout_s,
             )
-            self._record_in(frame.type_name, _frame_size(frame))
+            self._record("in", frame.type_name, _frame_size(frame))
             if frame.type == FRAME_REQUEST:
                 await self._accept_request(conn, frame)
             elif frame.type == FRAME_PING:
@@ -552,7 +494,9 @@ class NetServer:
                 )
 
     async def _accept_request(self, conn: _Conn, frame: Frame) -> None:
-        now = time.perf_counter()
+        if not conn.alive:
+            return  # torn down mid-read: nobody to answer
+        received_at = time.perf_counter()
         body = frame.body if isinstance(frame.body, dict) else None
         if body is None or not isinstance(body.get("kind"), str):
             await self._respond_failed(conn, frame.request_id, Failed(
@@ -588,148 +532,64 @@ class NetServer:
             effective_ms = float(deadline_ms)
         else:
             effective_ms = min(float(deadline_ms), default_ms)
-        req = _NetRequest(
-            request_id=frame.request_id,
-            kind=kind,
-            payload=payload,
-            received_at=now,
-            expires_at=None if effective_ms is None
-            else now + effective_ms / 1000.0,
-        )
-        if self._total_pending >= self.config.max_pending_total:
-            victim_conn, victim = self._pick_shed_victim(conn, req)
-            self._shed_counters("queue_full")
-            await self._respond_overloaded(
-                victim_conn, victim.request_id,
-                f"server pending queue full "
-                f"({self.config.max_pending_total}); request shed "
-                f"oldest-deadline-first",
-            )
-            if victim is req:
-                return
-        conn.pending.append(req)
-        self._total_pending += 1
-        self._idle.clear()
-        self.metrics.gauge(
-            "repro_net_conn_queue_depth", mode="max"
-        ).set(len(conn.pending))
-        self._work.set()
+        budget = None if effective_ms is None else effective_ms / 1000.0
+        conn.inflight += 1
+        conn.idle.clear()
+        task = asyncio.get_running_loop().create_task(self._serve_request(
+            conn, frame.request_id, kind, payload, budget, received_at
+        ))
+        self._requests.add(task)
+        task.add_done_callback(self._requests.discard)
 
-    def _pick_shed_victim(
-        self, incoming_conn: _Conn, incoming: _NetRequest
-    ) -> Tuple[_Conn, _NetRequest]:
-        """Oldest-deadline-first victim across every pending queue.
-
-        The incoming request competes too: if *it* carries the soonest
-        expiry it is shed on arrival, and an already-queued request
-        survives.  The chosen queued victim is removed from its queue.
-        """
-        victim_conn, victim = incoming_conn, incoming
-        for cand_conn in self._conns.values():
-            for cand in cand_conn.pending:
-                if cand.shed_key() < victim.shed_key():
-                    victim_conn, victim = cand_conn, cand
-        if victim is not incoming:
-            victim_conn.pending.remove(victim)
-            self._total_pending -= 1
-            if victim_conn.outstanding < self.config.max_inflight_per_conn:
-                victim_conn.space.set()
-        return victim_conn, victim
-
-    # -- dispatch ----------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            self._work.clear()
-            granted = self._grant_round()
-            for conn, req in granted:
-                task = loop.create_task(self._dispatch_one(conn, req))
-                self._dispatch_tasks.add(task)
-                task.add_done_callback(self._dispatch_tasks.discard)
-            if not granted:
-                await self._work.wait()
-
-    def _grant_round(self):
-        """One round-robin sweep: at most one grant per connection,
-        bounded globally by ``max_dispatch_inflight`` open slots."""
-        ids = list(self._conns)
-        grants = []
-        if not ids:
-            return grants
-        n = len(ids)
-        start = self._rr_pos % n
-        for off in range(n):
-            if self._total_inflight >= self.config.max_dispatch_inflight:
-                break
-            conn = self._conns.get(ids[(start + off) % n])
-            if conn is None or not conn.pending:
-                continue
-            req = conn.pending.popleft()
-            self._total_pending -= 1
-            conn.inflight += 1
-            self._total_inflight += 1
-            conn.idle.clear()
-            self.metrics.counter("repro_net_rr_grants_total").inc()
-            grants.append((conn, req))
-        self._rr_pos = (start + 1) % max(1, n)
-        return grants
-
-    async def _dispatch_one(self, conn: _Conn, req: _NetRequest) -> None:
+    async def _serve_request(self, conn: _Conn, request_id: int, kind: str,
+                             payload: Any, budget: Optional[float],
+                             received_at: float) -> None:
+        """Submit one request to the Frontend and write its response."""
+        task = asyncio.current_task()
+        conn.waiting.add(task)
         try:
-            now = time.perf_counter()
-            if req.expires_at is not None and now >= req.expires_at:
-                self.metrics.counter(
-                    "repro_deadline_expired_total", stage="net"
-                ).inc()
-                await self._respond_failed(conn, req.request_id, Failed(
-                    kind=KIND_DEADLINE,
-                    message=(
-                        f"deadline expired after "
-                        f"{(now - req.received_at) * 1e3:.1f} ms in the "
-                        f"network queue"
-                    ),
-                    latency=now - req.received_at,
-                ))
-                self._request_counters(req.kind, "failed")
+            outcome = await self.frontend.submit_outcome(
+                kind, payload, deadline=budget, source=conn.id
+            )
+        except Overloaded as exc:
+            outcome = Failed(kind=KIND_OVERLOADED, message=str(exc))
+        except FrontendClosed:
+            outcome = Failed(kind=KIND_OVERLOADED,
+                             message="frontend closed; request refused")
+        except asyncio.CancelledError:
+            # The connection died, or aclose() stopped waiting; either
+            # way the Frontend has withdrawn the request.
+            outcome = Failed(kind=KIND_OVERLOADED,
+                             message="server draining; request not completed")
+        except (ValueError, TypeError) as exc:
+            # Unknown kind / malformed payload shape: a typed
+            # per-request failure, never a dead connection.
+            outcome = Failed(kind=KIND_VALUE, message=str(exc))
+        finally:
+            conn.waiting.discard(task)
+        try:
+            if not conn.alive:
+                return  # peer gone: no frame, nothing to count
+            if isinstance(outcome, Failed) and outcome.kind == KIND_OVERLOADED:
+                # Refused, shed or abandoned: one typed overloaded frame.
+                await self._respond_overloaded(conn, request_id, outcome.message)
                 return
-            budget = (None if req.expires_at is None
-                      else req.expires_at - now)
-            try:
-                outcome = await self.frontend.submit_outcome(
-                    req.kind, req.payload, deadline=budget
-                )
-            except Overloaded as exc:
-                await self._respond_overloaded(conn, req.request_id, str(exc))
-                return
-            except FrontendClosed:
-                await self._respond_overloaded(
-                    conn, req.request_id, "frontend closed; request refused"
-                )
-                return
-            except (ValueError, TypeError) as exc:
-                # Unknown kind / malformed payload shape: a typed
-                # per-request failure, never a dead connection.
-                outcome = Failed(kind=KIND_VALUE, message=str(exc))
             if isinstance(outcome, Failed):
-                await self._respond_failed(conn, req.request_id, outcome)
-                self._request_counters(req.kind, "failed")
+                await self._respond_failed(conn, request_id, outcome)
+                self._request_counters(kind, "failed")
             else:
                 value = outcome.value if isinstance(outcome, Ok) else outcome
-                await self._respond_ok(conn, req.request_id, value)
-                self._request_counters(req.kind, "ok")
+                await self._respond_ok(conn, request_id, value)
+                self._request_counters(kind, "ok")
             self.metrics.histogram(
                 "repro_net_request_latency_seconds"
-            ).observe(time.perf_counter() - req.received_at)
+            ).observe(time.perf_counter() - received_at)
         finally:
             conn.inflight -= 1
-            self._total_inflight -= 1
-            if conn.outstanding < self.config.max_inflight_per_conn:
+            if conn.inflight < self.config.max_inflight_per_conn:
                 conn.space.set()
-            if conn.outstanding == 0:
+            if conn.inflight == 0:
                 conn.idle.set()
-            if self._total_pending == 0 and self._total_inflight == 0:
-                self._idle.set()
-            self._work.set()
 
     # -- response writing ----------------------------------------------------
     async def _respond_ok(self, conn: _Conn, request_id: int, value: Any) -> None:
@@ -787,28 +647,24 @@ class NetServer:
             except (ConnectionError, OSError):
                 await self._conn_lost(conn)
                 return False
-        self._record_out(FRAME_NAMES.get(frame_type, "?"), len(data))
+        self._record("out", FRAME_NAMES.get(frame_type, "?"), len(data))
         return True
 
     # -- teardown --------------------------------------------------------
     async def _conn_lost(self, conn: _Conn) -> None:
         """Abrupt teardown: peer vanished or violated the protocol.
 
-        Undispatched requests are dropped (their responses have nowhere
-        to go); dispatched ones complete in the Frontend and their
-        responses are discarded by the ``alive`` guard.
+        Requests still waiting in the Frontend are withdrawn (their
+        responses have nowhere to go); only those already taken into a
+        flush complete, and their responses are discarded by the
+        ``alive`` guard.
         """
         if not conn.alive:
             return
         conn.alive = False
-        dropped = len(conn.pending)
-        conn.pending.clear()
-        self._total_pending -= dropped
+        for task in conn.waiting:
+            task.cancel()
         conn.space.set()
-        if conn.outstanding == 0:
-            conn.idle.set()
-        if self._total_pending == 0 and self._total_inflight == 0:
-            self._idle.set()
         self._unregister(conn)
         try:
             conn.writer.close()
@@ -816,9 +672,11 @@ class NetServer:
             pass
 
     async def _close_conn(self, conn: _Conn) -> None:
-        """Orderly close after a drain (responses already written)."""
+        """Orderly close after a drain; withdraws what it outlasted."""
         if conn.alive:
             conn.alive = False
+            for task in conn.waiting:
+                task.cancel()
             try:
                 conn.writer.close()
                 await conn.writer.wait_closed()
@@ -836,29 +694,16 @@ class NetServer:
             ).set(len(self._conns))
 
     # -- counters ----------------------------------------------------------
-    def _record_in(self, type_name: str, nbytes: int) -> None:
+    def _record(self, direction: str, type_name: str, nbytes: int) -> None:
         self.metrics.counter(
-            "repro_net_frames_total", direction="in", type=type_name
+            "repro_net_frames_total", direction=direction, type=type_name
         ).inc()
-        self.metrics.counter(
-            "repro_net_bytes_total", direction="in"
-        ).inc(nbytes)
-
-    def _record_out(self, type_name: str, nbytes: int) -> None:
-        self.metrics.counter(
-            "repro_net_frames_total", direction="out", type=type_name
-        ).inc()
-        self.metrics.counter(
-            "repro_net_bytes_total", direction="out"
-        ).inc(nbytes)
+        self.metrics.counter("repro_net_bytes_total", direction=direction).inc(nbytes)
 
     def _request_counters(self, kind: str, outcome: str) -> None:
         self.metrics.counter(
             "repro_net_requests_total", kind=kind, outcome=outcome
         ).inc()
-
-    def _shed_counters(self, reason: str) -> None:
-        self.metrics.counter("repro_net_shed_total", reason=reason).inc()
 
     def _protocol_error_counters(self, kind: str) -> None:
         self.metrics.counter(

@@ -89,3 +89,36 @@ class TestDispatch:
         with pytest.raises(SystemExit) as exc:
             run_main(["serve-net", "--help"])
         assert exc.value.code == 0
+
+
+class TestMetricsCheck:
+    def test_check_accepts_a_real_export_and_rejects_a_corrupt_copy(
+        self, tmp_path
+    ):
+        """`metrics PATH --check` on what `write_exports` wrote: exit 0;
+        on the same document with one counter corrupted: exit 1."""
+        import json
+
+        from repro.flow import run_flow
+        from repro.obs import MetricsRegistry, write_exports
+        from repro.serve.cache import FlowArtifactCache
+        from repro.trace import trace_loop_iteration
+
+        reg = MetricsRegistry()
+        cache = FlowArtifactCache()
+        for _ in range(2):  # a miss, then a hit
+            run_flow(trace_loop_iteration(), cache=cache, metrics=reg)
+        json_path, _ = write_exports(reg.snapshot(), str(tmp_path / "m.json"))
+        code, out, err = run_main(["metrics", json_path, "--check"])
+        assert code == 0, err
+        assert "OK:" in out
+
+        with open(json_path) as fh:
+            doc = json.load(fh)
+        assert doc["counters"], "the workload recorded no counters"
+        doc["counters"][0]["value"] = -1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_main(["metrics", str(bad), "--check"])
+        assert code == 1
+        assert "schema violation" in err

@@ -25,6 +25,7 @@ tests/test_frontend.py`` reproduces a CI failure exactly.
 import asyncio
 import os
 import random
+import threading
 import time
 import zlib
 
@@ -203,6 +204,143 @@ class TestFIFOWithinKind:
             async with Frontend(stub, max_batch=1, max_wait_ms=1.0) as fe:
                 await fe.submit("scalarmult", 5)
             assert stub.batches == [("sm", [5])]
+
+        run(body())
+
+
+class TestSourceFairness:
+    def test_each_flush_rotates_over_sources(self):
+        """10 queued from A, 2 from B, max_batch=4: B is not starved."""
+
+        async def body():
+            stub = StubEngine()
+            async with Frontend(stub, max_batch=4, max_wait_ms=10_000.0,
+                                max_queue=100) as fe:
+                # Every submit is admitted before the coalescer first
+                # runs, so the whole queue is present at the first pop.
+                tasks = [asyncio.ensure_future(fe.submit("sm", f"a{i}", source="A"))
+                         for i in range(10)]
+                tasks += [asyncio.ensure_future(fe.submit("sm", f"b{i}", source="B"))
+                          for i in range(2)]
+                await asyncio.gather(*tasks)
+            flushes = [payloads for _, payloads in stub.batches]
+            assert flushes[0] == ["a0", "b0", "a1", "b1"]
+            replayed = [p for payloads in flushes for p in payloads]
+            assert [p for p in replayed if p[0] == "a"] == [f"a{i}" for i in range(10)]
+            assert [p for p in replayed if p[0] == "b"] == ["b0", "b1"]
+            assert [len(p) for p in flushes] == [4, 4, 4]
+
+        run(body())
+
+
+class GatedEngine(StubEngine):
+    """Stub whose flushes wait for ``gate`` (set from the test)."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+
+    def run_jobs(self, jobs, **kwargs):
+        self.gate.wait(timeout=30)
+        return super().run_jobs(jobs, **kwargs)
+
+
+class TestSourceAwareAdmission:
+    """At a full lane the heaviest source waits or loses, never a lighter one."""
+
+    def test_block_grants_freed_space_to_the_lightest_source(self):
+        async def body():
+            stub = GatedEngine()
+            fe = Frontend(stub, max_batch=2, max_wait_ms=10_000.0,
+                          max_queue=2, policy="block")
+            tasks = [asyncio.ensure_future(fe.submit("sm", f"a{i}", source="A"))
+                     for i in range(2)]
+            await asyncio.sleep(0.05)  # flush [a0, a1] is held at the gate
+            tasks += [asyncio.ensure_future(fe.submit("sm", f"a{i}", source="A"))
+                      for i in range(2, 10)]
+            await asyncio.sleep(0.02)  # a2, a3 queued; a4..a9 blocked
+            tasks.append(asyncio.ensure_future(fe.submit("sm", "b0", source="B")))
+            await asyncio.sleep(0.02)
+            stub.gate.set()
+            await asyncio.gather(*tasks)
+            await fe.aclose()
+            flushes = [payloads for _, payloads in stub.batches]
+            # FIFO admission would hold b0 back until a9 got in.
+            assert flushes[:3] == [["a0", "a1"], ["a2", "a3"], ["a4", "b0"]]
+            replayed = [p for payloads in flushes for p in payloads]
+            assert [p for p in replayed if p[0] == "a"] == [f"a{i}" for i in range(10)]
+
+        run(body())
+
+    def test_shed_evicts_the_heaviest_sources_oldest(self):
+        async def body():
+            stub = StubEngine()
+            fe = Frontend(stub, metrics=MetricsRegistry(), max_batch=100,
+                          max_wait_ms=10_000.0, max_queue=4, policy="shed")
+            names = ["a0", "a1", "a2", "a3", "b0", "b1", "b2"]
+            tasks = [asyncio.ensure_future(fe.submit_outcome(
+                "sm", n, source=n[0])) for n in names]
+            await asyncio.sleep(0.02)
+            await fe.aclose()
+            outcomes = dict(zip(names, await asyncio.gather(*tasks)))
+            shed = sorted(n for n, o in outcomes.items()
+                          if isinstance(o, Failed) and o.kind == "overloaded")
+            # b0, b1 each evict A's oldest; at 2-vs-2 b2 evicts B's own.
+            assert shed == ["a0", "a1", "b0"]
+            assert stub.batches == [("sm", ["a2", "b1", "a3", "b2"])]
+            assert count(fe.metrics, "repro_frontend_admissions_total",
+                         outcome="shed") == 3
+
+        run(body())
+
+    def test_reject_displaces_the_heaviest_sources_newest(self):
+        from repro.serve.faults import Overloaded
+
+        async def body():
+            stub = StubEngine()
+            fe = Frontend(stub, metrics=MetricsRegistry(), max_batch=100,
+                          max_wait_ms=10_000.0, max_queue=4, policy="reject")
+            names = ["a0", "a1", "a2", "a3", "b0", "a4", "b1", "b2"]
+            tasks = [asyncio.ensure_future(fe.submit_outcome(
+                "sm", n, source=n[0])) for n in names]
+            await asyncio.sleep(0.02)
+            await fe.aclose()
+            results = await asyncio.gather(*tasks, return_exceptions=True)
+            outcomes = dict(zip(names, results))
+            # The heaviest source's own newcomers are refused outright...
+            assert isinstance(outcomes["a4"], Overloaded)
+            assert isinstance(outcomes["b2"], Overloaded)
+            # ...a lighter source's newcomer displaces A's newest instead.
+            for n in ("a3", "a2"):
+                assert isinstance(outcomes[n], Failed), n
+                assert outcomes[n].kind == "overloaded"
+            assert stub.batches == [("sm", ["a0", "b0", "a1", "b1"])]
+            assert count(fe.metrics, "repro_frontend_admissions_total",
+                         outcome="rejected") == 4
+
+        run(body())
+
+    def test_cancelled_submit_withdraws_its_request(self):
+        async def body():
+            stub = GatedEngine()
+            fe = Frontend(stub, metrics=MetricsRegistry(), max_batch=1,
+                          max_wait_ms=0.0, max_queue=1, policy="block")
+            first = asyncio.ensure_future(fe.submit("sm", "x0"))
+            await asyncio.sleep(0.05)  # x0 is in the gated flush
+            queued = asyncio.ensure_future(fe.submit("sm", "x1"))
+            blocked = asyncio.ensure_future(fe.submit("sm", "x2"))
+            last = asyncio.ensure_future(fe.submit("sm", "x3"))
+            await asyncio.sleep(0.02)
+            blocked.cancel()  # waiting at the full lane: never admitted
+            queued.cancel()   # waiting in the lane: withdrawn, x3 admitted
+            await asyncio.sleep(0.02)
+            stub.gate.set()
+            assert await first == ("echo", "x0")
+            assert await last == ("echo", "x3")
+            await fe.aclose()
+            assert [p for _, (p,) in stub.batches] == ["x0", "x3"]
+            assert count(fe.metrics, "repro_frontend_resolved_total",
+                         outcome="cancelled") == 1
 
         run(body())
 

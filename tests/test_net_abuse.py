@@ -58,6 +58,16 @@ class StubEngine:
         return BatchResult(results=[("echo", p) for _, p in jobs])
 
 
+class CountingStubEngine(StubEngine):
+    def __init__(self, delay: float = 0.0):
+        super().__init__(delay)
+        self.executed = 0
+
+    def run_jobs(self, jobs, **kwargs):
+        self.executed += len(jobs)
+        return super().run_jobs(jobs, **kwargs)
+
+
 def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=60))
 
@@ -324,6 +334,38 @@ class TestDisconnects:
                         break
                     await asyncio.sleep(0.01)
                 assert server.connections == 0
+            finally:
+                await server.aclose()
+                await server.frontend.aclose()
+
+        run(body())
+
+    def test_reconnect_loop_leaves_no_work_behind(self):
+        # Fill the window, vanish, reconnect — over and over.  A dead
+        # connection's requests are withdrawn from the Frontend, so the
+        # abandoned work is mostly never run and nothing outlives the
+        # connections it came from.
+        async def body():
+            stub = CountingStubEngine(delay=0.02)
+            cap, cycles = 8, 12
+            server = await make_server(stub, max_inflight_per_conn=cap).start()
+            try:
+                for c in range(cycles):
+                    reader, writer = await _handshake_raw(server.port)
+                    for j in range(cap):
+                        writer.write(encode_frame(
+                            FRAME_REQUEST, j, {"kind": "sm", "payload": [c, j]},
+                        ))
+                    await writer.drain()
+                    writer.close()
+                for _ in range(500):
+                    if server.connections == 0 and not server._requests:
+                        break
+                    await asyncio.sleep(0.01)
+                assert server.connections == 0
+                assert not server._requests
+                assert stub.executed <= cycles * cap // 2, stub.executed
+                await _victim_still_served(server)
             finally:
                 await server.aclose()
                 await server.frontend.aclose()

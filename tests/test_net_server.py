@@ -6,11 +6,12 @@ stub (instant, recording), so the suite pins the *transport* contract
 (docs/protocol.md) without paying for the datapath:
 
 * **fairness** — a firehose connection keeping hundreds of requests on
-  the wire cannot starve a polite one-at-a-time client: round-robin
-  grants bound the polite client's completed share from below;
-* **shedding** — past ``max_pending_total`` the server sheds
-  oldest-deadline-first with typed ``overloaded`` responses, and the
-  per-connection cap turns into socket backpressure, not loss;
+  the wire cannot starve a polite one-at-a-time client: the Frontend's
+  per-source batch rotation bounds the polite client's completed share
+  from below;
+* **shedding** — the Frontend's ``shed`` policy answers with typed
+  ``overloaded`` responses, and the per-connection cap turns into
+  socket backpressure, not loss;
 * **deadline propagation** — client budgets are clamped to the
   Frontend's ``default_deadline_ms`` and expiries come back as typed
   ``Failed(kind="deadline")`` frames;
@@ -165,18 +166,15 @@ class TestFairness:
     def test_firehose_cannot_starve_a_polite_client(self):
         # A slow engine makes service the bottleneck; the firehose
         # keeps its whole in-flight window full while the polite client
-        # submits one request at a time.  Round-robin grants must keep
-        # the polite client's share of completions near 1/2, far above
-        # the ~window/(window+1) starvation it would get FIFO.
+        # submits one request at a time.  Per-source batch rotation must
+        # keep the polite client's share of completions near 1/2, far
+        # above the ~window/(window+1) starvation it would get FIFO.
         async def body():
             stub = StubEngine(delay=0.002)
             server = await make_server(
                 stub,
                 frontend_kwargs={"max_batch": 4, "max_wait_ms": 1.0},
                 max_inflight_per_conn=16,
-                # Dispatch slots are the bottleneck: RR grant order —
-                # not arrival order — decides who is served next.
-                max_dispatch_inflight=4,
             ).start()
             done = {"firehose": 0, "polite": 0}
             stop = asyncio.Event()
@@ -199,7 +197,7 @@ class TestFairness:
                 workers = [asyncio.ensure_future(firehose_worker(i))
                            for i in range(16)]
                 # Window of 3: enough that the polite client usually
-                # has one request pending when its grant turn comes
+                # has one request queued when its rotation turn comes
                 # (fairness cannot serve a client who hasn't asked),
                 # still 5x less outstanding than the firehose.
                 workers += [asyncio.ensure_future(polite_worker())
@@ -216,25 +214,69 @@ class TestFairness:
             share = done["polite"] / total
             # Issue gate: slowest client's share >= 0.5 / n_clients.
             assert share >= 0.25, (done, share)
-            assert count(server.metrics, "repro_net_rr_grants_total") == total
+
+        run(body())
+
+    def test_fairness_holds_when_windows_overflow_the_queue(self):
+        # Three firehose connections keep 3 x 32 requests outstanding
+        # against a lane of 8, so most of each window waits blocked at
+        # admission.  Freed space goes to the lightest source first, so
+        # the polite client still gets its per-flush rotation slot.
+        async def body():
+            stub = StubEngine(delay=0.002)
+            server = await make_server(
+                stub,
+                frontend_kwargs={"max_batch": 4, "max_wait_ms": 1.0,
+                                 "max_queue": 8},
+                max_inflight_per_conn=32,
+            ).start()
+            names = ["fire0", "fire1", "fire2", "polite"]
+            done = dict.fromkeys(names, 0)
+            stop = asyncio.Event()
+            try:
+                clients = {
+                    name: await NetClient.connect("127.0.0.1", server.port,
+                                                  client_name=name)
+                    for name in names
+                }
+
+                async def worker(name):
+                    while not stop.is_set():
+                        await clients[name].submit("sm", (0, None))
+                        done[name] += 1
+
+                workers = [asyncio.ensure_future(worker(name))
+                           for name in names[:3] for _ in range(32)]
+                workers += [asyncio.ensure_future(worker("polite"))
+                            for _ in range(3)]
+                await asyncio.sleep(1.0)
+                stop.set()
+                await asyncio.gather(*workers)
+                for client in clients.values():
+                    await client.aclose()
+            finally:
+                await server.aclose()
+                await server.frontend.aclose()
+            share = done["polite"] / sum(done.values())
+            # Slowest client's share >= 0.5 / n_clients; FIFO admission
+            # would leave it behind ~88 blocked firehose requests (~3%).
+            assert share >= 0.5 / len(names), (done, share)
 
         run(body())
 
 
 class TestSheddingAndBackpressure:
-    def test_global_pending_cap_sheds_oldest_deadline_first(self):
+    def test_shed_policy_answers_with_overloaded_frames(self):
         async def body():
-            # A paused dispatcher would be ideal; a slow engine plus a
-            # tiny global cap is the observable equivalent: pile up
-            # more pending than the cap and count typed overloads.
+            # A slow engine and a tiny Frontend queue under the shed
+            # policy: a burst past the bound sheds the oldest queued
+            # requests, each answered by a typed overloaded frame.
             stub = StubEngine(delay=0.01)
             server = await make_server(
                 stub,
                 frontend_kwargs={"max_batch": 2, "max_wait_ms": 1.0,
-                                 "max_queue": 512},
-                max_pending_total=4,
+                                 "max_queue": 4, "policy": "shed"},
                 max_inflight_per_conn=64,
-                max_dispatch_inflight=2,
             ).start()
             try:
                 async with await NetClient.connect(
@@ -252,51 +294,13 @@ class TestSheddingAndBackpressure:
                         and o.kind == KIND_OVERLOADED]
                 served = [o for o in outcomes if not isinstance(o, Failed)]
                 assert len(shed) + len(served) == 48
-                assert shed, "cap of 4 with 48 queued must shed"
+                assert shed, "queue of 4 with 48 arriving must shed"
                 assert served, "shedding must not become total refusal"
-                assert count(server.metrics, "repro_net_shed_total") == len(shed)
-            finally:
-                await server.aclose()
-                await server.frontend.aclose()
-
-        run(body())
-
-    def test_soonest_expiry_is_the_shed_victim(self):
-        async def body():
-            stub = StubEngine(delay=0.05)
-            server = await make_server(
-                stub,
-                frontend_kwargs={"max_batch": 1, "max_wait_ms": 0.5,
-                                 "max_queue": 512},
-                max_pending_total=3,
-                max_inflight_per_conn=64,
-                max_dispatch_inflight=1,
-            ).start()
-            try:
-                async with await NetClient.connect(
-                    "127.0.0.1", server.port
-                ) as client:
-                    # Long-budget requests first, then a burst of
-                    # short-budget ones: the short budgets must be the
-                    # ones shed (oldest-deadline-first), long ones serve.
-                    long_futs = [
-                        asyncio.ensure_future(client.submit_outcome(
-                            "sm", ("long", i), deadline=60.0))
-                        for i in range(4)
-                    ]
-                    await asyncio.sleep(0.03)  # let them queue
-                    short = await asyncio.gather(*[
-                        client.submit_outcome("sm", ("short", i),
-                                              deadline=59.0)
-                        for i in range(8)
-                    ])
-                    longs = await asyncio.gather(*long_futs)
-                shed_short = sum(1 for o in short if isinstance(o, Failed)
-                                 and o.kind == KIND_OVERLOADED)
-                shed_long = sum(1 for o in longs if isinstance(o, Failed)
-                                and o.kind == KIND_OVERLOADED)
-                assert shed_short > 0
-                assert shed_long == 0, (longs, short)
+                assert count(server.frontend.metrics,
+                             "repro_frontend_admissions_total",
+                             outcome="shed") == len(shed)
+                assert count(server.metrics, "repro_net_requests_total",
+                             outcome="overloaded") == len(shed)
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
@@ -324,7 +328,8 @@ class TestSheddingAndBackpressure:
             finally:
                 await server.aclose()
                 await server.frontend.aclose()
-            assert count(server.metrics, "repro_net_shed_total") == 0
+            assert count(server.metrics, "repro_net_requests_total",
+                         outcome="overloaded") == 0
 
         run(body())
 
@@ -542,6 +547,41 @@ class TestGracefulDrain:
                     ("echo", (3, None))
             await server.aclose()
             assert server.frontend.closed
+
+        run(body())
+
+    def test_drain_timeout_withdraws_what_it_abandons(self):
+        # An owned Frontend with far more queued than the drain budget
+        # can serve: what is still waiting when the budget runs out is
+        # answered overloaded and never run afterwards.
+        async def body():
+            stub = StubEngine(delay=0.05)
+            server = NetServer(
+                engine=stub,
+                frontend_config=FrontendConfig(max_batch=2, max_wait_ms=1.0),
+                metrics=MetricsRegistry(),
+                config=NetServerConfig(port=0, drain_timeout_s=0.2),
+            )
+            await server.start()
+            client = await NetClient.connect("127.0.0.1", server.port)
+            futs = [
+                asyncio.ensure_future(client.submit_outcome("sm", (i, None)))
+                for i in range(32)
+            ]
+            await asyncio.sleep(0.05)
+            await server.aclose()
+            assert server.frontend.closed
+            outcomes = await asyncio.gather(*futs, return_exceptions=True)
+            await client.aclose()
+            overloaded = [o for o in outcomes if isinstance(o, Failed)
+                          and o.kind == KIND_OVERLOADED]
+            assert overloaded, "a 0.2 s budget cannot serve 32 x 25 ms"
+            served = count(server.metrics, "repro_net_requests_total",
+                           outcome="ok")
+            executed = sum(len(p) for _, p in stub.batches)
+            # Only the flush under way when the budget ran out may run
+            # for a caller that was already refused.
+            assert executed <= served + 2, (executed, served)
 
         run(body())
 

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.flow import _verify_outputs, resolve_scheduler, run_flow
+from repro.obs import MetricsRegistry
 from repro.opt import (
     OPT_LEVELS,
     detect_repeats,
@@ -31,6 +32,7 @@ from repro.trace import (
 from repro.trace.ops import OpKind
 from repro.trace.program import TraceProgram
 from repro.trace.tracer import Tracer
+from tests.metrics_util import count
 
 
 def _toy_program() -> TraceProgram:
@@ -223,7 +225,7 @@ class TestCacheKeying:
         for lvl in OPT_LEVELS:
             flow = run_flow(prog, cache=cache, optimize=lvl)
             assert not flow.cache_hit
-        assert cache.stats_snapshot()["entries"] == len(OPT_LEVELS)
+        assert len(cache) == len(OPT_LEVELS)
 
     def test_auto_resolves_before_keying(self):
         """Regression: an "auto" request and the explicit scheduler it
@@ -241,7 +243,7 @@ class TestCacheKeying:
         )
         assert not first.cache_hit
         assert second.cache_hit
-        assert cache.stats_snapshot()["entries"] == 1
+        assert len(cache) == 1
 
     def test_auto_resolution_rule(self):
         kernel = trace_loop_iteration()
@@ -287,25 +289,20 @@ class TestTraceProducerFixes:
         assert u1_explicit.expected == both_default.expected
 
 
-class TestCacheCountersApi:
-    def test_counters_is_a_subset_of_stats_snapshot(self):
+class TestCacheEvents:
+    def test_run_flow_records_each_lookup_once(self):
         cache = FlowArtifactCache()
-        run_flow(trace_loop_iteration(random.Random(1)), cache=cache)
-        run_flow(trace_loop_iteration(random.Random(2)), cache=cache)
-        snap = cache.stats_snapshot()
-        assert cache.counters() == (
-            snap["hits"],
-            snap["misses"],
-            snap["evictions"],
-        )
-        assert set(snap) == {"hits", "misses", "evictions", "fallbacks", "entries"}
-        assert snap["hits"] == 1 and snap["misses"] == 1
-        assert snap["entries"] == 1
+        reg = MetricsRegistry()
+        run_flow(trace_loop_iteration(random.Random(1)), cache=cache, metrics=reg)
+        run_flow(trace_loop_iteration(random.Random(2)), cache=cache, metrics=reg)
+        events = "repro_cache_events_total"
+        assert count(reg, events, event="miss") == 1
+        assert count(reg, events, event="hit") == 1
+        assert count(reg, events) == count(reg, "repro_flow_requests_total")
 
 
 class TestOptObservability:
     def test_pass_statistics_visible_in_metrics_report(self):
-        from repro.obs import MetricsRegistry
         from repro.obs.export import render_report
 
         reg = MetricsRegistry()

@@ -22,7 +22,17 @@ from repro.serve import BatchEngine, BatchResult, Failed
 from repro.serve.cache import FlowArtifactCache, FlowArtifacts, trace_shape_key
 from repro.serve.engine import _chunk
 from repro.trace import trace_loop_iteration, trace_scalar_mult
-from tests.metrics_util import counted
+from tests.metrics_util import count, counted
+
+CACHE_EVENTS = "repro_cache_events_total"
+
+
+def _cache_events(reg):
+    """(hit, miss, eviction, fallback) totals recorded in ``reg``."""
+    return tuple(
+        count(reg, CACHE_EVENTS, event=e)
+        for e in ("hit", "miss", "eviction", "fallback")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -96,31 +106,39 @@ class TestHitMissEquivalence:
     def test_property_loop_many_workloads(self):
         """Seeded sweep: every cache-hit simulation equals the uncached one."""
         cache = FlowArtifactCache()
+        reg = MetricsRegistry()
         # One priming run; both negate signs share the mux-selected
         # shape, so every later request (either sign) is a cache hit.
-        run_flow(trace_loop_iteration(random.Random(0)), cache=cache)
-        run_flow(trace_loop_iteration(random.Random(0), negate=False), cache=cache)
+        run_flow(trace_loop_iteration(random.Random(0)), cache=cache, metrics=reg)
+        run_flow(trace_loop_iteration(random.Random(0), negate=False),
+                 cache=cache, metrics=reg)
         for seed in range(1, 5):
             negate = bool(seed % 2)
             cached = run_flow(
-                trace_loop_iteration(random.Random(seed), negate=negate), cache=cache
+                trace_loop_iteration(random.Random(seed), negate=negate),
+                cache=cache, metrics=reg,
             )
             plain = run_flow(trace_loop_iteration(random.Random(seed), negate=negate))
             assert cached.cache_hit
             assert cached.microprogram == plain.microprogram
             assert cached.simulation.outputs == plain.simulation.outputs
-        assert cache.counters() == (5, 1, 0)
+        assert _cache_events(reg) == (5, 1, 0, 0)
 
 
 class TestLRUBound:
     def test_eviction_and_counters(self):
         cache = FlowArtifactCache(max_entries=2)
-        for i in range(3):
-            cache.put(_stub_entry(f"k{i}"))
+        assert [cache.put(_stub_entry(f"k{i}")) for i in range(3)] == [0, 0, 1]
         assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.get("k0") is None  # evicted, counted as a miss
-        assert cache.counters() == (0, 1, 1)
+        assert cache.get("k0") is None  # evicted
+        # Through run_flow the same events land in the registry: three
+        # optimizer levels are three shapes, one more than fit.
+        cache = FlowArtifactCache(max_entries=2)
+        reg = MetricsRegistry()
+        for level in ("none", "cse", "full", "none"):
+            run_flow(trace_loop_iteration(), cache=cache, optimize=level,
+                     metrics=reg)
+        assert _cache_events(reg) == (0, 4, 2, 0)
 
     def test_lru_order_respects_recency(self):
         cache = FlowArtifactCache(max_entries=2)
@@ -130,7 +148,6 @@ class TestLRUBound:
         cache.put(_stub_entry("c"))  # must evict b, not a
         assert cache.get("a") is not None
         assert cache.get("b") is None
-        assert cache.hit_rate == pytest.approx(2 / 3)
 
 
 class TestFallbackSelfHealing:
@@ -308,8 +325,10 @@ class TestHitRateHonesty:
     def test_fallback_demotes_hit_accounting(self):
         """A fast path that falls back must count as a miss, not a hit."""
         cache = FlowArtifactCache()
-        miss = run_flow(trace_loop_iteration(random.Random(31)), cache=cache)
-        assert cache.counters() == (0, 1, 0)
+        reg = MetricsRegistry()
+        miss = run_flow(trace_loop_iteration(random.Random(31)), cache=cache,
+                        metrics=reg)
+        assert _cache_events(reg) == (0, 1, 0, 0)
 
         entry = cache._entries[miss.cache_key]
         bad_template = dataclasses.replace(
@@ -317,13 +336,14 @@ class TestHitRateHonesty:
         )
         cache.put(dataclasses.replace(entry, template=bad_template))
 
-        flow = run_flow(trace_loop_iteration(random.Random(32)), cache=cache)
+        flow = run_flow(trace_loop_iteration(random.Random(32)), cache=cache,
+                        metrics=reg)
         assert flow.fallback and not flow.cache_hit
-        # The get() hit was reclassified: 0 completed fast paths.
-        assert (cache.hits, cache.misses, cache.fallbacks) == (0, 2, 1)
-        assert cache.hit_rate == 0.0
+        # The found entry did not complete: a miss plus a fallback.
+        assert _cache_events(reg) == (0, 2, 0, 1)
 
         # Self-healed entry: the next request is an honest hit again.
-        healed = run_flow(trace_loop_iteration(random.Random(33)), cache=cache)
+        healed = run_flow(trace_loop_iteration(random.Random(33)), cache=cache,
+                          metrics=reg)
         assert healed.cache_hit
-        assert (cache.hits, cache.misses, cache.fallbacks) == (1, 2, 1)
+        assert _cache_events(reg) == (1, 2, 0, 1)
