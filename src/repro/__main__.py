@@ -37,6 +37,7 @@ every subcommand.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 
 def cmd_summary() -> int:
@@ -350,10 +351,7 @@ def _check_outcomes(requests, outcomes, wall, deadline_ms) -> int:
     from .serve import Failed
 
     ok = sum(1 for o in outcomes if not isinstance(o, Failed))
-    kinds = {}
-    for o in outcomes:
-        if isinstance(o, Failed):
-            kinds[o.kind] = kinds.get(o.kind, 0) + 1
+    kinds = Counter(o.kind for o in outcomes if isinstance(o, Failed))
     print(f"completed        : {len(outcomes)}/{len(requests)} ({ok} ok"
           + "".join(f", {k}={v}" for k, v in sorted(kinds.items())) + ")")
     print(f"wall time        : {wall * 1e3:.1f} ms")
@@ -379,7 +377,7 @@ def _check_outcomes(requests, outcomes, wall, deadline_ms) -> int:
             continue
         if kind == "fault":
             if failed and outcome.kind not in (
-                "deadline", "timeout", "worker_crash", "circuit_open",
+                "deadline", "timeout", "worker_crash",
                 "internal",
             ):
                 mismatches += 1

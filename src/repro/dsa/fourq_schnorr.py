@@ -14,7 +14,8 @@ import secrets
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..curve.params import SUBGROUP_ORDER_N
+from ..curve.multiscalar import in_order_n_subgroup
+from ..curve.params import SUBGROUP_ORDER_N, is_on_curve
 from ..curve.point import AffinePoint
 from ..curve.scalarmult import scalar_mul_fourq
 from ..hashes.sha256 import sha256, sha256_int
@@ -81,7 +82,10 @@ def verify(public: AffinePoint, message: bytes, sig: SchnorrSignature) -> bool:
     (:func:`repro.curve.scalarmult.scalar_mul_double_base`) — the shape
     the paper's Section II-A verification step 4 computes — so a
     verification costs one shared 64-iteration loop instead of two
-    separate scalar multiplications.
+    separate scalar multiplications.  A public key off the curve or
+    outside the order-N subgroup verifies ``False``: the endomorphism
+    decomposition is wrong there, and could accept a signature the
+    textbook equation rejects.
     """
     from ..curve.scalarmult import scalar_mul_double_base
 
@@ -90,6 +94,8 @@ def verify(public: AffinePoint, message: bytes, sig: SchnorrSignature) -> bool:
     except ValueError:
         return False
     if not (1 <= sig.s < SUBGROUP_ORDER_N):
+        return False
+    if not (is_on_curve(public.x, public.y) and in_order_n_subgroup(public)):
         return False
     e = _challenge(commit, public, message)
     lhs = scalar_mul_double_base(

@@ -124,7 +124,7 @@ SERIES: Tuple[Series, ...] = (
     _s("repro_net_bytes_total", "counter", "direction", "net",
        "wire bytes by direction, length prefix included"),
     _s("repro_net_requests_total", "counter", "kind outcome", "net",
-       "RESPONSE frames by job kind and status: ok, failed, overloaded"),
+       "RESPONSE frames by wire job kind (\"?\" for any other) and status: ok, failed, overloaded"),
     _s("repro_net_protocol_errors_total", "counter", "kind", "net",
        "connection-level protocol violations by taxonomy slug"),
     _s("repro_net_request_latency_seconds", "histogram", "", "net",

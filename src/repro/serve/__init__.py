@@ -57,7 +57,6 @@ from .engine import (
 )
 from .faults import (
     BatchItemError,
-    CircuitOpen,
     DeadlineExceeded,
     Failed,
     Ok,
@@ -79,7 +78,6 @@ __all__ = [
     "BatchItemError",
     "BatchResult",
     "CircuitBreaker",
-    "CircuitOpen",
     "Deadline",
     "DeadlineExceeded",
     "Failed",

@@ -38,19 +38,22 @@ attempts are recovered serially in the parent (order still preserved),
 so one crashed worker cannot discard results that were already computed.
 A :class:`~repro.serve.resilience.CircuitBreaker` trips after repeated
 pool-level failures and degrades the engine to serial in-process
-execution (or fail-fast ``circuit_open`` failures) until a half-open
-probe proves the pool healthy again.  A ``deadline`` budget on any batch
-entry point bounds queue-to-result time: items the budget cannot cover
-resolve as typed ``Failed(KIND_DEADLINE)`` instead of running late.
+execution until a half-open probe proves the pool healthy again.  A
+``deadline`` budget on any batch entry point bounds queue-to-result
+time: items the budget cannot cover resolve as typed
+``Failed(KIND_DEADLINE)`` instead of running late.
+
+Every job kind is declared once, in :data:`KINDS`: its payload, its
+input-domain check, its dedup key, its executor, and whether TCP
+clients may send it.  Every batch runs through one dispatcher
+(:meth:`BatchEngine._run_batch`) that reads that table, so a payload
+outside its kind's domain resolves as ``Failed(kind="value"|"type")``
+before it reaches any executor.
 
 Every simulated result is still verified bit-for-bit: the golden check
 proves each writeback against the freshly traced reference, and the
 engine re-derives the final point from the simulator's output
-registers.  Batching changes cost, never results.  The ``sm`` kind only
-accepts base points of the order-N subgroup (:func:`_require_subgroup`):
-the endomorphism decomposition the trace and the simulator share is
-valid there alone, so a point with a torsion component would come back
-as an agreed-upon wrong answer the golden check cannot catch.
+registers.  Batching changes cost, never results.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..curve.decompose import FourQDecomposer
 from ..curve.encoding import encode_point, decode_point
@@ -90,9 +93,7 @@ from ..trace.program import (
 )
 from .cache import FlowArtifactCache
 from .faults import (
-    KIND_CIRCUIT_OPEN,
     KIND_DEADLINE,
-    KIND_INTERNAL,
     DeadlineExceeded,
     Failed,
     Ok,
@@ -106,14 +107,6 @@ from .resilience import (
     TokenBucket,
 )
 
-#: Circuit-breaker degradation modes: ``serial`` keeps serving in-process
-#: (correct but slower), ``fail_fast`` rejects with ``circuit_open``.
-_CIRCUIT_MODES = ("serial", "fail_fast")
-
-#: Sentinel for "no result landed in this slot yet" (None/False are
-#: legitimate job results, so identity — not truthiness — marks holes).
-_UNSET = object()
-
 #: batch_verify evaluation modes: ``simulate`` runs each item's
 #: double-base workload on the simulated datapath; ``msm`` resolves the
 #: whole batch with one randomized multi-scalar multiplication and
@@ -126,21 +119,358 @@ _MSM_KERNEL_POINTS = 8
 _MSM_KERNEL_WINDOW = 4
 
 
-def _require_subgroup(point: AffinePoint) -> None:
-    """The ``sm`` input domain: base points of the order-N subgroup.
+# -- input domains -------------------------------------------------------
+# A check raises ValueError/TypeError, so a payload outside its kind's
+# domain becomes a typed Failed(kind="value"|"type"), never "internal".
 
-    Raises ``ValueError`` (a typed ``Failed(kind="value")`` through the
-    batch paths) for an off-curve point (the wire decoder does not
-    check) or an on-curve point with a torsion component.  The subgroup
-    verdict is memoized per point, so a repeated base pays once.
+
+def _check_scalar(k) -> None:
+    if not isinstance(k, int):
+        raise TypeError(f"scalar must be an int, not {type(k).__name__}")
+
+
+def _check_point(p, what: str) -> None:
+    """An on-curve point of the order-N subgroup (memoized per point).
+
+    The wire decoder does not check the curve equation, and the
+    endomorphism decomposition the trace, the simulator and
+    ``multi_scalar_mul`` share is valid on the subgroup alone: a
+    torsion component would come back as an agreed-upon wrong answer
+    the golden check cannot catch.
     """
-    if not is_on_curve(point.x, point.y):
-        raise ValueError("sm base point is not on the curve")
-    if not in_order_n_subgroup(point):
+    if not isinstance(p, AffinePoint):
+        raise TypeError(f"{what} must be an AffinePoint, not {type(p).__name__}")
+    if not is_on_curve(p.x, p.y):
+        raise ValueError(f"{what} is not on the curve")
+    if not in_order_n_subgroup(p):
         raise ValueError(
-            "sm base point is outside the order-N subgroup; clear the "
-            "cofactor first"
+            f"{what} is outside the order-N subgroup; clear the cofactor first"
         )
+
+
+def _check_sm(payload) -> None:
+    k, point = payload
+    _check_scalar(k)
+    _check_point(point, "sm base point")
+
+
+def _check_dh(payload) -> None:
+    private, peer_public = payload
+    _check_scalar(private)
+    if not isinstance(peer_public, (bytes, bytearray)):
+        raise TypeError("dh peer public key must be bytes")
+
+
+def _is_fp2(c) -> bool:
+    return isinstance(c, tuple) and len(c) == 2 and all(isinstance(v, int) for v in c)
+
+
+def _check_verify(payload) -> None:
+    public, message, sig = payload
+    if not isinstance(public, AffinePoint):
+        raise TypeError("verify public key must be an AffinePoint")
+    if not isinstance(message, (bytes, bytearray)):
+        raise TypeError("verify message must be bytes")
+    if not (
+        isinstance(sig, SchnorrSignature) and isinstance(sig.s, int)
+        and _is_fp2(sig.commit_x) and _is_fp2(sig.commit_y)
+    ):
+        raise TypeError("verify signature must be a SchnorrSignature")
+
+
+def _check_msm(payload) -> None:
+    scalars, points = payload
+    if len(scalars) != len(points):
+        raise ValueError("msm needs exactly one point per scalar")
+    for k in scalars:
+        _check_scalar(k)
+    for p in points:
+        _check_point(p, "msm point")
+
+
+def _check_fault(payload) -> None:
+    if payload[0] not in ("noop", "exit", "sleep"):
+        raise ValueError(f"unknown fault mode {payload[0]!r}")
+
+
+# -- executors: (engine, payload) -> result, run after the check --------
+
+
+def _run_sm(engine: "BatchEngine", payload) -> AffinePoint:
+    k, p = payload
+    if p.is_identity() or k % SUBGROUP_ORDER_N == 0:
+        # Degenerate inputs never reach the endomorphism formulas —
+        # same contract as scalar_mul_fourq.
+        return (k % SUBGROUP_ORDER_N) * p
+    return engine._point_from_outputs(engine.scalarmult_flow(k, p))
+
+
+def _run_dh(engine: "BatchEngine", payload) -> bytes:
+    private, peer_public = payload
+    cleared = decode_point(peer_public).clear_cofactor()
+    if cleared.is_identity():
+        raise SmallOrderPoint("peer public key has small order")
+    if private % SUBGROUP_ORDER_N == 0:
+        raise SmallOrderPoint("degenerate shared point")
+    shared = engine._point_from_outputs(engine.scalarmult_flow(private, cleared))
+    if shared.is_identity():
+        raise SmallOrderPoint("degenerate shared point")
+    return sha256(encode_point(shared))
+
+
+def _run_verify(engine: "BatchEngine", payload) -> bool:
+    public, message, sig = payload
+    try:
+        commit = AffinePoint(sig.commit_x, sig.commit_y)
+    except ValueError:
+        return False
+    if not (1 <= sig.s < SUBGROUP_ORDER_N):
+        return False
+    # A public key outside the order-N subgroup is rejected, as the MSM
+    # path's vetting does: the endomorphism formulas are wrong there.
+    if not (is_on_curve(public.x, public.y) and in_order_n_subgroup(public)):
+        return False
+    e = _challenge(commit, public, message)
+    u2 = SUBGROUP_ORDER_N - e
+    if public.is_identity() or u2 % SUBGROUP_ORDER_N == 0:
+        # Degenerate double-base shapes collapse to single-base.
+        return engine.scalarmult(sig.s) == commit
+    flow = engine.double_scalarmult_flow(sig.s, u2, AffinePoint.generator(), public)
+    return engine._point_from_outputs(flow) == commit
+
+
+def _run_msm(engine: "BatchEngine", payload) -> AffinePoint:
+    scalars, points = payload
+    result = multi_scalar_mul(scalars, points)
+    live = sum(
+        1
+        for k, p in zip(scalars, points)
+        if not p.is_identity() and k % SUBGROUP_ORDER_N
+    )
+    engine.metrics.counter("repro_msm_model_cycles_total").inc(
+        engine.msm_cycles_estimate(live)
+    )
+    return result
+
+
+def _run_fault(engine: "BatchEngine", payload) -> Tuple[str, str]:
+    # Fault-injection hook (tests, chaos benchmarks).  The payload fires
+    # only inside pool workers; in the parent it degrades to a marker
+    # value, so a requeued chunk is recoverable by the parent's serial
+    # re-run.
+    mode = payload[0]
+    if _IN_WORKER:
+        if mode == "exit":
+            os._exit(17)
+        if mode == "sleep":
+            time.sleep(payload[1])
+    return ("fault", mode)
+
+
+def _verify_msm_group(
+    engine: "BatchEngine",
+    items: Sequence[Tuple[AffinePoint, bytes, SchnorrSignature]],
+    deadline: Optional[Deadline] = None,
+) -> List[Any]:
+    """Resolve verify items with one randomized MSM + fallback.
+
+    Three stages, each fault-isolated per item:
+
+    1. **Vet** every item: the ``verify`` domain check (a malformed
+       item fails typed), then :func:`repro.curve.multiscalar.
+       validate_verify_item`: off-curve or out-of-subgroup points and
+       out-of-range s resolve ``False`` (the verdict per-item
+       ``verify`` reaches for such a signature, without endangering
+       the batch soundness argument).
+    2. **Batch-check** the survivors via
+       :func:`~repro.curve.multiscalar.batch_verify_schnorr` —
+       all-honest batches (the overwhelmingly common case) resolve
+       here at roughly the cost of one large MSM.
+    3. **Bisect** a rejected batch: halves re-check recursively, so
+       each bad item is cornered in O(log n) sub-batches while the
+       honest majority still resolves in bulk; size-1 rejects run
+       the authoritative per-item *simulated* verification (the
+       bit-verified datapath path — same verdict as
+       :func:`repro.dsa.fourq_schnorr.verify`), so one forgery
+       costs log-factor extra MSM work, never 63 honest slots.
+
+    Every batch MSM performed adds its window-kernel extrapolation
+    (:meth:`BatchEngine.msm_cycles_estimate`) to
+    ``repro_msm_model_cycles_total``; fallback per-item verifications
+    record real datapath cycles.
+    """
+    m = engine.metrics
+    t0 = time.perf_counter()
+    results: List[Any] = [None] * len(items)
+    if items:
+        m.histogram("repro_msm_batch_size").observe(len(items))
+
+    def fail(idx: int, exc: Exception) -> None:
+        results[idx] = engine._count_failure(
+            "verify_msm", Failed(kind=classify_exception(exc), message=str(exc))
+        )
+        m.counter("repro_msm_items_total", verdict="error").inc()
+
+    def resolve(idx: int, verdict: bool) -> None:
+        results[idx] = verdict
+        m.counter(
+            "repro_serve_items_total", kind="verify_msm", outcome="ok"
+        ).inc()
+        m.counter(
+            "repro_msm_items_total",
+            verdict="valid" if verdict else "invalid",
+        ).inc()
+
+    live: List[int] = []
+    for idx, item in enumerate(items):
+        if deadline is not None and deadline.expired:
+            fail(idx, DeadlineExceeded(
+                "deadline expired before batch verification"
+            ))
+            continue
+        try:
+            _check_verify(item)
+            commit = validate_verify_item(item[0], item[2])
+        except Exception as exc:
+            fail(idx, exc)
+            continue
+        if commit is None:
+            resolve(idx, False)
+        else:
+            live.append(idx)
+
+    model_cycles = m.counter("repro_msm_model_cycles_total")
+    whole_batch_accepted = bool(live)
+    subsets: List[List[int]] = [live] if live else []
+    while subsets:
+        subset = subsets.pop()
+        if deadline is not None and deadline.expired:
+            for idx in subset:
+                fail(idx, DeadlineExceeded(
+                    "deadline expired during batch verification"
+                ))
+            continue
+        accepted: Optional[bool]
+        try:
+            accepted = batch_verify_schnorr([items[i] for i in subset])
+        except Exception:
+            accepted = None  # isolate: resolve these items one by one
+        if accepted:
+            model_cycles.inc(engine.msm_cycles_estimate(2 * len(subset) + 1))
+            for idx in subset:
+                resolve(idx, True)
+            continue
+        whole_batch_accepted = False
+        if accepted is None or len(subset) == 1:
+            # The authoritative per-item verdict on the simulated datapath.
+            for idx in subset:
+                m.counter("repro_msm_fallback_verifies_total").inc()
+                try:
+                    resolve(idx, _run_verify(engine, items[idx]))
+                except Exception as exc:
+                    fail(idx, exc)
+            continue
+        model_cycles.inc(engine.msm_cycles_estimate(2 * len(subset) + 1))
+        mid = len(subset) // 2
+        subsets.append(subset[mid:])
+        subsets.append(subset[:mid])
+
+    if items:
+        m.counter(
+            "repro_msm_batches_total",
+            outcome="accepted" if whole_batch_accepted else "fallback",
+        ).inc()
+    if live:
+        m.gauge("repro_msm_simulated_cycles_per_op").set(
+            engine.msm_cycles_estimate(2 * len(live) + 1) / len(live)
+        )
+    resolved_ok = sum(1 for r in results if not isinstance(r, Failed))
+    if resolved_ok:
+        # Amortized per-item latency: the group resolves as one MSM,
+        # so each slot's share is the group wall time split evenly.
+        share = (time.perf_counter() - t0) / resolved_ok
+        latency = m.histogram("repro_serve_latency_seconds", kind="verify_msm")
+        for _ in range(resolved_ok):
+            latency.observe(share)
+    return results
+
+
+# -- the job-kind table ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class JobKind:
+    """One job kind: every per-kind fact the serving stack needs.
+
+    ``check`` vets a payload (raising ``ValueError``/``TypeError``);
+    ``run`` computes it — ``(engine, payload) -> result``, or for a
+    ``grouped`` kind ``(engine, payloads, deadline) -> results`` in the
+    parent.  ``key`` gives the dedup key (``None``: never deduplicated);
+    ``wire`` admits the kind over TCP.  ``payload`` and ``domain`` are
+    the contract ``docs/serving.md`` tabulates.
+    """
+
+    name: str
+    payload: str
+    domain: str
+    check: Callable[[Any], None]
+    run: Callable[..., Any]
+    key: Optional[Callable[[Any], tuple]] = None
+    wire: bool = True
+    grouped: bool = False
+    aliases: Tuple[str, ...] = ()
+
+
+#: Every job kind the engine, the Frontend and the TCP server accept.
+KINDS: Dict[str, JobKind] = {spec.name: spec for spec in (
+    JobKind(
+        "sm", "`(k, point)`", "int k; on-curve point of the order-N subgroup",
+        _check_sm, _run_sm, aliases=("scalarmult",),
+        key=lambda p: (p[0] % SUBGROUP_ORDER_N, p[1].x, p[1].y),
+    ),
+    JobKind(
+        "dh", "`(private, peer_public)`",
+        "int private; 32-byte encoding (bad ones fail `decoding`/`small_order`)",
+        _check_dh, _run_dh, key=lambda p: (p[0] % SUBGROUP_ORDER_N, bytes(p[1])),
+    ),
+    JobKind(
+        "verify", "`(public, message, signature)`",
+        "AffinePoint, bytes, SchnorrSignature; a key outside the subgroup verifies `False`",
+        _check_verify, _run_verify,
+    ),
+    JobKind(
+        "verify_msm", "`(public, message, signature)`",
+        "as `verify`; a flush's items resolve as one randomized MSM",
+        _check_verify, _verify_msm_group, grouped=True, aliases=("verify-msm",),
+    ),
+    JobKind(
+        "msm", "`(scalars, points)`",
+        "equal lengths; int scalars; on-curve points of the order-N subgroup",
+        _check_msm, _run_msm,
+    ),
+    JobKind(
+        "fault", "`(mode, ...)`",
+        "`noop`, `exit` or `(\"sleep\", s)`: crash injection, fires in pool workers only",
+        _check_fault, _run_fault, wire=False,
+    ),
+)}
+
+_BY_NAME: Dict[str, JobKind] = {
+    name: spec for spec in KINDS.values() for name in (spec.name, *spec.aliases)
+}
+
+#: The kinds a TCP client may send.
+WIRE_KINDS = tuple(name for name, spec in KINDS.items() if spec.wire)
+
+
+def job_kind(name: Any, wire: bool = False) -> JobKind:
+    """The table row for ``name`` or an alias; ``ValueError`` if none,
+    or if ``wire`` is set and TCP clients may not send the kind."""
+    spec = _BY_NAME.get(name) if isinstance(name, str) else None
+    if spec is None or (wire and not spec.wire):
+        choices = WIRE_KINDS if wire else tuple(KINDS)
+        raise ValueError(f"unknown job kind {name!r}; choose from {choices}")
+    return spec
 
 
 @dataclass
@@ -233,17 +563,13 @@ class BatchEngine:
             ``max_attempts=1`` reproduces the historical one-shot
             requeue).
         breaker: circuit breaker guarding the pool; trips to serial
-            degradation (or fail-fast, see ``circuit_mode``) after
-            consecutive pool-level failures.
+            degradation after consecutive pool-level failures.
         restart_limiter: token bucket gating pool restarts so a
             crash-looping worker cannot fork-bomb the host.
         resident_pool: keep the worker pool alive across batch calls
             (the default — resident workers retain warm artifact
             caches); ``False`` restores build-per-batch, for
             comparison benchmarks.
-        circuit_mode: what an open breaker does to fan-out batches —
-            ``"serial"`` runs them in-process, ``"fail_fast"`` fails
-            every item with ``KIND_CIRCUIT_OPEN``.
         retry_rng: RNG drawn for backoff jitter; seed it for a
             reproducible retry schedule (tests do).
     """
@@ -261,11 +587,8 @@ class BatchEngine:
         breaker: Optional[CircuitBreaker] = None,
         restart_limiter: Optional[TokenBucket] = None,
         resident_pool: bool = True,
-        circuit_mode: str = "serial",
         retry_rng: Optional[random.Random] = None,
     ):
-        if circuit_mode not in _CIRCUIT_MODES:
-            raise ValueError(f"circuit_mode must be one of {_CIRCUIT_MODES}")
         self.machine = machine or MachineSpec()
         self.scheduler = scheduler
         self.optimize = optimize
@@ -277,7 +600,6 @@ class BatchEngine:
             breaker if breaker is not None else CircuitBreaker(metrics=self.metrics)
         )
         self.resident_pool = resident_pool
-        self.circuit_mode = circuit_mode
         self._retry_rng = retry_rng if retry_rng is not None else random.Random()
         self._restart_limiter = (
             restart_limiter
@@ -323,88 +645,60 @@ class BatchEngine:
         self.scalarmult(3, point or AffinePoint.generator())
 
     # -- single-request paths ------------------------------------------
+    def _flow(self, shape: str, trace: Callable[..., Any], **trace_args) -> FlowResult:
+        """Trace one workload and run it through the cached flow."""
+        t0 = time.perf_counter()
+        prog = trace(**trace_args)
+        self.metrics.histogram(FLOW_STAGE_SECONDS, stage="trace").observe(
+            time.perf_counter() - t0
+        )
+        flow = run_flow(
+            prog,
+            machine=self.machine,
+            scheduler=self.scheduler,
+            optimize=self.optimize,
+            check_golden=self.check_golden,
+            cache=self.cache,
+            simulator=self.simulator,
+            cache_key=self._shape_keys.get(shape),
+            metrics=self.metrics,
+        )
+        if flow.cache_key is not None:
+            self._shape_keys[shape] = flow.cache_key
+        return flow
+
     def scalarmult_flow(self, k: int, point: Optional[AffinePoint] = None) -> FlowResult:
         """Full verified flow for one [k]P (cache-aware)."""
         # self_check=False skips the slow affine (k mod N)*P reference
         # inside the tracer; the simulated result is still verified
         # writeback-by-writeback against the traced values.
-        t0 = time.perf_counter()
-        prog = trace_scalar_mult(
-            k=k,
-            point=point,
-            decomposer=self.decomposer,
-            compiled=self.compiled_endos,
+        return self._flow(
+            "scalarmult", trace_scalar_mult, k=k, point=point,
+            decomposer=self.decomposer, compiled=self.compiled_endos,
             self_check=False,
         )
-        self.metrics.histogram(FLOW_STAGE_SECONDS, stage="trace").observe(
-            time.perf_counter() - t0
-        )
-        flow = run_flow(
-            prog,
-            machine=self.machine,
-            scheduler=self.scheduler,
-            optimize=self.optimize,
-            check_golden=self.check_golden,
-            cache=self.cache,
-            simulator=self.simulator,
-            cache_key=self._shape_keys.get("scalarmult"),
-            metrics=self.metrics,
-        )
-        if flow.cache_key is not None:
-            self._shape_keys["scalarmult"] = flow.cache_key
-        return flow
 
     def scalarmult(self, k: int, point: Optional[AffinePoint] = None) -> AffinePoint:
         """[k]P computed on the simulated datapath (bit-verified).
 
-        ``point`` must lie in the order-N subgroup (``ValueError``
-        otherwise): there [k]P equals textbook double-and-add, and every
-        simulated writeback is checked against the traced reference.
+        Runs the ``sm`` row of :data:`KINDS`: ``point`` must lie in the
+        order-N subgroup (``ValueError`` otherwise); there [k]P equals
+        textbook double-and-add, and every simulated writeback is
+        checked against the traced reference.
         """
-        point = point or AffinePoint.generator()
-        _require_subgroup(point)
-        if point.is_identity() or k % SUBGROUP_ORDER_N == 0:
-            # Degenerate inputs never reach the endomorphism formulas —
-            # same contract as scalar_mul_fourq.
-            return (
-                AffinePoint.identity()
-                if point.is_identity()
-                else (k % SUBGROUP_ORDER_N) * point
-            )
-        flow = self.scalarmult_flow(k, point)
-        return self._point_from_outputs(flow)
+        payload = (k, point or AffinePoint.generator())
+        _check_sm(payload)
+        return _run_sm(self, payload)
 
     def double_scalarmult_flow(
         self, u1: int, u2: int, p1: AffinePoint, p2: AffinePoint
     ) -> FlowResult:
         """Full verified flow for [u1]P1 + [u2]P2 (cache-aware)."""
-        t0 = time.perf_counter()
-        prog = trace_double_scalar_mult(
-            u1=u1,
-            u2=u2,
-            p1=p1,
-            p2=p2,
-            decomposer=self.decomposer,
-            compiled=self.compiled_endos,
-            self_check=False,
+        return self._flow(
+            "double_scalarmult", trace_double_scalar_mult, u1=u1, u2=u2,
+            p1=p1, p2=p2, decomposer=self.decomposer,
+            compiled=self.compiled_endos, self_check=False,
         )
-        self.metrics.histogram(FLOW_STAGE_SECONDS, stage="trace").observe(
-            time.perf_counter() - t0
-        )
-        flow = run_flow(
-            prog,
-            machine=self.machine,
-            scheduler=self.scheduler,
-            optimize=self.optimize,
-            check_golden=self.check_golden,
-            cache=self.cache,
-            simulator=self.simulator,
-            cache_key=self._shape_keys.get("double_scalarmult"),
-            metrics=self.metrics,
-        )
-        if flow.cache_key is not None:
-            self._shape_keys["double_scalarmult"] = flow.cache_key
-        return flow
 
     def msm_kernel_flow(self) -> FlowResult:
         """Trace + simulate one Pippenger bucket window (cache-aware).
@@ -417,27 +711,11 @@ class BatchEngine:
         once, and :meth:`msm_cycles_estimate` extrapolates whole-MSM
         cycle counts from its measured cycles-per-µop density.
         """
-        t0 = time.perf_counter()
-        prog = trace_msm_window(
-            n_points=_MSM_KERNEL_POINTS, window=_MSM_KERNEL_WINDOW
+        flow = self._flow(
+            "msm_window", trace_msm_window,
+            n_points=_MSM_KERNEL_POINTS, window=_MSM_KERNEL_WINDOW,
         )
-        self.metrics.histogram(FLOW_STAGE_SECONDS, stage="trace").observe(
-            time.perf_counter() - t0
-        )
-        flow = run_flow(
-            prog,
-            machine=self.machine,
-            scheduler=self.scheduler,
-            optimize=self.optimize,
-            check_golden=self.check_golden,
-            cache=self.cache,
-            simulator=self.simulator,
-            cache_key=self._shape_keys.get("msm_window"),
-            metrics=self.metrics,
-        )
-        if flow.cache_key is not None:
-            self._shape_keys["msm_window"] = flow.cache_key
-        self._msm_kernel_stats = (flow.cycles, prog.arithmetic_size)
+        self._msm_kernel_stats = (flow.cycles, flow.trace_program.arithmetic_size)
         return flow
 
     def msm_cycles_estimate(
@@ -552,9 +830,10 @@ class BatchEngine:
         Each request is a ``(scalars, points)`` pair; the engine picks
         Straus-Shamir or the Pippenger bucket method per request by
         batch size (:func:`repro.curve.multiscalar.multi_scalar_mul`
-        with ``method="auto"``).  A malformed request (length mismatch,
-        off-curve point surfacing as a field error) costs one typed
-        :class:`~repro.serve.faults.Failed` slot, never the batch.
+        with ``method="auto"``).  A request outside the ``msm`` domain
+        (length mismatch, a point off the curve or outside the order-N
+        subgroup) costs one typed ``Failed(kind="value"|"type")`` slot,
+        never the batch.
         Each request adds the window-kernel extrapolation of
         :meth:`msm_cycles_estimate` to ``repro_msm_model_cycles_total``.
         """
@@ -584,20 +863,14 @@ class BatchEngine:
         against the commitment — the same decision
         :func:`repro.dsa.fourq_schnorr.verify` makes.  An
         invalid-but-well-formed signature verifies ``False``; an item
-        whose material cannot even be processed (wrong types, off-range
-        coordinates raising deep in the stack) becomes a typed
-        :class:`~repro.serve.faults.Failed` envelope.
+        outside the ``verify`` domain (wrong arity or types) becomes a
+        typed :class:`~repro.serve.faults.Failed` envelope.
 
-        ``mode="msm"`` resolves the whole batch with one randomized
-        multi-scalar multiplication
-        (:func:`repro.curve.multiscalar.batch_verify_schnorr`): items
-        are individually vetted (on-curve, order-N subgroup, s in
-        range — rejects resolve ``Ok(False)`` immediately), the
-        survivors are batch-checked at roughly the cost of one large
-        MSM, and a rejected batch bisects so each forged item ends at
-        an authoritative per-item simulated verification while every
-        honest item still resolves ``Ok(True)``.  Same per-item
-        outcomes as ``"simulate"``, amortized cost.
+        ``mode="msm"`` runs the items as the ``verify_msm`` kind: one
+        randomized multi-scalar multiplication for the whole batch,
+        with bisection down to per-item simulated verification when it
+        rejects (:func:`_verify_msm_group`).  Same per-item outcomes as
+        ``"simulate"``, amortized cost.
         """
         if mode not in _VERIFY_MODES:
             raise ValueError(f"mode must be one of {_VERIFY_MODES}")
@@ -619,12 +892,11 @@ class BatchEngine:
     ) -> BatchResult:
         """Run a pre-formed mixed-kind job list (the front-door entry).
 
-        Each job is ``(kind, payload)`` with the same kinds the batch
-        entry points build — ``"sm"`` ``(k, point)``, ``"dh"``
-        ``(private, peer_public_bytes)``, ``"verify"``
-        ``(public, message, signature)`` — so a coalescer that already
-        holds typed requests (e.g. :class:`repro.serve.frontend.Frontend`)
-        can dispatch one flush without re-entering a per-kind wrapper.
+        Each job is ``(kind, payload)`` for a kind of :data:`KINDS` —
+        the jobs the batch entry points build — so a coalescer that
+        already holds typed requests (e.g.
+        :class:`repro.serve.frontend.Frontend`) can dispatch one flush
+        without re-entering a per-kind wrapper.
         Semantics are identical to the wrappers: input order preserved,
         per-item fault isolation, ``min_chunk``-aware fan-out,
         ``deadline``-bounded execution (seconds or a
@@ -654,81 +926,13 @@ class BatchEngine:
         return min(workers, n_jobs // min_chunk)
 
     # -- execution -----------------------------------------------------
-    def _execute(self, kind: str, payload) -> Any:
-        """Run one job and return its result (raises on a bad input)."""
-        if kind == "sm":
-            k, p = payload
-            _require_subgroup(p)
-            if p.is_identity() or k % SUBGROUP_ORDER_N == 0:
-                return (k % SUBGROUP_ORDER_N) * p
-            return self._point_from_outputs(self.scalarmult_flow(k, p))
-        if kind == "dh":
-            private, peer_public = payload
-            peer = decode_point(peer_public)
-            cleared = peer.clear_cofactor()
-            if cleared.is_identity():
-                raise SmallOrderPoint("peer public key has small order")
-            if private % SUBGROUP_ORDER_N == 0:
-                raise SmallOrderPoint("degenerate shared point")
-            shared = self._point_from_outputs(
-                self.scalarmult_flow(private, cleared)
-            )
-            if shared.is_identity():
-                raise SmallOrderPoint("degenerate shared point")
-            return sha256(encode_point(shared))
-        if kind == "verify":
-            public, message, sig = payload
-            try:
-                commit = AffinePoint(sig.commit_x, sig.commit_y)
-            except ValueError:
-                return False
-            if not (1 <= sig.s < SUBGROUP_ORDER_N):
-                return False
-            e = _challenge(commit, public, message)
-            u2 = SUBGROUP_ORDER_N - e
-            if public.is_identity() or u2 % SUBGROUP_ORDER_N == 0:
-                # Degenerate double-base shapes collapse to single-base.
-                return self.scalarmult(sig.s, AffinePoint.generator()) == commit
-            flow = self.double_scalarmult_flow(
-                sig.s, u2, AffinePoint.generator(), public
-            )
-            return self._point_from_outputs(flow) == commit
-        if kind == "msm":
-            scalars, points = payload
-            result = multi_scalar_mul(scalars, points)
-            live = sum(
-                1
-                for k, p in zip(scalars, points)
-                if not p.is_identity() and k % SUBGROUP_ORDER_N
-            )
-            self.metrics.counter("repro_msm_model_cycles_total").inc(
-                self.msm_cycles_estimate(live)
-            )
-            return result
-        if kind == "fault":
-            # Fault-injection hook (tests, chaos benchmarks).  The
-            # payload fires only inside pool workers; in the parent it
-            # degrades to a marker value, so a requeued chunk is
-            # recoverable by the parent's serial re-run.
-            mode = payload[0]
-            if _IN_WORKER:
-                if mode == "exit":
-                    os._exit(17)
-                if mode == "sleep":
-                    time.sleep(payload[1])
-            return ("fault", mode)
-        raise ValueError(f"unknown job kind {kind!r}")
-
-    @staticmethod
-    def _job_key(kind: str, payload) -> Optional[tuple]:
-        """Canonical dedup key, or None when the job must run as-is."""
-        if kind == "sm":
-            k, p = payload
-            return (kind, k % SUBGROUP_ORDER_N, p.x, p.y)
-        if kind == "dh":
-            private, pub = payload
-            return (kind, private % SUBGROUP_ORDER_N, bytes(pub))
-        return None
+    def _count_failure(self, kind: str, failure: Failed) -> Failed:
+        """Count one failed item of job kind ``kind``; returns ``failure``."""
+        if failure.kind == KIND_DEADLINE:
+            self.metrics.counter("repro_deadline_expired_total", stage="engine").inc()
+        self.metrics.counter("repro_serve_items_total", kind=kind, outcome="error").inc()
+        self.metrics.counter("repro_serve_errors_total", kind=failure.kind).inc()
+        return failure
 
     def _run_serial(
         self,
@@ -739,8 +943,9 @@ class BatchEngine:
     ) -> List[Any]:
         """Run jobs in-process with per-item fault isolation.
 
-        Each job either produces its value or (``strict=False``) its
-        typed :class:`~repro.serve.faults.Failed` envelope; with
+        Each job is checked against its kind's domain, then either
+        produces its value or (``strict=False``) its typed
+        :class:`~repro.serve.faults.Failed` envelope; with
         ``strict=True`` the first failure propagates as the original
         exception, aborting the remainder — the historical behaviour.
         With a ``deadline``, items the expired budget cannot cover fail
@@ -752,43 +957,30 @@ class BatchEngine:
         results: List[Any] = []
         m = self.metrics
         for kind, payload in jobs:
-            if deadline is not None and deadline.expired:
-                if strict:
-                    raise DeadlineExceeded(
-                        f"batch deadline expired with {len(jobs) - len(results)} "
-                        "item(s) unstarted"
-                    )
-                failure = Failed(
-                    kind=KIND_DEADLINE,
-                    message="deadline expired before this item could start",
-                )
-                m.counter("repro_serve_items_total", kind=kind, outcome="error").inc()
-                m.counter("repro_serve_errors_total", kind=KIND_DEADLINE).inc()
-                m.counter("repro_deadline_expired_total", stage="engine").inc()
-                results.append(failure)
-                continue
-            key = self._job_key(kind, payload) if dedup else None
-            if key is not None and key in seen:
-                results.append(seen[key])
-                m.counter("repro_serve_items_total", kind=kind, outcome="dedup").inc()
-                continue
             t0 = time.perf_counter()
             try:
-                result = self._execute(kind, payload)
+                if deadline is not None and deadline.expired:
+                    raise DeadlineExceeded(
+                        "deadline expired before this item could start"
+                    )
+                spec = job_kind(kind)
+                spec.check(payload)
+                key = (spec.name, spec.key(payload)) if dedup and spec.key else None
+                if key is not None and key in seen:
+                    results.append(seen[key])
+                    m.counter("repro_serve_items_total", kind=kind, outcome="dedup").inc()
+                    continue
+                result = spec.run(self, payload)
             except Exception as exc:
                 if strict:
                     raise
-                elapsed = time.perf_counter() - t0
-                failure = Failed(
-                    kind=classify_exception(exc),
-                    message=str(exc),
-                    latency=elapsed,
-                )
-                m.counter("repro_serve_items_total", kind=kind, outcome="error").inc()
-                m.counter("repro_serve_errors_total", kind=failure.kind).inc()
                 # Failures are never deduped: every bad input re-executes
                 # so the error counts match the injected faults exactly.
-                results.append(failure)
+                results.append(self._count_failure(kind, Failed(
+                    kind=classify_exception(exc),
+                    message=str(exc),
+                    latency=time.perf_counter() - t0,
+                )))
                 continue
             elapsed = time.perf_counter() - t0
             m.counter("repro_serve_items_total", kind=kind, outcome="ok").inc()
@@ -807,253 +999,58 @@ class BatchEngine:
         min_chunk: Optional[int] = None,
         deadline: Optional[Any] = None,
     ) -> BatchResult:
+        """The one dispatcher every batch entry point runs through.
+
+        Items of a ``grouped`` kind (``verify_msm``) are pulled out before
+        worker planning — their whole point is cross-item amortization —
+        and resolve together in the parent.  Everything else runs on the
+        supervised pool or serially.  Slots are stitched back in input
+        order, and ``strict`` surfaces the first failure.
+        """
         deadline = Deadline.coerce(deadline)
-        msm_slots = [i for i, (kind, _) in enumerate(jobs) if kind == "verify_msm"]
-        if msm_slots:
-            return self._run_batch_with_msm(
-                jobs, msm_slots, workers=workers, dedup=dedup, strict=strict,
-                min_chunk=min_chunk, deadline=deadline,
-            )
-        workers = self.plan_workers(len(jobs), workers or 0, min_chunk)
-        if workers > 1 and not self.breaker.allow():
-            # Breaker open: the pool keeps failing, stop paying for it.
-            self.metrics.counter("repro_breaker_short_circuits_total").inc()
-            if self.circuit_mode == "fail_fast":
-                results = self._fail_fast_circuit(jobs)
-            else:
-                results = self._run_serial(
-                    jobs, dedup, strict=strict, deadline=deadline
+        results: List[Any] = [None] * len(jobs)
+        groups: Dict[Optional[JobKind], List[int]] = {}
+        for i, (kind, _) in enumerate(jobs):
+            spec = _BY_NAME.get(kind) if isinstance(kind, str) else None
+            groups.setdefault(spec if spec and spec.grouped else None, []).append(i)
+        rest = groups.pop(None, [])
+        for spec, slots in groups.items():
+            done = spec.run(self, [jobs[i][1] for i in slots], deadline)
+            for i, r in zip(slots, done):
+                results[i] = r
+        if rest:
+            sub = [jobs[i] for i in rest]
+            done = None
+            workers = self.plan_workers(len(sub), workers or 0, min_chunk)
+            if workers > 1 and not self.breaker.allow():
+                # Breaker open: the pool keeps failing, stop paying for it.
+                self.metrics.counter("repro_breaker_short_circuits_total").inc()
+            elif workers > 1:
+                try:
+                    done = self._run_parallel(sub, workers, dedup, deadline=deadline)
+                except (ImportError, OSError, pickle.PicklingError):
+                    # Pools unavailable (restricted platform) or the jobs
+                    # cannot cross a process boundary: serial fallback.
+                    self.breaker.record_failure()
+            if done is None:
+                # A mixed flush resolves its grouped items first, so
+                # strict waits for the lowest-index failure below.
+                done = self._run_serial(
+                    sub, dedup, strict=strict and not groups, deadline=deadline
                 )
-        elif workers > 1:
-            try:
-                results = self._run_parallel(jobs, workers, dedup, deadline=deadline)
-            except (ImportError, OSError, pickle.PicklingError):
-                # Pools unavailable (restricted platform) or the jobs
-                # cannot cross a process boundary: serial fallback.
-                self.breaker.record_failure()
-                results = self._run_serial(
-                    jobs, dedup, strict=strict, deadline=deadline
-                )
-        else:
-            results = self._run_serial(jobs, dedup, strict=strict, deadline=deadline)
+            for i, r in zip(rest, done):
+                results[i] = r
         if not self.resident_pool and self._supervisor is not None:
             self._supervisor.shutdown()
-        results = [
+        batch = BatchResult(results=[
             replace(r, index=i) if isinstance(r, Failed) else r
             for i, r in enumerate(results)
-        ]
-        batch = BatchResult(results=results)
+        ])
         if strict:
             # Parallel workers always run isolated (an exception must
             # not kill the pool); strict surfaces the first failure here.
             batch.raise_any()
         return batch
-
-    def _run_batch_with_msm(
-        self,
-        jobs: Sequence[Tuple[str, Any]],
-        msm_slots: Sequence[int],
-        workers: int,
-        dedup: bool,
-        strict: bool,
-        min_chunk: Optional[int],
-        deadline: Optional[Deadline],
-    ) -> BatchResult:
-        """Split a flush: ``verify_msm`` items resolve as one group.
-
-        The whole point of MSM-mode verification is cross-item
-        amortization, so the ``verify_msm`` members of a mixed flush
-        are pulled out *before* worker planning and resolved in-parent
-        by :meth:`_verify_msm_group`; everything else takes the normal
-        serial/fan-out path.  Slots are stitched back in input order.
-        """
-        ordered: List[Any] = [_UNSET] * len(jobs)
-        group_results = self._verify_msm_group(
-            [jobs[i][1] for i in msm_slots], deadline=deadline
-        )
-        for i, r in zip(msm_slots, group_results):
-            ordered[i] = r
-        rest = [(i, job) for i, job in enumerate(jobs) if job[0] != "verify_msm"]
-        if rest:
-            sub = self._run_batch(
-                [job for _, job in rest], workers=workers, dedup=dedup,
-                strict=False, min_chunk=min_chunk, deadline=deadline,
-            )
-            for (i, _), r in zip(rest, sub.results):
-                ordered[i] = r
-        results = [
-            replace(r, index=i) if isinstance(r, Failed) else r
-            for i, r in enumerate(ordered)
-        ]
-        batch = BatchResult(results=results)
-        if strict:
-            batch.raise_any()
-        return batch
-
-    def _verify_msm_group(
-        self,
-        items: Sequence[Tuple[AffinePoint, bytes, SchnorrSignature]],
-        deadline: Optional[Deadline] = None,
-    ) -> List[Any]:
-        """Resolve verify items with one randomized MSM + fallback.
-
-        Three stages, each fault-isolated per item:
-
-        1. **Vet** every item (:func:`repro.curve.multiscalar.
-           validate_verify_item`): off-curve or out-of-subgroup points,
-           out-of-range s, malformed material → that slot resolves
-           ``False`` (the verdict per-item ``verify`` would reach for
-           such a signature, without endangering the batch soundness
-           argument).
-        2. **Batch-check** the survivors via
-           :func:`~repro.curve.multiscalar.batch_verify_schnorr` —
-           all-honest batches (the overwhelmingly common case) resolve
-           here at roughly the cost of one large MSM.
-        3. **Bisect** a rejected batch: halves re-check recursively, so
-           each bad item is cornered in O(log n) sub-batches while the
-           honest majority still resolves in bulk; size-1 rejects run
-           the authoritative per-item *simulated* verification (the
-           bit-verified datapath path — same verdict as
-           :func:`repro.dsa.fourq_schnorr.verify`), so one forgery
-           costs log-factor extra MSM work, never 63 honest slots.
-
-        Every batch MSM performed adds its window-kernel extrapolation
-        (:meth:`msm_cycles_estimate`) to ``repro_msm_model_cycles_total``;
-        fallback per-item verifications record real datapath cycles.
-        """
-        m = self.metrics
-        t0 = time.perf_counter()
-        n = len(items)
-        results: List[Any] = [_UNSET] * n
-        if n:
-            m.histogram("repro_msm_batch_size").observe(n)
-
-        def fail(idx: int, kind: str, message: str) -> None:
-            results[idx] = Failed(kind=kind, message=message)
-            m.counter(
-                "repro_serve_items_total", kind="verify_msm", outcome="error"
-            ).inc()
-            m.counter("repro_serve_errors_total", kind=kind).inc()
-            m.counter("repro_msm_items_total", verdict="error").inc()
-
-        def resolve(idx: int, verdict: bool) -> None:
-            results[idx] = verdict
-            m.counter(
-                "repro_serve_items_total", kind="verify_msm", outcome="ok"
-            ).inc()
-            m.counter(
-                "repro_msm_items_total",
-                verdict="valid" if verdict else "invalid",
-            ).inc()
-
-        live: List[int] = []
-        for idx, item in enumerate(items):
-            if deadline is not None and deadline.expired:
-                fail(idx, KIND_DEADLINE,
-                     "deadline expired before batch verification")
-                m.counter("repro_deadline_expired_total", stage="engine").inc()
-                continue
-            try:
-                public, message, sig = item
-                commit = validate_verify_item(public, sig)
-            except Exception as exc:
-                fail(idx, classify_exception(exc), str(exc))
-                continue
-            if commit is None:
-                resolve(idx, False)
-            else:
-                live.append(idx)
-
-        def leaf_verify(idx: int) -> None:
-            """Authoritative per-item verdict on the simulated datapath."""
-            m.counter("repro_msm_fallback_verifies_total").inc()
-            try:
-                verdict = self._execute("verify", items[idx])
-            except Exception as exc:
-                fail(idx, classify_exception(exc), str(exc))
-                return
-            resolve(idx, verdict)
-
-        model_cycles = m.counter("repro_msm_model_cycles_total")
-        whole_batch_accepted = bool(live)
-        subsets: List[List[int]] = [live] if live else []
-        while subsets:
-            subset = subsets.pop()
-            if deadline is not None and deadline.expired:
-                for idx in subset:
-                    fail(idx, KIND_DEADLINE,
-                         "deadline expired during batch verification")
-                    m.counter(
-                        "repro_deadline_expired_total", stage="engine"
-                    ).inc()
-                continue
-            accepted: Optional[bool]
-            try:
-                accepted = batch_verify_schnorr([items[i] for i in subset])
-            except Exception:
-                accepted = None  # isolate: resolve these items one by one
-            if accepted:
-                model_cycles.inc(self.msm_cycles_estimate(2 * len(subset) + 1))
-                for idx in subset:
-                    resolve(idx, True)
-                continue
-            whole_batch_accepted = False
-            if accepted is None or len(subset) == 1:
-                for idx in subset:
-                    leaf_verify(idx)
-                continue
-            model_cycles.inc(self.msm_cycles_estimate(2 * len(subset) + 1))
-            mid = len(subset) // 2
-            subsets.append(subset[mid:])
-            subsets.append(subset[:mid])
-
-        if n:
-            m.counter(
-                "repro_msm_batches_total",
-                outcome="accepted" if whole_batch_accepted else "fallback",
-            ).inc()
-            live_points = 2 * len(live) + 1 if live else 0
-            if live:
-                m.gauge("repro_msm_simulated_cycles_per_op").set(
-                    self.msm_cycles_estimate(live_points) / len(live)
-                )
-        elapsed = time.perf_counter() - t0
-        resolved_ok = sum(
-            1 for r in results if not isinstance(r, Failed) and r is not _UNSET
-        )
-        if resolved_ok:
-            # Amortized per-item latency: the group resolves as one MSM,
-            # so each slot's share is the group wall time split evenly.
-            share = elapsed / resolved_ok
-            for _ in range(resolved_ok):
-                m.histogram(
-                    "repro_serve_latency_seconds", kind="verify_msm"
-                ).observe(share)
-        for idx, r in enumerate(results):
-            if r is _UNSET:  # pragma: no cover - defensive backstop
-                results[idx] = Failed(
-                    kind=KIND_INTERNAL,
-                    message="verify_msm slot left unresolved",
-                )
-        return results
-
-    def _fail_fast_circuit(self, jobs: Sequence[Tuple[str, Any]]) -> List[Any]:
-        """Every item fails typed ``circuit_open`` — nothing executes."""
-        results: List[Any] = []
-        for kind, _ in jobs:
-            self.metrics.counter(
-                "repro_serve_items_total", kind=kind, outcome="error"
-            ).inc()
-            self.metrics.counter(
-                "repro_serve_errors_total", kind=KIND_CIRCUIT_OPEN
-            ).inc()
-            results.append(
-                Failed(
-                    kind=KIND_CIRCUIT_OPEN,
-                    message="worker-pool circuit breaker is open (fail_fast mode)",
-                )
-            )
-        return results
 
     # -- the resident pool ---------------------------------------------
     def _make_pool(self, workers: int):
@@ -1065,12 +1062,11 @@ class BatchEngine:
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             ctx = mp.get_context("spawn")
-        config = _EngineConfig(
-            mult_latency=self.machine.mult_latency,
-            addsub_latency=self.machine.addsub_latency,
-            read_ports=self.machine.read_ports,
-            write_ports=self.machine.write_ports,
-            forwarding=self.machine.forwarding,
+        # Per-engine settings only: per-batch knobs (``dedup``) travel
+        # with each chunk, so the resident pool never needs a rebuild
+        # just because a batch flipped a flag.
+        config = dict(
+            machine=self.machine,
             scheduler=self.scheduler,
             optimize=self.optimize,
             cache_entries=self.cache.max_entries,
@@ -1139,7 +1135,7 @@ class BatchEngine:
         from concurrent.futures.process import BrokenProcessPool
 
         chunks = _chunk(list(enumerate(jobs)), workers)
-        ordered: List[Any] = [_UNSET] * len(jobs)
+        ordered: List[Any] = [None] * len(jobs)
         supervisor = self._ensure_supervisor()
         policy = self.retry_policy
         m = self.metrics
@@ -1161,9 +1157,8 @@ class BatchEngine:
                 recover.extend(ch for ch, _ in pending)
                 break
             if retry_round:
-                for _ in pending:
-                    m.counter("repro_retry_attempts_total").inc()
-                    m.counter("repro_serve_chunk_retries_total").inc()
+                m.counter("repro_retry_attempts_total").inc(len(pending))
+                m.counter("repro_serve_chunk_retries_total").inc(len(pending))
             round_items, pending = pending, []
             hung = broken = False
             futures = []
@@ -1180,7 +1175,7 @@ class BatchEngine:
                 if deadline is not None:
                     timeout = deadline.clamp(timeout)
                 try:
-                    indices, chunk_results, obs_snap = future.result(
+                    chunk_results, obs_snap = future.result(
                         timeout=timeout
                     )
                 except FutureTimeout:
@@ -1202,7 +1197,7 @@ class BatchEngine:
                     m.counter("repro_serve_chunk_requeues_total").inc()
                     recover.append(ch)
                     continue
-                for i, r in zip(indices, chunk_results):
+                for (i, _), r in zip(ch, chunk_results):
                     ordered[i] = r
                 # Fold the worker's metric partials home.
                 m.merge_snapshot(obs_snap)
@@ -1242,42 +1237,16 @@ class BatchEngine:
             # Guaranteed recovery: the serial path isolates per item, so
             # one run always completes (late items fail typed under an
             # expired deadline rather than running past it).
-            indices = [i for i, _ in chunk]
-            chunk_jobs = [job for _, job in chunk]
-            chunk_results = self._run_serial(chunk_jobs, dedup, deadline=deadline)
+            chunk_results = self._run_serial(
+                [job for _, job in chunk], dedup, deadline=deadline
+            )
             m.counter("repro_serve_chunk_retries_total").inc()
-            for i, r in zip(indices, chunk_results):
+            for (i, _), r in zip(chunk, chunk_results):
                 ordered[i] = r
-        for i, r in enumerate(ordered):
-            if r is _UNSET:  # pragma: no cover - defensive backstop
-                ordered[i] = Failed(
-                    kind=KIND_INTERNAL,
-                    message="chunk result lost during recovery",
-                )
         return ordered
 
 
 # -- worker fan-out machinery ------------------------------------------
-
-
-@dataclass(frozen=True)
-class _EngineConfig:
-    """Picklable construction recipe for worker-side engines.
-
-    Holds only per-*engine* settings: per-batch knobs (``dedup``) travel
-    with each :func:`_worker_run_chunk` call instead, so the resident
-    pool never needs a rebuild just because a batch flipped a flag.
-    """
-
-    mult_latency: int
-    addsub_latency: int
-    read_ports: int
-    write_ports: int
-    forwarding: bool
-    scheduler: str
-    optimize: str
-    cache_entries: int
-    check_golden: bool
 
 
 _WORKER_ENGINE: Optional[BatchEngine] = None
@@ -1287,29 +1256,14 @@ _WORKER_ENGINE: Optional[BatchEngine] = None
 _IN_WORKER: bool = False
 
 
-def _worker_init(config: _EngineConfig) -> None:
+def _worker_init(config: Dict[str, Any]) -> None:
     global _WORKER_ENGINE, _IN_WORKER
     _IN_WORKER = True
-    _WORKER_ENGINE = BatchEngine(
-        machine=MachineSpec(
-            mult_latency=config.mult_latency,
-            addsub_latency=config.addsub_latency,
-            read_ports=config.read_ports,
-            write_ports=config.write_ports,
-            forwarding=config.forwarding,
-        ),
-        scheduler=config.scheduler,
-        optimize=config.optimize,
-        cache_entries=config.cache_entries,
-        check_golden=config.check_golden,
-        # Workers never fan out themselves; their engine needs no pool.
-        resident_pool=False,
-    )
+    # Workers never fan out themselves; their engine needs no pool.
+    _WORKER_ENGINE = BatchEngine(**config, resident_pool=False)
 
 
 def _worker_run_chunk(chunk, dedup: bool = True):
-    indices = [i for i, _ in chunk]
-    jobs = [job for _, job in chunk]
     assert _WORKER_ENGINE is not None
     # The worker's process-wide registry accounts for this chunk only:
     # reset at the start, snapshot (plain picklable dict) shipped home at
@@ -1318,8 +1272,8 @@ def _worker_run_chunk(chunk, dedup: bool = True):
     # double-count everything it recorded before the fork.
     registry = get_registry()
     registry.reset()
-    results = _WORKER_ENGINE._run_serial(jobs, dedup)
-    return indices, results, registry.snapshot()
+    results = _WORKER_ENGINE._run_serial([job for _, job in chunk], dedup)
+    return results, registry.snapshot()
 
 
 def _chunk(items: List, n: int) -> List[List]:

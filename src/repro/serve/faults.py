@@ -63,18 +63,6 @@ class DeadlineExceeded(RuntimeError):
     """
 
 
-class CircuitOpen(RuntimeError):
-    """The worker-pool circuit breaker is open and fail-fast is on.
-
-    Carried as the ``circuit_open`` failure kind when the engine is
-    configured with ``circuit_mode="fail_fast"``; in the default
-    ``"serial"`` mode an open breaker degrades to in-process execution
-    instead and this kind never reaches callers.  Transient: the
-    breaker half-opens after its reset timeout and closes again once a
-    probe batch succeeds.
-    """
-
-
 #: Stable error-kind strings (the ``kind`` label of ``repro_serve_errors_total``).
 KIND_SMALL_ORDER = "small_order"
 KIND_DECODING = "decoding"
@@ -86,20 +74,17 @@ KIND_TIMEOUT = "timeout"
 KIND_OVERLOADED = "overloaded"
 KIND_CANCELLED = "cancelled"
 KIND_DEADLINE = "deadline"
-KIND_CIRCUIT_OPEN = "circuit_open"
 KIND_INTERNAL = "internal"
 
 #: Classification table, most specific class first (DecodingError and
 #: SmallOrderPoint are ValueError subclasses; SimulationError,
-#: Overloaded, DeadlineExceeded, and CircuitOpen are RuntimeError
-#: subclasses).
+#: Overloaded, and DeadlineExceeded are RuntimeError subclasses).
 _CLASSIFICATION = (
     (SmallOrderPoint, KIND_SMALL_ORDER),
     (DecodingError, KIND_DECODING),
     (SimulationError, KIND_SIMULATION),
     (Overloaded, KIND_OVERLOADED),
     (DeadlineExceeded, KIND_DEADLINE),
-    (CircuitOpen, KIND_CIRCUIT_OPEN),
     (ValueError, KIND_VALUE),
     (TypeError, KIND_TYPE),
 )

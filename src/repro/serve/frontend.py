@@ -81,7 +81,7 @@ from itertools import zip_longest
 from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
 from ..obs import MetricsRegistry, get_registry
-from .engine import BatchEngine, default_engine
+from .engine import BatchEngine, default_engine, job_kind
 from .faults import (
     KIND_CANCELLED,
     KIND_DEADLINE,
@@ -96,18 +96,7 @@ __all__ = [
     "Frontend",
     "FrontendClosed",
     "FrontendConfig",
-    "JOB_KINDS",
 ]
-
-#: Job kinds the front door accepts — the BatchEngine job vocabulary.
-#: ``verify_msm`` coalesces streamed verification requests into one
-#: randomized-MSM group per flush (the amortized path); ``fault`` is
-#: the engine's test hook (crash/hang injection) and rides along so
-#: chaos tests can abuse the full dispatch path.
-JOB_KINDS = ("sm", "dh", "verify", "verify_msm", "msm", "fault")
-
-#: Friendly aliases accepted by :meth:`Frontend.submit`.
-_KIND_ALIASES = {"scalarmult": "sm", "verify-msm": "verify_msm"}
 
 _POLICIES = ("block", "reject", "shed")
 
@@ -285,9 +274,7 @@ class Frontend:
         outcomes — including shed, drain-cancelled, and
         deadline-expired requests — come back as envelopes.
         """
-        kind = _KIND_ALIASES.get(kind, kind)
-        if kind not in JOB_KINDS:
-            raise ValueError(f"unknown job kind {kind!r}; choose from {JOB_KINDS}")
+        kind = job_kind(kind).name
         if self._closed:
             raise FrontendClosed("frontend is closed to new submissions")
         if deadline is None and self.config.default_deadline_ms is not None:

@@ -65,7 +65,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Set
 
 from ...obs import MetricsRegistry, get_registry
-from ..engine import BatchEngine
+from ..engine import BatchEngine, job_kind
 from ..faults import (
     KIND_INTERNAL,
     KIND_OVERLOADED,
@@ -497,29 +497,21 @@ class NetServer:
         if not conn.alive:
             return  # torn down mid-read: nobody to answer
         received_at = time.perf_counter()
-        body = frame.body if isinstance(frame.body, dict) else None
-        if body is None or not isinstance(body.get("kind"), str):
-            await self._respond_failed(conn, frame.request_id, Failed(
-                kind=KIND_VALUE, message="REQUEST body must carry a 'kind' string",
-            ))
-            self._request_counters("?", "failed")
-            return
-        kind = body["kind"]
-        deadline_ms = body.get("deadline_ms")
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float))
-            or isinstance(deadline_ms, bool) or deadline_ms <= 0
-        ):
-            await self._respond_failed(conn, frame.request_id, Failed(
-                kind=KIND_VALUE, message="deadline_ms must be a positive number",
-            ))
-            self._request_counters(kind, "failed")
-            return
+        body = frame.body if isinstance(frame.body, dict) else {}
+        kind, deadline_ms = "?", body.get("deadline_ms")
         try:
+            # Only the table's wire kinds get through, and only they
+            # ever become a ``kind`` label: the label set stays bounded.
+            kind = job_kind(body.get("kind"), wire=True).name
+            if deadline_ms is not None and (
+                not isinstance(deadline_ms, (int, float))
+                or isinstance(deadline_ms, bool) or deadline_ms <= 0
+            ):
+                raise ValueError("deadline_ms must be a positive number")
             payload = wire_decode(body.get("payload"))
-        except WireCodecError as exc:
+        except ValueError as exc:  # WireCodecError is one too
             await self._respond_failed(conn, frame.request_id, Failed(
-                kind=KIND_VALUE, message=f"undecodable payload: {exc}",
+                kind=KIND_VALUE, message=str(exc),
             ))
             self._request_counters(kind, "failed")
             return
@@ -562,8 +554,8 @@ class NetServer:
             outcome = Failed(kind=KIND_OVERLOADED,
                              message="server draining; request not completed")
         except (ValueError, TypeError) as exc:
-            # Unknown kind / malformed payload shape: a typed
-            # per-request failure, never a dead connection.
+            # Refused at admission: a typed per-request failure, never
+            # a dead connection.
             outcome = Failed(kind=KIND_VALUE, message=str(exc))
         finally:
             conn.waiting.discard(task)

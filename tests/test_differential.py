@@ -18,11 +18,12 @@ required to agree **bit for bit**:
   of the key exchange; different curve, so only the protocol-level
   property is comparable).
 
-The ``sm`` input domain is pinned here too: base points with a torsion
-component (FourQ's cofactor is 392 = 8 * 7^2) must come back from the
-engine, the asyncio front door and the TCP client either equal to
-textbook double-and-add or as ``Failed(kind="value")`` — never as a
-wrong ``Ok``.
+The input domain of every wire job kind is pinned here too: payloads
+with torsion components (FourQ's cofactor is 392 = 8 * 7^2), off-curve
+points, scalars k >= N, wrong arity and wrong types must come back from
+the engine, the asyncio front door and the TCP client either equal to
+their textbook reference or as a typed ``Failed`` — never as a wrong
+``Ok``.
 
 The random seed comes from ``PYTEST_SEED`` (default pinned), so CI can
 diversify coverage across runs while any failure stays reproducible:
@@ -35,7 +36,7 @@ import random
 import zlib
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.curve.params import SUBGROUP_ORDER_N
@@ -47,6 +48,7 @@ from repro.curve.scalarmult import (
     scalar_mul_wnaf,
 )
 from repro.curve.wmodel import WeierstrassModel
+from repro.serve.engine import WIRE_KINDS
 from repro.field.fp2 import fp2_add, fp2_inv, fp2_mul, fp2_neg, fp2_sqr, fp2_sub
 
 SEED = int(os.environ.get("PYTEST_SEED", "0xD1FF"), 0)
@@ -242,7 +244,11 @@ class TestFrontendStreamDifferential:
 
 class TestSignatureDifferential:
     def test_verify_paths_agree(self, engine):
-        """Math-layer verify and datapath batch_verify give one verdict."""
+        """Math-layer verify and both batch_verify modes give one verdict.
+
+        The inputs include a genuine signature under a public key with
+        each torsion component: Q = d*G + T, signed with e = H(R, Q, m).
+        """
         from dataclasses import replace
 
         from repro.dsa import fourq_schnorr
@@ -259,10 +265,18 @@ class TestSignatureDifferential:
             items.append((key.public, msg, sig))
             expected.append(fourq_schnorr.verify(key.public, msg, sig))
         assert expected == [True, False, True]
+        for component in sorted(TORSION):
+            d = rng.randrange(1, SUBGROUP_ORDER_N)
+            public = scalar_mul_fourq(d, AffinePoint.generator()) + TORSION[component]
+            msg = component.encode()
+            sig = _sign_under(d, public, msg, rng.randrange(1, SUBGROUP_ORDER_N))
+            items.append((public, msg, sig))
+            expected.append(fourq_schnorr.verify(public, msg, sig))
         assert list(engine.batch_verify(items)) == expected
+        assert list(engine.batch_verify(items, mode="msm")) == expected
 
 
-# -- the sm input domain: torsion components --------------------------------
+# -- input domains: torsion components ----------------------------------------
 
 def _torsion_points():
     """One torsion component per shape of FourQ's cofactor group.
@@ -311,19 +325,107 @@ def _base_point(base, component):
     return p if component == "none" else p + TORSION[component]
 
 
-def _check_sm(k, p, outcome, via):
-    """Textbook double-and-add, or a typed value failure: nothing else."""
+def _sign_under(d, public, message, nonce):
+    """A genuine Schnorr signature by d under ``public``: e = H(R, public, m)."""
+    from repro.dsa.fourq_schnorr import SchnorrSignature, _challenge
+
+    commit = scalar_mul_fourq(nonce, AffinePoint.generator())
+    e = _challenge(commit, public, message)
+    return SchnorrSignature(commit.x, commit.y, (nonce + e * d) % SUBGROUP_ORDER_N)
+
+
+#: An off-curve point: the wire decoder builds points unchecked.
+_OFF_CURVE = AffinePoint((1, 2), (3, 4), check=False)
+
+
+def _point(base, component):
+    return _OFF_CURVE if component == "off" else _base_point(base, component)
+
+
+def _reference(kind, payload):
+    """The textbook answer for a payload inside its kind's domain."""
+    from repro.dsa import fourq_dh, fourq_schnorr
+
+    if kind == "sm":
+        return scalar_mul_double_and_add(*payload)
+    if kind == "dh":
+        private, peer = payload
+        return fourq_dh.shared_secret(fourq_dh.DHKeyPair(private, b""), peer)
+    if kind in ("verify", "verify_msm"):
+        return fourq_schnorr.verify(*payload)
+    total = AffinePoint.identity()
+    for k, p in zip(*payload):
+        total = total + scalar_mul_double_and_add(k, p)
+    return total
+
+
+def _check_outcome(kind, payload, outcome, via):
+    """Textbook reference, or a typed failure: never a wrong Ok.
+
+    ``value``/``type`` failures are the engine's domain checks; any
+    other failure kind (``decoding``, ``small_order``) must be what the
+    reference itself raises for the payload.
+    """
     from repro.serve import Failed
+    from repro.serve.faults import classify_exception
 
     if isinstance(outcome, Failed):
-        assert outcome.kind == "value", (via, outcome)
+        if outcome.kind in ("value", "type"):
+            return
+        with pytest.raises(Exception) as info:
+            _reference(kind, payload)
+        assert classify_exception(info.value) == outcome.kind, (via, outcome)
     else:
         value = getattr(outcome, "value", outcome)
-        ref = scalar_mul_double_and_add(k, p)
-        assert (value.x, value.y) == (ref.x, ref.y), f"{via}: k={k:#x}"
+        assert value == _reference(kind, payload), f"{via}: {kind} {payload!r}"
+
+
+_FLAVORS = ("valid", "torsion", "off_curve", "big_scalar", "arity", "type")
+
+
+@st.composite
+def wire_payloads(draw, kind):
+    """A payload of ``kind``, after a wire round trip."""
+    from repro.curve.encoding import encode_point
+    from repro.serve.net.protocol import wire_decode, wire_encode
+
+    flavor = draw(st.sampled_from(_FLAVORS))
+    component = {"torsion": draw(st.sampled_from(sorted(TORSION))),
+                 "off_curve": "off"}.get(flavor, "none")
+    big = st.integers(SUBGROUP_ORDER_N, 2**260)
+    k = draw(big if flavor == "big_scalar" else
+             st.one_of(st.sampled_from(EDGE_SCALARS), st.integers(0, 2**256)))
+    base = draw(st.integers(0, 3))
+    if kind == "sm":
+        payload = (k, _point(base, component))
+    elif kind == "dh":
+        payload = (k, encode_point(_point(base, component)))
+    elif kind == "msm":
+        n = draw(st.integers(1, 3))
+        scalars = [k] + draw(st.lists(st.integers(0, 2**256), min_size=n - 1, max_size=n - 1))
+        points = [_point(base, component)] + [_BASES[(base + i) % 4] for i in range(1, n)]
+        payload = (tuple(scalars), tuple(points))
+    else:  # verify, verify_msm: genuine under the drawn public key
+        d = draw(st.integers(1, SUBGROUP_ORDER_N - 1))
+        public = _point(base, component) if component == "off" else (
+            scalar_mul_fourq(d, AffinePoint.generator())
+            + (TORSION[component] if component != "none" else AffinePoint.identity())
+        )
+        message = draw(st.binary(max_size=8))
+        sig = _sign_under(d, public, message, draw(st.integers(1, SUBGROUP_ORDER_N - 1)))
+        if flavor == "big_scalar":
+            sig = type(sig)(sig.commit_x, sig.commit_y, sig.s + SUBGROUP_ORDER_N)
+        payload = (public, message, sig)
+    if flavor == "arity":
+        payload = payload[:-1] if draw(st.booleans()) else payload + (0,)
+    elif flavor == "type":
+        payload = ("junk",) + payload[1:]
+    return wire_decode(wire_encode(payload))
 
 
 class TestSmInputDomain:
+    """Input domains of every wire kind (the property began with ``sm``)."""
+
     @pytest.mark.parametrize("component", sorted(TORSION))
     def test_torsion_component_never_returns_a_wrong_point(self, engine, component):
         rng = _rng(f"torsion-{component}")
@@ -348,34 +450,43 @@ class TestSmInputDomain:
         ref = scalar_mul_double_and_add(k, cleared)
         assert (got.x, got.y) == (ref.x, ref.y)
 
-    @given(
-        k=st.one_of(st.sampled_from(EDGE_SCALARS), st.integers(0, 2**260)),
-        component=st.sampled_from(["none"] + sorted(TORSION)),
-        base=st.integers(0, 3),
-    )
-    def test_engine_sm_matches_textbook_or_fails_typed(self, engine, k, component, base):
-        p = _base_point(base, component)
-        (outcome,) = engine.batch_scalarmult([k], point=p).outcomes
-        _check_sm(k, p, outcome, "engine")
-        try:
-            direct = engine.scalarmult(k, p)
-        except ValueError:
-            assert component != "none"
-        else:
-            _check_sm(k, p, direct, "scalarmult")
+    @pytest.mark.parametrize("component", sorted(TORSION))
+    def test_msm_torsion_component_fails_typed(self, engine, component):
+        rng = _rng(f"msm-torsion-{component}")
+        sub, other = random_subgroup_point(rng), random_subgroup_point(rng)
+        p = sub + TORSION[component]
+        scalars = [rng.randrange(2**256), 5]
+        # multi_scalar_mul's endomorphism path disagrees with textbook
+        # double-and-add here; the engine must refuse, typed.
+        for request in (([5], [p]), (scalars, [other, p])):
+            (outcome,) = engine.batch_msm([request]).outcomes
+            assert not outcome.ok and outcome.kind == "value"
+        cleared = p.clear_cofactor()
+        (got,) = engine.batch_msm([(scalars, [other, cleared])]).unwrap()
+        assert got == _reference("msm", (scalars, [other, cleared]))
 
-    @given(
-        k=st.one_of(st.sampled_from(EDGE_SCALARS), st.integers(0, 2**260)),
-        component=st.sampled_from(["none"] + sorted(TORSION)),
-        base=st.integers(0, 3),
-    )
-    def test_frontend_and_tcp_sm_match_textbook_or_fail_typed(
-        self, engine, k, component, base
-    ):
+    @pytest.mark.parametrize("kind", WIRE_KINDS)
+    @given(data=st.data())
+    def test_engine_matches_textbook_or_fails_typed(self, engine, kind, data):
+        payload = data.draw(wire_payloads(kind))
+        (outcome,) = engine.run_jobs([(kind, payload)]).outcomes
+        _check_outcome(kind, payload, outcome, "engine")
+        if kind == "sm" and len(payload) == 2:
+            try:
+                direct = engine.scalarmult(*payload)
+            except (ValueError, TypeError):
+                assert not outcome.ok
+            else:
+                _check_outcome(kind, payload, direct, "scalarmult")
+
+    @pytest.mark.parametrize("kind", WIRE_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=10)
+    def test_frontend_and_tcp_match_textbook_or_fail_typed(self, engine, kind, data):
         from repro.obs import MetricsRegistry
         from repro.serve import Frontend, NetClient, NetServer, NetServerConfig
 
-        p = _base_point(base, component)
+        payload = data.draw(wire_payloads(kind))
 
         async def body():
             registry = MetricsRegistry()
@@ -384,14 +495,14 @@ class TestSmInputDomain:
                 frontend=fe, metrics=registry, config=NetServerConfig(port=0)
             ).start()
             try:
-                local = await fe.submit_outcome("sm", (k, p))
+                local = await fe.submit_outcome(kind, payload)
                 async with await NetClient.connect("127.0.0.1", server.port) as c:
-                    remote = await c.submit_outcome("sm", (k, p))
+                    remote = await c.submit_outcome(kind, payload)
             finally:
                 await server.aclose()
                 await fe.aclose()
             return local, remote
 
         local, remote = asyncio.run(asyncio.wait_for(body(), timeout=120))
-        _check_sm(k, p, local, "frontend")
-        _check_sm(k, p, remote, "tcp")
+        _check_outcome(kind, payload, local, "frontend")
+        _check_outcome(kind, payload, remote, "tcp")

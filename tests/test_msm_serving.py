@@ -215,6 +215,32 @@ class TestFrontendRouting:
 
         assert self._run(body()) == multi_scalar_mul(scalars, points)
 
+    def test_point_outside_the_subgroup_fails_typed_everywhere(self, engine):
+        """The off-subgroup base that once came back as a wrong Ok."""
+        from repro.curve.point import random_point
+        from repro.serve import NetClient, NetServer, NetServerConfig
+
+        request = ([5], [random_point(random.Random(3))])
+        (direct,) = engine.batch_msm([request]).outcomes
+
+        async def body():
+            fe = Frontend(engine, metrics=MetricsRegistry(), max_wait_ms=1.0)
+            server = await NetServer(
+                frontend=fe, metrics=MetricsRegistry(),
+                config=NetServerConfig(port=0),
+            ).start()
+            try:
+                local = await fe.submit_outcome("msm", request)
+                async with await NetClient.connect("127.0.0.1", server.port) as c:
+                    remote = await c.submit_outcome("msm", request)
+            finally:
+                await server.aclose()
+                await fe.aclose()
+            return local, remote
+
+        for outcome in (direct, *self._run(body())):
+            assert isinstance(outcome, Failed) and outcome.kind == "value"
+
 
 class TestMsmMetrics:
     def test_series_present_after_msm_traffic(self, engine, registry):

@@ -453,3 +453,45 @@ class TestExpiredDeadlines:
             await server.frontend.aclose()
 
         run(body())
+
+
+class TestJunkKinds:
+    def test_junk_kinds_fail_typed_and_keep_labels_bounded(self):
+        # Every kind string a client sends could become a label value;
+        # only the job-kind table's wire kinds may, so junk and the
+        # in-process ``fault`` hook fail typed and count as "?".
+        from repro.serve import Failed
+        from repro.serve.engine import WIRE_KINDS
+
+        junk = [f"junk-{i}-{_rng('junk').getrandbits(32):x}" for i in range(60)]
+
+        async def body():
+            stub = CountingStubEngine()
+            server = await make_server(stub).start()
+            try:
+                async with await NetClient.connect(
+                    "127.0.0.1", server.port
+                ) as client:
+                    outcomes = await asyncio.gather(*[
+                        client.submit_outcome(kind, ("noop",))
+                        for kind in junk + ["fault"]
+                    ])
+                    assert await client.submit("sm", (1, None)) == \
+                        ("echo", (1, None))
+            finally:
+                await server.aclose()
+                await server.frontend.aclose()
+            return stub, server, outcomes
+
+        stub, server, outcomes = run(body())
+        for outcome in outcomes:
+            assert isinstance(outcome, Failed) and outcome.kind == "value"
+        assert stub.executed == 1  # only the sm request reached the engine
+        labels = {
+            series["labels"]["kind"]
+            for series in server.metrics.snapshot()["counters"]
+            if series["name"] == "repro_net_requests_total"
+        }
+        assert "sm" in labels and labels <= set(WIRE_KINDS) | {"?"}
+        assert count(server.metrics, "repro_net_requests_total",
+                     kind="?", outcome="failed") == len(junk) + 1

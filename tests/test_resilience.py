@@ -20,8 +20,8 @@ The contracts under test:
   and degrades (returns ``None``) when the bucket runs dry;
 * the engine honors request deadlines (expired budgets produce typed
   ``deadline`` failures, never late execution), keeps retried chunks
-  order-preserving and exactly-once, and fails fast with typed
-  ``circuit_open`` envelopes when configured to.
+  order-preserving and exactly-once, and degrades to serial execution
+  while the breaker is open.
 
 Seeding follows the repo convention: ``PYTEST_SEED`` diversifies,
 per-test tags decorrelate.
@@ -37,9 +37,7 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.serve import BatchEngine
 from repro.serve.faults import (
-    KIND_CIRCUIT_OPEN,
     KIND_DEADLINE,
-    CircuitOpen,
     DeadlineExceeded,
     Failed,
     classify_exception,
@@ -398,12 +396,6 @@ class TestNewFaultKinds:
         assert isinstance(exc, DeadlineExceeded)
         assert classify_exception(exc) == KIND_DEADLINE
 
-    def test_circuit_open_round_trip(self):
-        failed = Failed(kind=KIND_CIRCUIT_OPEN, message="breaker open")
-        exc = failed.to_exception()
-        assert isinstance(exc, CircuitOpen)
-        assert classify_exception(exc) == KIND_CIRCUIT_OPEN
-
 
 # -- engine wiring ------------------------------------------------------
 
@@ -455,28 +447,11 @@ class TestEngineCircuitModes:
     def test_serial_mode_degrades_but_answers(self):
         engine = BatchEngine(
             check_golden=False, metrics=MetricsRegistry(),
-            breaker=self._tripped_breaker(), circuit_mode="serial",
+            breaker=self._tripped_breaker(),
         )
         result = engine.run_jobs(_noop_jobs(4), workers=2, min_chunk=1)
         assert result.results == [("fault", "noop")] * 4
         assert engine.supervisor is None  # never touched the pool
-
-    def test_fail_fast_mode_is_typed_and_instant(self):
-        engine = BatchEngine(
-            check_golden=False, metrics=MetricsRegistry(),
-            breaker=self._tripped_breaker(), circuit_mode="fail_fast",
-        )
-        result = engine.run_jobs(_noop_jobs(4), workers=2, min_chunk=1)
-        assert len(result.results) == 4
-        for item in result.results:
-            assert isinstance(item, Failed) and item.kind == KIND_CIRCUIT_OPEN
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BatchEngine(
-                check_golden=False, metrics=MetricsRegistry(),
-                circuit_mode="explode",
-            )
 
 
 @pytest.mark.slow

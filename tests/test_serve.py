@@ -347,3 +347,30 @@ class TestHitRateHonesty:
                           metrics=reg)
         assert healed.cache_hit
         assert _cache_events(reg) == (1, 2, 0, 1)
+
+
+def kinds_markdown() -> str:
+    """The job-kind table of ``docs/serving.md``, rendered from ``KINDS``."""
+    from repro.serve.engine import KINDS
+
+    rows = ["| kind | payload | input domain | dedup | wire |",
+            "|---|---|---|---|---|"]
+    for spec in KINDS.values():
+        name = " / ".join(f"`{n}`" for n in (spec.name, *spec.aliases))
+        rows.append(
+            f"| {name} | {spec.payload} | {spec.domain} | "
+            f"{'yes' if spec.key else 'no'} | {'yes' if spec.wire else 'no'} |"
+        )
+    return "\n".join(rows) + "\n"
+
+
+def test_serving_doc_job_kind_table_matches_KINDS():
+    """docs/serving.md carries the table-rendered job kinds verbatim;
+    regenerate them with ``tests.test_serve.kinds_markdown()``."""
+    from pathlib import Path
+
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "serving.md").read_text()
+    begin = "<!-- job-kinds:begin -->\n"
+    end = "<!-- job-kinds:end -->"
+    assert doc.count(begin) == 1 and doc.count(end) == 1
+    assert doc[doc.index(begin) + len(begin):doc.index(end)] == kinds_markdown()
