@@ -12,34 +12,45 @@ examples can report sizes, makespans, ROM geometry, and simulation
 statistics.
 
 For serving many requests of the same workload shape, pass a
-:class:`repro.serve.cache.FlowArtifactCache`: the scheduling problem,
-the job-shop solve, and the register allocation are reused across
-requests (they depend only on the shape), and each request pays only
-the rebind — new input values, new mux routings, a fresh golden-checked
-simulation.  A cache hit that fails any check falls back to the full
-flow, so caching never changes results, only cost.
+:class:`repro.serve.cache.FlowArtifactCache`.  The first request of a
+shape (the fill) runs the whole flow above and, in addition, compiles
+the shape's program into a flat instruction tape
+(:class:`repro.rtl.compiled.CompiledProgram`); the tape runs on the
+filling request and must reproduce the interpreted, golden-checked
+simulation's outputs and unit profile, or the entry is not stored.
+Every cache hit then runs only the tape: no solve, no rebind, no
+interpreted simulation.  The hit still checks every op's result
+against the request's traced value and every output against its traced
+value.  Its input may be a value-only recording
+(:class:`repro.trace.tracer.ValueRecorder`) instead of a full trace, as
+the batch engine sends.  A hit that fails any check falls back to the
+full flow (re-tracing a recording first), so caching never changes
+results, only cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from .isa.fsm import FSMController, generate_fsm
 from .isa.microcode import MicroProgram, assemble, build_template
 from .isa.regalloc import allocate_registers
 from .obs import MetricsRegistry, get_registry
 from .opt import OPT_LEVELS, OptStats, memoized_schedule, optimize_trace
+from .rtl.compiled import compile_program
 from .rtl.datapath import DatapathSimulator, SimulationError, SimulationResult
 from .sched.cp_scheduler import cp_schedule
 from .sched.jobshop import JobShopProblem, MachineSpec, problem_from_trace
 from .sched.list_scheduler import list_schedule
 from .sched.schedule import Schedule
 from .trace.program import TraceProgram
+from .trace.tracer import ValueRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve imports flow)
-    from .serve.cache import FlowArtifactCache
+    from .serve.cache import FlowArtifactCache, FlowArtifacts
 
 #: Histogram of per-stage wall time (seconds), labeled ``stage=``
 #: problem / optimize / solve / regalloc / assemble / rebind / simulate
@@ -96,16 +107,16 @@ class FlowResult:
     """All artifacts of one pass through the design flow.
 
     ``cache_hit`` marks results produced through a flow-artifact cache's
-    fast path (reused schedule/allocation; the FSM then reports the
+    fast path (the shape's compiled tape; the FSM then reports the
     shape-invariant geometry of the cached controller).  ``fallback``
     marks requests where the fast path failed a check and the full flow
-    was recomputed.
+    was recomputed.  A hit assembles no microprogram: ``microprogram``
+    rebinds the cached template on first access.
     """
 
     trace_program: TraceProgram
     problem: JobShopProblem
     schedule: Schedule
-    microprogram: MicroProgram
     fsm: FSMController
     simulation: SimulationResult
     cache_hit: bool = False
@@ -119,6 +130,17 @@ class FlowResult:
     #: "cse"/"full"; ``trace_program`` always stays the caller's
     #: original recording.
     optimized_program: Optional[TraceProgram] = None
+    _microprogram: Optional[MicroProgram] = field(default=None, repr=False)
+    _assemble: Optional[Callable[[], MicroProgram]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def microprogram(self) -> MicroProgram:
+        """The assembled program ROM contents and preload."""
+        if self._microprogram is None and self._assemble is not None:
+            self._microprogram = self._assemble()
+        return self._microprogram
 
     @property
     def cycles(self) -> int:
@@ -154,7 +176,7 @@ def _verify_outputs(
 
     The golden check already proves every writeback; this closes the
     loop on the output *mapping* (which register each named result is
-    read from), making the cached fast path end-to-end verified.
+    read from).  A cache hit's tape makes the same check itself.
     """
     tracer = trace_program.tracer
     names = _output_names(trace_program)
@@ -212,7 +234,6 @@ def run_flow(
     machine: Optional[MachineSpec] = None,
     scheduler: str = "auto",
     cp_node_budget: int = 200_000,
-    check_golden: bool = True,
     cache: "Optional[FlowArtifactCache]" = None,
     simulator: Optional[DatapathSimulator] = None,
     cache_key: Optional[str] = None,
@@ -223,22 +244,25 @@ def run_flow(
 
     Args:
         trace_program: output of :func:`repro.trace.trace_scalar_mult`
-            or :func:`repro.trace.trace_loop_iteration`.
+            or :func:`repro.trace.trace_loop_iteration`.  A value-only
+            recording (built with a
+            :class:`~repro.trace.tracer.ValueRecorder`) replays the
+            compiled tape cached under ``cache_key``; when there is none
+            to replay, it is re-traced in full first.
         machine: datapath timing model (default: 3-cycle pipelined
             multiplier, 1-cycle adder, 4R/2W ports, forwarding on).
         scheduler: ``"list"``, ``"cp"`` or ``"auto"`` (CP for kernels up
             to 64 ops, list scheduling beyond).
         cp_node_budget: branch-and-bound node limit for the CP solver.
-        check_golden: verify every writeback against the traced values.
-        cache: optional flow-artifact cache; same-shape requests reuse
-            the schedule and register allocation (see module docstring).
+        cache: optional flow-artifact cache; same-shape requests run
+            the shape's compiled tape (see module docstring).
         simulator: optional reusable simulator (reset between runs);
             one is constructed per call when omitted.
         cache_key: optional precomputed shape key (a caller that knows
             its requests share one shape — the batch engine — skips
             re-hashing the trace per request).  A wrong key is safe:
-            the rebind/golden checks reject the mismatched artifacts,
-            the true key is recomputed, and the full flow runs.
+            the tape's checks reject the mismatched artifacts, the true
+            key is recomputed, and the full flow runs.
         metrics: registry receiving per-stage wall-time spans, the
             hit/miss/fallback counters, and the datapath unit profile
             (default: the process-wide :func:`repro.obs.get_registry`).
@@ -254,24 +278,26 @@ def run_flow(
     """
     if optimize not in OPT_LEVELS:
         raise ValueError(f"optimize level must be one of {OPT_LEVELS}")
+    if scheduler not in ("auto", "cp", "list"):
+        raise ValueError(f"unknown scheduler {scheduler!r}")
     machine = machine or MachineSpec()
     obs = metrics if metrics is not None else get_registry()
-    scheduler = resolve_scheduler(scheduler, trace_program)
-    if scheduler not in ("cp", "list"):
-        raise ValueError(f"unknown scheduler {scheduler!r}")
+    recorded = isinstance(trace_program.tracer, ValueRecorder)
+    if recorded and (cache is None or cache_key is None or optimize != "none"):
+        # Only a cached shape's tape can replay a recording.
+        trace_program, recorded = trace_program.retrace(), False
 
     opt_stats: Optional[OptStats] = None
     work_program = trace_program
     if optimize != "none":
         # The rewrite runs before the cache lookup: a hit still needs
-        # the *optimized* trace for rebind + golden values, so the hit
+        # the *optimized* trace for the tape's golden values, so the hit
         # path pays the (purely structural, deterministic) rewrite too.
         t0 = perf_counter()
         work_program, opt_stats = optimize_trace(trace_program, optimize)
         obs.histogram(FLOW_STAGE_SECONDS, stage="optimize").observe(
             perf_counter() - t0
         )
-    tracer = work_program.tracer
 
     key = None
     fallback = False
@@ -284,9 +310,7 @@ def run_flow(
         entry = cache.get(key)
         if entry is not None:
             try:
-                result = _run_from_artifacts(
-                    work_program, entry, machine, check_golden, simulator, key, obs
-                )
+                result = _run_from_artifacts(work_program, entry, key, obs)
                 obs.counter(CACHE_EVENTS, event="hit").inc()
                 result.trace_program = trace_program
                 result.optimize = optimize
@@ -296,13 +320,15 @@ def run_flow(
                     if opt_stats is not None:
                         _record_opt(obs, opt_stats)
                 return result
-            except (KeyError, IndexError, ValueError, RuntimeError):
+            except _TAPE_FAILURES:
                 # Shape-key collision or stale artifacts: recompute the
                 # full flow and replace the entry.  Correctness is never
                 # at stake — the golden/output checks caught the issue.
                 # The fast path did not complete, so this is a miss.
                 obs.counter(CACHE_EVENTS, event="miss").inc()
                 obs.counter(CACHE_EVENTS, event="fallback").inc()
+                if recorded:
+                    trace_program = work_program = trace_program.retrace()
                 true_key = cache.key_for(
                     trace_program, machine, scheduler, optimize
                 )
@@ -316,12 +342,16 @@ def run_flow(
                 fallback = True
         else:
             obs.counter(CACHE_EVENTS, event="miss").inc()
+            if recorded:
+                trace_program = work_program = trace_program.retrace()
             if cache_key is not None:
                 # The caller-supplied key missed: recompute the true
                 # digest so the artifacts are filed under their real
                 # shape key (a stale memo must not leak into the
                 # cache's key space).
                 key = cache.key_for(trace_program, machine, scheduler, optimize)
+    scheduler = resolve_scheduler(scheduler, trace_program)
+    tracer = work_program.tracer
 
     t0 = perf_counter()
     problem = problem_from_trace(tracer.trace, machine)
@@ -351,12 +381,14 @@ def run_flow(
     alloc = allocate_registers(problem, schedule, tracer.trace, tracer.outputs)
     obs.histogram(FLOW_STAGE_SECONDS, stage="regalloc").observe(perf_counter() - t0)
     t0 = perf_counter()
-    template = None
+    template = compiled = None
+    rebind_s = 0.0
     if cache is not None:
         # Build the reusable control skeleton once per shape and derive
         # this request's program from it — rebind(trace) on the template
         # is assemble()'s output byte for byte (pinned by the microcode
         # equivalence test), so the miss path pays one walk, not two.
+        # The tape compiles from the same skeleton.
         template = build_template(
             problem,
             schedule,
@@ -365,7 +397,16 @@ def run_flow(
             alloc=alloc,
             output_names=_output_names(work_program),
         )
+        try:
+            compiled = compile_program(
+                template, machine.mult_latency, machine.addsub_latency
+            )
+        except SimulationError:
+            pass  # a shape whose static checks fail is not stored
+        t1 = perf_counter()
         microprogram = template.rebind(tracer.trace)
+        rebind_s = perf_counter() - t1
+        obs.histogram(FLOW_STAGE_SECONDS, stage="rebind").observe(rebind_s)
     else:
         microprogram = assemble(
             problem,
@@ -377,12 +418,17 @@ def run_flow(
             validate=False,  # validated above
         )
     fsm = generate_fsm(microprogram)
-    obs.histogram(FLOW_STAGE_SECONDS, stage="assemble").observe(perf_counter() - t0)
+    obs.histogram(FLOW_STAGE_SECONDS, stage="assemble").observe(
+        perf_counter() - t0 - rebind_s
+    )
     t0 = perf_counter()
     sim_engine = simulator or DatapathSimulator(
         mult_depth=machine.mult_latency, addsub_depth=machine.addsub_latency
     )
-    sim = sim_engine.run(microprogram, check_golden=check_golden)
+    sim = sim_engine.run(microprogram)
+    _verify_outputs(work_program, microprogram, sim)
+    if compiled is not None and not _tape_reproduces(compiled, work_program, sim):
+        compiled = None
     obs.histogram(FLOW_STAGE_SECONDS, stage="simulate").observe(perf_counter() - t0)
     _record_simulation(obs, sim)
     if opt_stats is not None:
@@ -390,27 +436,32 @@ def run_flow(
     obs.counter(FLOW_REQUESTS, path="fallback" if fallback else "miss").inc()
 
     if cache is not None and key is not None:
-        from .serve.cache import FlowArtifacts
+        if compiled is None:
+            # The tape could not reproduce the interpreted run: store
+            # nothing, so no later request can hit a wrong program.
+            obs.counter(CACHE_EVENTS, event="fallback").inc()
+        else:
+            from .serve.cache import FlowArtifacts
 
-        evicted = cache.put(
-            FlowArtifacts(
-                key=key,
-                problem=problem,
-                schedule=schedule,
-                alloc=alloc,
-                fsm=fsm,
-                schedule_hash=schedule.stable_hash(),
-                template=template,
+            evicted = cache.put(
+                FlowArtifacts(
+                    key=key,
+                    problem=problem,
+                    schedule=schedule,
+                    alloc=alloc,
+                    fsm=fsm,
+                    schedule_hash=schedule.stable_hash(),
+                    template=template,
+                    compiled=compiled,
+                )
             )
-        )
-        if evicted:
-            obs.counter(CACHE_EVENTS, event="eviction").inc(evicted)
+            if evicted:
+                obs.counter(CACHE_EVENTS, event="eviction").inc(evicted)
 
     return FlowResult(
         trace_program=trace_program,
         problem=problem,
         schedule=schedule,
-        microprogram=microprogram,
         fsm=fsm,
         simulation=sim,
         cache_hit=False,
@@ -419,59 +470,64 @@ def run_flow(
         optimize=optimize,
         opt_stats=opt_stats,
         optimized_program=work_program if optimize != "none" else None,
+        _microprogram=microprogram,
     )
+
+
+#: What a cache hit's tape may raise: a length or output mismatch
+#: (ValueError / SimulationError), a leaf outside the candidate set
+#: (KeyError), a golden mismatch (SimulationError), or a corrupted
+#: tape tripping a unit model's width assertions.
+_TAPE_FAILURES = (KeyError, IndexError, ValueError, RuntimeError, AssertionError)
+
+
+def _tape_reproduces(compiled, program: TraceProgram, sim: SimulationResult) -> bool:
+    """Does the tape, run on the filling request, equal the interpreted run?"""
+    try:
+        tape = compiled.run(ValueRecorder.of(program.tracer))
+    except _TAPE_FAILURES:
+        return False
+    return tape.outputs == sim.outputs and tape.profile == sim.profile
 
 
 def _run_from_artifacts(
     trace_program: TraceProgram,
     entry: "FlowArtifacts",
-    machine: MachineSpec,
-    check_golden: bool,
-    simulator: Optional[DatapathSimulator],
-    key: Optional[str] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    key: Optional[str],
+    obs: MetricsRegistry,
 ) -> FlowResult:
-    """The cache-hit fast path: rebind + simulate, no solve.
+    """The cache-hit fast path: run the shape's compiled tape.
 
-    Reuses the cached problem/schedule/allocation; assembles fresh
-    control words for this trace's mux routings and input values; runs
-    the golden-checked simulation; verifies the outputs against the
-    traced reference.  Any failure propagates so the caller can fall
-    back to the full flow.
+    The tape golden-checks every op and every output against this
+    request's traced (or recorded) values.  Any failure propagates so
+    the caller can fall back to the full flow.
     """
-    obs = metrics if metrics is not None else get_registry()
-    tracer = trace_program.tracer
-    t0 = perf_counter()
-    if entry.template is not None:
-        microprogram = entry.template.rebind(tracer.trace)
-    else:
-        microprogram = assemble(
-            entry.problem,
-            entry.schedule,
-            tracer.trace,
-            tracer.outputs,
-            output_names=_output_names(trace_program),
-            alloc=entry.alloc,
-            validate=False,
+    recording = ValueRecorder.of(trace_program.tracer)
+    if len(recording) != entry.template.n_trace:
+        raise ValueError(
+            f"recording has {len(recording)} values, "
+            f"the cached shape {entry.template.n_trace}"
         )
-    obs.histogram(FLOW_STAGE_SECONDS, stage="rebind").observe(perf_counter() - t0)
     t0 = perf_counter()
-    sim_engine = simulator or DatapathSimulator(
-        mult_depth=machine.mult_latency, addsub_depth=machine.addsub_latency
-    )
-    sim = sim_engine.run(microprogram, check_golden=check_golden)
+    sim = entry.compiled.run(recording)
     obs.histogram(FLOW_STAGE_SECONDS, stage="simulate").observe(perf_counter() - t0)
-    _verify_outputs(trace_program, microprogram, sim)
     _record_simulation(obs, sim)
     obs.counter(FLOW_REQUESTS, path="hit").inc()
     return FlowResult(
         trace_program=trace_program,
         problem=entry.problem,
         schedule=entry.schedule,
-        microprogram=microprogram,
         fsm=entry.fsm,
         simulation=sim,
         cache_hit=True,
         fallback=False,
         cache_key=key,
+        _assemble=functools.partial(_rebind, entry.template, trace_program),
     )
+
+
+def _rebind(template, trace_program: TraceProgram) -> MicroProgram:
+    """A hit's microprogram, assembled on demand from the template."""
+    if trace_program.retrace is not None:
+        trace_program = trace_program.retrace()
+    return template.rebind(trace_program.tracer.trace)

@@ -226,8 +226,8 @@ class ProgramTemplate:
     #: (cycle, is_mult, ((operand_index, select_uid, {leaf_uid: Operand}), ...))
     patch_groups: List[Tuple[int, bool, Tuple[Tuple[int, int, Dict[int, Operand]], ...]]]
     preload_slots: Tuple[Tuple[int, int], ...]  # (uid, register)
-    out_static: Dict[str, int]                  # name -> register
-    out_select: Tuple[Tuple[str, int], ...]     # (name, select uid)
+    #: (name, output uid, {leaf uid: register}); one leaf unless muxed
+    outputs: Tuple[Tuple[str, int, Dict[int, int]], ...]
     reg_of: Dict[int, int]
 
     def rebind(self, trace: Sequence[MicroOp]) -> MicroProgram:
@@ -263,12 +263,12 @@ class ProgramTemplate:
                 zip(mult_at, addsub_at, self.writebacks_at)
             )
         ]
-        outputs = dict(self.out_static)
-        for name, suid in self.out_select:
-            op = trace[suid]
+        outputs = {}
+        for name, uid, premap in self.outputs:
+            op = trace[uid]
             while op.kind is select:
                 op = trace[op.srcs[0]]
-            outputs[name] = self.reg_of[op.uid]
+            outputs[name] = premap[op.uid]
         return MicroProgram(
             words=words,
             preload={reg: trace[uid].value for uid, reg in self.preload_slots},
@@ -350,14 +350,14 @@ def build_template(
         )
 
     names = output_names or {}
-    out_static: Dict[str, int] = {}
-    out_select: List[Tuple[str, int]] = []
-    for uid in outputs:
-        name = names.get(uid) or by_uid[uid].name or f"v{uid}"
-        if by_uid[uid].kind is OpKind.SELECT:
-            out_select.append((name, uid))
-        else:
-            out_static[name] = alloc.reg_of[resolve_select_chosen(by_uid, uid)]
+    out_routes = tuple(
+        (
+            names.get(uid) or by_uid[uid].name or f"v{uid}",
+            uid,
+            {leaf: alloc.reg_of[leaf] for leaf in resolve_select_all(by_uid, uid)},
+        )
+        for uid in outputs
+    )
 
     preload_slots = tuple(
         (op.uid, alloc.reg_of[op.uid])
@@ -372,7 +372,6 @@ def build_template(
         writebacks_at=[tuple(w) for w in wb_lists],
         patch_groups=patch_groups,
         preload_slots=preload_slots,
-        out_static=out_static,
-        out_select=tuple(out_select),
+        outputs=out_routes,
         reg_of=dict(alloc.reg_of),
     )

@@ -35,19 +35,40 @@ def _lane_sub(a: int, b: int) -> int:
     return s
 
 
+def _unit_add(a: Fp2Raw, b: Fp2Raw) -> Fp2Raw:
+    return (_lane_add(a[0], b[0]), _lane_add(a[1], b[1]))
+
+
+def _unit_sub(a: Fp2Raw, b: Fp2Raw) -> Fp2Raw:
+    return (_lane_sub(a[0], b[0]), _lane_sub(a[1], b[1]))
+
+
+def _unit_neg(a: Fp2Raw, b: Optional[Fp2Raw] = None) -> Fp2Raw:
+    return (_lane_sub(0, a[0]), _lane_sub(0, a[1]))
+
+
+def _unit_conj(a: Fp2Raw, b: Optional[Fp2Raw] = None) -> Fp2Raw:
+    return (a[0], _lane_sub(0, a[1]))
+
+
+#: One combinational pass of the adder/subtractor per opcode, as
+#: ``f(a, b)``; the unary opcodes ignore ``b``.
+ADDSUB_OPS = {
+    OpKind.ADD: _unit_add,
+    OpKind.SUB: _unit_sub,
+    OpKind.NEG: _unit_neg,
+    OpKind.CONJ: _unit_conj,
+}
+
+
 def fp2_addsub_compute(kind: OpKind, a: Fp2Raw, b: Optional[Fp2Raw]) -> Fp2Raw:
     """One combinational pass of the adder/subtractor."""
-    if kind is OpKind.ADD:
+    unit = ADDSUB_OPS.get(kind)
+    if unit is None:
+        raise ValueError(f"addsub unit cannot execute {kind}")
+    if kind in (OpKind.ADD, OpKind.SUB):
         assert b is not None
-        return (_lane_add(a[0], b[0]), _lane_add(a[1], b[1]))
-    if kind is OpKind.SUB:
-        assert b is not None
-        return (_lane_sub(a[0], b[0]), _lane_sub(a[1], b[1]))
-    if kind is OpKind.NEG:
-        return (_lane_sub(0, a[0]), _lane_sub(0, a[1]))
-    if kind is OpKind.CONJ:
-        return (a[0], _lane_sub(0, a[1]))
-    raise ValueError(f"addsub unit cannot execute {kind}")
+    return unit(a, b)
 
 
 @dataclass

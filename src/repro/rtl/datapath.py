@@ -136,7 +136,7 @@ class DatapathSimulator:
         self._mult.reset()
         self._addsub.reset()
 
-    def run(self, program: MicroProgram, check_golden: bool = True) -> SimulationResult:
+    def run(self, program: MicroProgram) -> SimulationResult:
         self.reset(program.register_count)
         rf = self._rf
         rf.preload(program.preload)
@@ -200,7 +200,7 @@ class DatapathSimulator:
                         f"cycle {word.cycle}: writeback from idle "
                         f"{wb.unit.value} unit"
                     )
-                if check_golden and value != golden[wb.uid]:
+                if value != golden[wb.uid]:
                     raise SimulationError(
                         f"cycle {word.cycle}: v{wb.uid} mismatch: "
                         f"{value} != {golden[wb.uid]}"

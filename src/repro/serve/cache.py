@@ -7,15 +7,18 @@ not on the concrete scalar or point.  FourQ's constant-time recoding
 guarantees that every 256-bit scalar produces the same shape: the same
 op sequence, the same dependencies, the same 64-iteration loop.  This
 module memoizes those per-shape artifacts behind an LRU bound, so a
-batch of N requests pays one solve + N cheap rebinds (new input values,
-new mux routings, new golden vector).  The cache keeps no counters:
+batch of N requests pays one solve + N runs of the shape's compiled
+instruction tape (:class:`~repro.rtl.compiled.CompiledProgram`), fed
+by each request's value-only recording.  The cache keeps no counters:
 ``run_flow`` records each hit, miss, fallback and eviction in
 ``repro_cache_events_total`` where it decides the path.
 
-Soundness does not rest on the key: every cache-hit simulation still
-golden-checks each writeback against the fresh trace and the engine
-verifies the final outputs, so a stale or colliding entry is detected
-and recomputed (counted as a fallback), never silently wrong.
+Soundness does not rest on the key: every tape run still golden-checks
+each op's result and each output against the request's recorded
+values, so a stale or colliding entry is detected and recomputed
+(counted as a fallback), never silently wrong.  An entry is stored
+only after its tape reproduced the interpreted simulation of the
+filling request.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Dict, Optional, Sequence
 from ..isa.fsm import FSMController
 from ..isa.microcode import ProgramTemplate
 from ..isa.regalloc import Allocation
+from ..rtl.compiled import CompiledProgram
 from ..sched.jobshop import JobShopProblem, MachineSpec
 from ..sched.schedule import Schedule
 from ..trace.ops import MicroOp, OpKind
@@ -81,10 +85,11 @@ class FlowArtifacts:
     ``problem`` / ``schedule`` / ``alloc`` are reused directly (they are
     shape functions); ``template`` is the pre-assembled control skeleton
     whose :meth:`~repro.isa.microcode.ProgramTemplate.rebind` turns a
-    fresh same-shape trace into a full microprogram without re-walking
-    the task list; ``fsm`` keeps the controller geometry of the first
-    assembly, whose ROM dimensions are shape-invariant even though the
-    per-request ROM contents differ with the mux routing.
+    same-shape trace into a full microprogram on demand; ``compiled``
+    is the tape every hit runs, built from ``template``; ``fsm`` keeps
+    the controller geometry of the first assembly, whose ROM dimensions
+    are shape-invariant even though the per-request ROM contents differ
+    with the mux routing.
     """
 
     key: str
@@ -93,7 +98,8 @@ class FlowArtifacts:
     alloc: Allocation
     fsm: FSMController
     schedule_hash: str
-    template: Optional[ProgramTemplate] = None
+    template: ProgramTemplate
+    compiled: CompiledProgram
 
 
 @dataclass

@@ -9,9 +9,10 @@ software.  A :class:`BatchEngine` owns
   inversion-free maps, lattice decomposer) that dominate cold-start
   cost,
 * a :class:`~repro.serve.cache.FlowArtifactCache` so the job-shop solve
-  and register allocation are paid once per workload shape,
+  and register allocation are paid once per workload shape, and each
+  shape's program is compiled once into an instruction tape,
 * a resettable :class:`~repro.rtl.datapath.DatapathSimulator` reused
-  across requests,
+  by the cache fills,
 
 and exposes batch entry points — :meth:`batch_scalarmult`,
 :meth:`batch_dh`, :meth:`batch_verify` — with optional
@@ -50,10 +51,14 @@ clients may send it.  Every batch runs through one dispatcher
 outside its kind's domain resolves as ``Failed(kind="value"|"type")``
 before it reaches any executor.
 
-Every simulated result is still verified bit-for-bit: the golden check
-proves each writeback against the freshly traced reference, and the
-engine re-derives the final point from the simulator's output
-registers.  Batching changes cost, never results.
+A request whose shape is already cached is not traced into micro-ops:
+the trace builder runs with a value-only
+:class:`~repro.trace.tracer.ValueRecorder`, and the shape's compiled
+tape replays the recording on the datapath's unit models.  Every
+result is still verified bit-for-bit: the golden check proves each
+op's result against the recorded field-layer value, each output is
+compared with its recorded value, and the engine reads the final point
+from those outputs.  Batching changes cost, never results.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ from ..trace.program import (
     trace_msm_window,
     trace_scalar_mult,
 )
+from ..trace.tracer import ValueRecorder
 from .cache import FlowArtifactCache
 from .faults import (
     KIND_DEADLINE,
@@ -544,8 +550,6 @@ class BatchEngine:
         cache_entries: LRU bound of the flow-artifact cache (each
             workload shape — single-base SM, double-base SM, per
             recoding length — occupies one entry).
-        check_golden: keep the per-writeback golden check on (the
-            bit-exact proof; disabling trades verification for speed).
         chunk_timeout: optional per-chunk time budget (seconds) in
             worker fan-out mode; a chunk that exceeds it is requeued,
             the pool is restarted (a hung worker cannot be cancelled),
@@ -580,7 +584,6 @@ class BatchEngine:
         scheduler: str = "auto",
         optimize: str = "none",
         cache_entries: int = 16,
-        check_golden: bool = True,
         chunk_timeout: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -592,7 +595,6 @@ class BatchEngine:
         self.machine = machine or MachineSpec()
         self.scheduler = scheduler
         self.optimize = optimize
-        self.check_golden = check_golden
         self.chunk_timeout = chunk_timeout
         self.metrics = metrics if metrics is not None else get_registry()
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -646,7 +648,16 @@ class BatchEngine:
 
     # -- single-request paths ------------------------------------------
     def _flow(self, shape: str, trace: Callable[..., Any], **trace_args) -> FlowResult:
-        """Trace one workload and run it through the cached flow."""
+        """Trace one workload and run it through the cached flow.
+
+        Once a shape's key is known, the builder records values only
+        (a :class:`ValueRecorder`): a cache hit replays them on the
+        shape's compiled tape, and ``run_flow`` re-traces in full if it
+        cannot.
+        """
+        key = self._shape_keys.get(shape)
+        if key is not None and self.optimize == "none":
+            trace_args["tracer"] = ValueRecorder()
         t0 = time.perf_counter()
         prog = trace(**trace_args)
         self.metrics.histogram(FLOW_STAGE_SECONDS, stage="trace").observe(
@@ -657,10 +668,9 @@ class BatchEngine:
             machine=self.machine,
             scheduler=self.scheduler,
             optimize=self.optimize,
-            check_golden=self.check_golden,
             cache=self.cache,
             simulator=self.simulator,
-            cache_key=self._shape_keys.get(shape),
+            cache_key=key,
             metrics=self.metrics,
         )
         if flow.cache_key is not None:
@@ -670,8 +680,8 @@ class BatchEngine:
     def scalarmult_flow(self, k: int, point: Optional[AffinePoint] = None) -> FlowResult:
         """Full verified flow for one [k]P (cache-aware)."""
         # self_check=False skips the slow affine (k mod N)*P reference
-        # inside the tracer; the simulated result is still verified
-        # writeback-by-writeback against the traced values.
+        # inside the tracer; the datapath result is still verified
+        # op by op against the traced values.
         return self._flow(
             "scalarmult", trace_scalar_mult, k=k, point=point,
             decomposer=self.decomposer, compiled=self.compiled_endos,
@@ -683,7 +693,7 @@ class BatchEngine:
 
         Runs the ``sm`` row of :data:`KINDS`: ``point`` must lie in the
         order-N subgroup (``ValueError`` otherwise); there [k]P equals
-        textbook double-and-add, and every simulated writeback is
+        textbook double-and-add, and every datapath op's result is
         checked against the traced reference.
         """
         payload = (k, point or AffinePoint.generator())
@@ -715,7 +725,14 @@ class BatchEngine:
             "msm_window", trace_msm_window,
             n_points=_MSM_KERNEL_POINTS, window=_MSM_KERNEL_WINDOW,
         )
-        self._msm_kernel_stats = (flow.cycles, flow.trace_program.arithmetic_size)
+        # Unoptimized, the scheduled ops are the trace's arithmetic ops
+        # (a hit's recording has no micro-ops to count).
+        ops = (
+            flow.problem.size
+            if flow.optimized_program is None
+            else flow.trace_program.arithmetic_size
+        )
+        self._msm_kernel_stats = (flow.cycles, ops)
         return flow
 
     def msm_cycles_estimate(
@@ -1070,7 +1087,6 @@ class BatchEngine:
             scheduler=self.scheduler,
             optimize=self.optimize,
             cache_entries=self.cache.max_entries,
-            check_golden=self.check_golden,
         )
         return ProcessPoolExecutor(
             max_workers=workers,

@@ -23,8 +23,12 @@ Fairness is per ``source``.  A caller may tag its request with a
 ``source`` key (the TCP server passes the connection id); when a flush
 pops a batch, it takes one request per source per rotation, sources
 rotating in the order of their oldest queued request, FIFO within each
-source.  Admission at a full lane is source-aware too (below), so a
-firehose source cannot crowd a polite one out of the lane or a batch.
+source.  After a flush that served several sources, a full next batch
+waits up to ``max_wait_ms`` for each of them to queue as many requests
+again, so a source that can send only once answered is not skipped for
+one that keeps a backlog.  Admission at a full lane is source-aware too
+(below), so a firehose source cannot crowd a polite one out of the
+lane or a batch.
 With a single source (every in-process caller by default) both reduce
 to plain FIFO.  A caller that cancels its submit withdraws the request:
 it never runs unless a flush has already taken it.
@@ -487,6 +491,32 @@ class Frontend:
                 "repro_frontend_queue_depth", mode="max", kind=lane.kind
             ).set(len(lane.queue))
             await self._flush(lane.kind, batch, reason)
+            await self._await_rejoin(lane, Counter(p.source for p in batch))
+
+    async def _await_rejoin(self, lane: _Lane, served: Counter) -> None:
+        """Hold a full next batch up to ``max_wait_ms`` for the sources
+        a flush just answered to queue as many requests again.
+
+        Their callers can only send again once the answers are back,
+        while a source with a backlog (a firehose) is ready at once;
+        flushing the backlog immediately would hand every other batch
+        to it alone.  Without a full batch queued, or after a
+        single-source flush, nothing waits.
+        """
+        cfg = self.config
+        until = time.perf_counter() + cfg.max_wait_ms / 1000.0
+        while len(served) > 1 and not self._draining:
+            remaining = until - time.perf_counter()
+            if remaining <= 0 or len(lane.queue) < cfg.max_batch:
+                return
+            queued = Counter(p.source for p in lane.queue)
+            if all(queued[source] >= n for source, n in served.items()):
+                return
+            lane.arrival.clear()
+            try:
+                await asyncio.wait_for(lane.arrival.wait(), timeout=remaining)
+            except asyncio.TimeoutError:
+                return
 
     async def _sweep_expired(self, lane: _Lane) -> int:
         """Resolve every expired queued request with a deadline failure.

@@ -8,13 +8,21 @@ ops object, producing self-checking micro-operation traces:
 * :func:`trace_scalar_mult` — the full Algorithm 1 (endomorphisms,
   table construction, 64 iterations, final normalization), several
   thousand micro-ops, annotated with sections for profiling.
+
+The builders the serving engine runs (:func:`trace_scalar_mult`,
+:func:`trace_double_scalar_mult`, :func:`trace_msm_window`) also accept
+a :class:`~repro.trace.tracer.ValueRecorder` as ``tracer``: the same
+arithmetic, recorded as values only, for a cache hit that replays a
+compiled program.  Such a program's ``retrace`` rebuilds the full
+micro-op trace from the same arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..curve.decompose import FourQDecomposer
 from ..curve.edwards import (
@@ -38,18 +46,24 @@ from ..curve.params import SUBGROUP_ORDER_N
 from ..curve.point import AffinePoint
 from ..curve.recoding import recode_glv_sac
 from ..curve.scalarmult import build_table, fourq_main_loop
-from .tracer import Tracer
+from .tracer import Tracer, ValueRecorder
 
 
 @dataclass
 class TraceProgram:
-    """A recorded program: the tracer plus workload metadata."""
+    """A recorded program: the tracer plus workload metadata.
+
+    ``retrace`` is set when ``tracer`` is a value-only
+    :class:`~repro.trace.tracer.ValueRecorder`: it runs the same builder
+    again with a full :class:`Tracer`.
+    """
 
     tracer: Tracer
     description: str
     scalar: Optional[int] = None
     point: Optional[AffinePoint] = None
     expected: Optional[AffinePoint] = None
+    retrace: Optional[Callable[[], "TraceProgram"]] = None
 
     @property
     def size(self) -> int:
@@ -78,6 +92,13 @@ class TraceProgram:
                 m, a = m + m0, a + a0
             out[key] = (m, a)
         return out
+
+
+def _retrace(tracer: Tracer, builder: Callable[..., TraceProgram], **args):
+    """How a value-only recording rebuilds its full trace (else None)."""
+    if isinstance(tracer, ValueRecorder):
+        return functools.partial(builder, **args)
+    return None
 
 
 def trace_loop_iteration(
@@ -161,6 +182,7 @@ def trace_double_scalar_mult(
     decomposer: Optional[FourQDecomposer] = None,
     compiled: Optional[Tuple[CompiledEndo, CompiledEndo]] = None,
     self_check: bool = True,
+    tracer: Optional[Tracer] = None,
 ) -> TraceProgram:
     """Trace [u1]P1 + [u2]P2 — the signature-verification workload.
 
@@ -186,7 +208,7 @@ def trace_double_scalar_mult(
     compiled = compiled or compile_endomorphisms()
     phi_c, psi_c = compiled
 
-    tracer = Tracer()
+    tracer = tracer if tracer is not None else Tracer()
     one = tracer.const((1, 0), "one")
     tables = []
     recs = []
@@ -258,6 +280,10 @@ def trace_double_scalar_mult(
         scalar=u1,
         point=p1,
         expected=expected,
+        retrace=_retrace(
+            tracer, trace_double_scalar_mult, u1=u1, u2=u2, p1=p1, p2=p2,
+            decomposer=decomposer, compiled=compiled, self_check=self_check,
+        ),
     )
 
 
@@ -321,6 +347,7 @@ def trace_msm_window(
     n_points: int = 8,
     window: int = 4,
     rng: Optional[random.Random] = None,
+    tracer: Optional[Tracer] = None,
 ) -> TraceProgram:
     """Trace one Pippenger bucket window — the batch-MSM ASIC kernel.
 
@@ -345,11 +372,12 @@ def trace_msm_window(
     if not (2 <= window <= 8):
         raise ValueError("window must be in [2, 8]")
     rng = rng or random.Random(0x3B)
+    rng_state = rng.getstate()
     acc0 = random_subgroup_point(rng)
     pts = [random_subgroup_point(rng) for _ in range(n_points)]
     digits = [(i % ((1 << window) - 1)) + 1 for i in range(n_points)]
 
-    tracer = Tracer()
+    tracer = tracer if tracer is not None else Tracer()
     acc_raw = _affine_to_r1_raw(acc0)
     acc = PointR1(
         tracer.input(acc_raw.x, "Ax"),
@@ -444,7 +472,16 @@ def trace_msm_window(
         ),
         point=acc0,
         expected=expected,
+        retrace=_retrace(
+            tracer, lambda: trace_msm_window(n_points, window, _rng_at(rng_state))
+        ),
     )
+
+
+def _rng_at(state) -> random.Random:
+    rng = random.Random()
+    rng.setstate(state)
+    return rng
 
 
 def _affine_to_r1_raw(p: AffinePoint) -> PointR1:
@@ -466,6 +503,7 @@ def trace_scalar_mult(
     compiled: Optional[Tuple[CompiledEndo, CompiledEndo]] = None,
     include_endomorphisms: bool = True,
     self_check: bool = True,
+    tracer: Optional[Tracer] = None,
 ) -> TraceProgram:
     """Trace the complete Algorithm 1 for a concrete (k, P).
 
@@ -482,8 +520,8 @@ def trace_scalar_mult(
     ``self_check=False`` skips the independent ``(k mod N) * P``
     affine-ladder cross-check (and leaves ``expected`` unset).  The
     batch engine uses this on its hot path: the affine reference costs
-    more than the trace itself, and the datapath simulation is still
-    verified writeback-by-writeback against the traced values.
+    more than the trace itself, and the datapath run is still verified
+    op by op against the traced values.
     """
     rng = random.Random(0xA1)
     point = point or AffinePoint.generator()
@@ -493,7 +531,7 @@ def trace_scalar_mult(
     compiled = compiled or compile_endomorphisms()
     phi_c, psi_c = compiled
 
-    tracer = Tracer()
+    tracer = tracer if tracer is not None else Tracer()
     px = tracer.input(point.x, "Px")
     py = tracer.input(point.y, "Py")
     one = tracer.const((1, 0), "one")
@@ -562,4 +600,9 @@ def trace_scalar_mult(
         scalar=k,
         point=point,
         expected=expected,
+        retrace=_retrace(
+            tracer, trace_scalar_mult, k=k, point=point, decomposer=decomposer,
+            compiled=compiled, include_endomorphisms=include_endomorphisms,
+            self_check=self_check,
+        ),
     )

@@ -80,7 +80,6 @@ def run(coro, timeout=120):
 
 
 def _chaos_engine(tag: str, **kw) -> BatchEngine:
-    kw.setdefault("check_golden", False)
     kw.setdefault("metrics", MetricsRegistry())
     kw.setdefault("chunk_timeout", 1.0)
     kw.setdefault("retry_rng", _rng(tag))

@@ -1,19 +1,26 @@
 """Fault-injection tests: the verification layers must catch corruption.
 
 A verification flow is only as good as its ability to *fail*.  These
-tests mutate schedules, microcode, and simulated state, and assert that
-the validator / golden-checking simulator detects every class of fault.
+tests mutate schedules, microcode, simulated state and the compiled
+tapes cache hits run, and assert that the validator / golden-checking
+simulator / tape checks detect every class of fault.
 """
 
 import copy
+import dataclasses
+import random
 
 import pytest
 
-from repro.flow import run_flow
+from repro.curve.params import SUBGROUP_ORDER_N as N
+from repro.curve.point import AffinePoint, random_subgroup_point
+from repro.flow import CACHE_EVENTS, run_flow
+from repro.obs import MetricsRegistry
 from repro.isa import assemble
 from repro.rtl import DatapathSimulator, SimulationError
 from repro.sched import ScheduleError, cp_schedule, problem_from_trace
 from repro.sched.schedule import Schedule
+from repro.serve import BatchEngine
 from repro.trace import trace_loop_iteration
 
 
@@ -169,3 +176,121 @@ class TestArithmeticFaults:
             )
         with pytest.raises(SimulationError):
             DatapathSimulator().run(mp)
+
+
+def _tape_operand_slot(tape):
+    """An op without a mux operand reads the slot after the right one."""
+    muxed = {pos for pos, *_ in tape.muxes}
+    op = next(i for i in range(100, len(tape.a)) if i not in muxed)
+    a = list(tape.a)
+    a[op] += 1
+    return dataclasses.replace(tape, a=tuple(a))
+
+
+def _tape_mux_candidate(tape):
+    """The first mux routes every leaf to the next leaf's operands."""
+    pos, cycle, selects, table = tape.muxes[0]
+    keys = list(table)
+    rotated = {k: table[keys[(i + 1) % len(keys)]] for i, k in enumerate(keys)}
+    muxes = ((pos, cycle, selects, rotated),) + tape.muxes[1:]
+    return dataclasses.replace(tape, muxes=muxes)
+
+
+def _tape_unit_function(tape):
+    """The first addition runs on the subtractor."""
+    from repro.rtl.addsub import ADDSUB_OPS
+    from repro.trace import OpKind
+
+    fns = list(tape.fns)
+    fns[fns.index(ADDSUB_OPS[OpKind.ADD])] = ADDSUB_OPS[OpKind.SUB]
+    return dataclasses.replace(tape, fns=tuple(fns))
+
+
+def _tape_dropped_result(tape):
+    """Op 500 is gone; every later slot shifts down by one."""
+    drop = 500
+
+    def cut(seq):
+        return seq[:drop] + seq[drop + 1:]
+
+    muxes = tuple(
+        (pos - (pos > drop), cycle, selects, table)
+        for pos, cycle, selects, table in tape.muxes
+        if pos != drop
+    )
+    return dataclasses.replace(
+        tape, fns=cut(tape.fns), a=cut(tape.a), b=cut(tape.b),
+        uids=cut(tape.uids), muxes=muxes,
+    )
+
+
+def _tape_preload(tape):
+    """The first two preloaded values trade places."""
+    first, second, *rest = tape.preload
+    return dataclasses.replace(tape, preload=(second, first, *rest))
+
+
+TAPE_MUTATIONS = {
+    "operand_slot": _tape_operand_slot,
+    "mux_candidate": _tape_mux_candidate,
+    "unit_function": _tape_unit_function,
+    "dropped_result": _tape_dropped_result,
+    "preload": _tape_preload,
+}
+
+
+class TestCompiledProgramMutations:
+    """A corrupted tape never answers a request.
+
+    Each mutation is planted twice: in a warm engine's cached tape,
+    where the next request's golden/output checks catch it; and in the
+    tape built at a cache fill, where the fill-time comparison with the
+    interpreted run refuses to store it.  Either way ``scalarmult``
+    returns textbook [k]P through the full flow, and the fallback
+    counter rises.
+    """
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        eng = BatchEngine(metrics=MetricsRegistry())
+        eng.warm()
+        yield eng
+        eng.close()
+
+    @staticmethod
+    def _fallbacks(engine):
+        return engine.metrics.value(CACHE_EVENTS, event="fallback")
+
+    @pytest.mark.parametrize("mutation", sorted(TAPE_MUTATIONS))
+    def test_caught_per_request(self, engine, mutation):
+        key = engine._shape_keys["scalarmult"]
+        entry = engine.cache.get(key)
+        engine.cache.put(
+            dataclasses.replace(
+                entry, compiled=TAPE_MUTATIONS[mutation](entry.compiled)
+            )
+        )
+        before = self._fallbacks(engine)
+        k, p = 0xC0FFEE + len(mutation), AffinePoint.generator()
+        flow = engine.scalarmult_flow(k, p)
+        assert flow.fallback and not flow.cache_hit
+        assert engine._point_from_outputs(flow) == (k % N) * p
+        assert self._fallbacks(engine) == before + 1
+        # The entry was replaced by a freshly compiled, sound tape.
+        assert engine.scalarmult_flow(k + 1, p).cache_hit
+
+    @pytest.mark.parametrize("mutation", sorted(TAPE_MUTATIONS))
+    def test_refused_at_fill(self, monkeypatch, mutation):
+        import repro.flow as flow_mod
+
+        real = flow_mod.compile_program
+        monkeypatch.setattr(
+            flow_mod, "compile_program",
+            lambda *args, **kw: TAPE_MUTATIONS[mutation](real(*args, **kw)),
+        )
+        engine = BatchEngine(metrics=MetricsRegistry())
+        k = 0xF111 + len(mutation)
+        p = random_subgroup_point(random.Random(k))
+        assert engine.scalarmult(k, p) == (k % N) * p
+        assert len(engine.cache) == 0
+        assert self._fallbacks(engine) == 1

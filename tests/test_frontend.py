@@ -232,6 +232,42 @@ class TestSourceFairness:
 
         run(body())
 
+    def test_sources_answered_by_a_flush_rejoin_the_next(self):
+        """A firehose with a backlog does not fill every other batch.
+
+        Each polite source can send again only after its answers are
+        back (one round trip later); the firehose keeps 24 in flight.
+        Every polite source keeps at least half its fair share.
+        """
+
+        async def body():
+            stub = StubEngine(delay=0.01)
+            done = {"F": 0, "P0": 0, "P1": 0, "P2": 0}
+            stop = asyncio.Event()
+            async with Frontend(stub, max_batch=16, max_wait_ms=200.0,
+                                max_queue=100) as fe:
+
+                async def client(source, window, rtt):
+                    async def worker():
+                        while not stop.is_set():
+                            await fe.submit("sm", source, source=source)
+                            done[source] += 1
+                            await asyncio.sleep(rtt)
+
+                    await asyncio.gather(*[worker() for _ in range(window)])
+
+                clients = [asyncio.ensure_future(client("F", 24, 0.0))]
+                clients += [asyncio.ensure_future(client(f"P{i}", 3, 0.002))
+                            for i in range(3)]
+                while len(stub.batches) < 12:
+                    await asyncio.sleep(0.01)
+                stop.set()
+                await asyncio.gather(*clients)
+            total = sum(done.values())
+            assert min(done.values()) / total >= 0.5 / len(done), done
+
+        run(body())
+
 
 class GatedEngine(StubEngine):
     """Stub whose flushes wait for ``gate`` (set from the test)."""

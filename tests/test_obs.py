@@ -427,7 +427,7 @@ def test_cache_counters_threaded():
         n = 0
         for i in range(N):
             key = f"t{t}-{i}"
-            n += cache.put(FlowArtifacts(key, None, None, None, None, ""))
+            n += cache.put(FlowArtifacts(key, None, None, None, None, "", None, None))
             cache.get(key)
         evicted.append(n)
 
@@ -471,11 +471,11 @@ def test_cache_survives_pickling_without_lock():
     from repro.serve.cache import FlowArtifactCache, FlowArtifacts
 
     cache = FlowArtifactCache(max_entries=1)
-    cache.put(FlowArtifacts("k", None, None, None, None, ""))
+    cache.put(FlowArtifacts("k", None, None, None, None, "", None, None))
     clone = pickle.loads(pickle.dumps(cache))
     assert clone.get("k") is not None
     # The restored lock works.
-    assert clone.put(FlowArtifacts("k2", None, None, None, None, "")) == 1
+    assert clone.put(FlowArtifacts("k2", None, None, None, None, "", None, None)) == 1
 
 
 # -- end-to-end integration --------------------------------------------

@@ -406,7 +406,6 @@ def _noop_jobs(n):
 
 class TestEngineDeadline:
     def _engine(self, **kw):
-        kw.setdefault("check_golden", False)
         kw.setdefault("metrics", MetricsRegistry())
         return BatchEngine(**kw)
 
@@ -446,7 +445,7 @@ class TestEngineCircuitModes:
 
     def test_serial_mode_degrades_but_answers(self):
         engine = BatchEngine(
-            check_golden=False, metrics=MetricsRegistry(),
+            metrics=MetricsRegistry(),
             breaker=self._tripped_breaker(),
         )
         result = engine.run_jobs(_noop_jobs(4), workers=2, min_chunk=1)
@@ -459,7 +458,6 @@ class TestEngineRetryIntegration:
     """Real process pools: retried chunks stay ordered and exactly-once."""
 
     def _engine(self, tag, **kw):
-        kw.setdefault("check_golden", False)
         kw.setdefault("metrics", MetricsRegistry())
         kw.setdefault("retry_rng", _rng(tag))
         kw.setdefault(

@@ -153,7 +153,7 @@ class TestSimulatorReuse:
         programs = self._programs()
         shared = DatapathSimulator()
         for microprogram, fresh in programs:
-            sim = shared.run(microprogram, check_golden=True)
+            sim = shared.run(microprogram)
             assert sim.outputs == fresh.outputs
             assert sim.cycles == fresh.cycles
             assert sim.register_count == fresh.register_count
@@ -167,7 +167,7 @@ class TestSimulatorReuse:
 
         (microprogram, fresh), _ = self._programs()
         shared = DatapathSimulator()
-        first = shared.run(microprogram, check_golden=True)
-        second = shared.run(microprogram, check_golden=True)
+        first = shared.run(microprogram)
+        second = shared.run(microprogram)
         assert first.outputs == second.outputs == fresh.outputs
         assert first.cycles == second.cycles == fresh.cycles

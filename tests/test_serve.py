@@ -45,7 +45,8 @@ def engine():
 
 def _stub_entry(key: str) -> FlowArtifacts:
     return FlowArtifacts(
-        key=key, problem=None, schedule=None, alloc=None, fsm=None, schedule_hash=""
+        key=key, problem=None, schedule=None, alloc=None, fsm=None, schedule_hash="",
+        template=None, compiled=None,
     )
 
 
