@@ -86,22 +86,17 @@ class Fp2Ops:
 
 
 class RawFp2Ops(Fp2Ops):
-    """Direct evaluation on raw F_{p^2} tuples (the mathematical layer)."""
+    """Direct evaluation on raw F_{p^2} tuples (the mathematical layer).
 
-    def mul(self, a: Fp2Raw, b: Fp2Raw) -> Fp2Raw:
-        return fp2_mul(a, b)
+    The arithmetic methods are the :mod:`repro.field.fp2` functions
+    themselves, bound without a wrapper frame.
+    """
 
-    def sqr(self, a: Fp2Raw) -> Fp2Raw:
-        return fp2_sqr(a)
-
-    def add(self, a: Fp2Raw, b: Fp2Raw) -> Fp2Raw:
-        return fp2_add(a, b)
-
-    def sub(self, a: Fp2Raw, b: Fp2Raw) -> Fp2Raw:
-        return fp2_sub(a, b)
-
-    def neg(self, a: Fp2Raw) -> Fp2Raw:
-        return fp2_neg(a)
+    mul = staticmethod(fp2_mul)
+    sqr = staticmethod(fp2_sqr)
+    add = staticmethod(fp2_add)
+    sub = staticmethod(fp2_sub)
+    neg = staticmethod(fp2_neg)
 
     def const(self, value: Fp2Raw, name: str = "const") -> Fp2Raw:
         return value

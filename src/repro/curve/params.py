@@ -62,6 +62,37 @@ GENERATOR_Y: Fp2Raw = (
     0x6E1C4AF8630E024249A7C344844C8B5C,
 )
 
+#: Generators of the cofactor group Z_8 + Z_7 + Z_7 (affine x, y): T8 of
+#: order 8, and T7, T7' of order 7 spanning the 7-torsion (T7' is not a
+#: multiple of T7).  They are [49N]P and [8N]P for seeded random curve
+#: points P; :func:`verify_parameters` checks their orders and
+#: independence.  :mod:`repro.curve.tate` pairs against them to test
+#: order-N subgroup membership.
+T8_X: Fp2Raw = (
+    0x17CBE1B8F02FB4048FFC1B7079C06760,
+    0x43506315604D2FD3E255773D91663C14,
+)
+T8_Y: Fp2Raw = (
+    0x43506315604D2FD3E255773D91663C14,
+    0x68341E470FD04BFB7003E48F863F989F,
+)
+T7_X: Fp2Raw = (
+    0x71FDCC6F95520CF90B8EFA11230F3540,
+    0x4177B6C9FFAF50CC7EF3F0F0B5575E84,
+)
+T7_Y: Fp2Raw = (
+    0x2ECD5669CDCFC9549A88E5A6B982CA32,
+    0x5433AD4D3B0BEBFEA900A57793754173,
+)
+T7B_X: Fp2Raw = (
+    0x3BD16E4B3E9DF7E18855848F6C641FFC,
+    0x6FE7C72F17611147267186643DD8F61C,
+)
+T7B_Y: Fp2Raw = (
+    0x058AA16EE6B83C86A6E53BBFD02FE55A,
+    0x7D1C4B1355C37542FA00B82E618ED3D0,
+)
+
 #: Scalars are taken modulo 2^256 at the API boundary (paper Alg. 1).
 SCALAR_BITS = 256
 
@@ -120,7 +151,10 @@ def verify_parameters(samples: int = 4) -> None:
     3. [N]G = identity (so G generates a subgroup of order dividing N;
        N prime and G != O then give order exactly N),
     4. [392*N]P = identity for ``samples`` random curve points (so the
-       full group order divides 392*N).
+       full group order divides 392*N),
+    5. T8, T7, T7' lie on the curve with exact orders 8, 7, 7, and
+       T7' is not a multiple of T7 (so they generate the cofactor
+       group Z_8 + Z_7 + Z_7).
     """
     from ..nt.primes import is_probable_prime
     from .point import AffinePoint, random_point
@@ -139,3 +173,13 @@ def verify_parameters(samples: int = 4) -> None:
     for _ in range(samples):
         pt = random_point(rng)
         assert (CURVE_ORDER * pt).is_identity(), "cofactor*N does not annihilate"
+
+    for x, y in ((T8_X, T8_Y), (T7_X, T7_Y), (T7B_X, T7B_Y)):
+        assert is_on_curve(x, y), "torsion point not on curve"
+    t8 = AffinePoint(T8_X, T8_Y)
+    t7 = AffinePoint(T7_X, T7_Y)
+    t7b = AffinePoint(T7B_X, T7B_Y)
+    assert (8 * t8).is_identity() and not (4 * t8).is_identity(), "T8 order != 8"
+    for t in (t7, t7b):
+        assert (7 * t).is_identity() and not t.is_identity(), "T7 order != 7"
+    assert all(j * t7 != t7b for j in range(7)), "T7' lies in <T7>"
