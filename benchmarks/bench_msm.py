@@ -9,9 +9,10 @@ resolves every honest item ``Ok(True)`` through the bisection fallback
 
 Also reported:
 
-* the Straus-Shamir vs Pippenger crossover sweep backing the
-  ``method="auto"`` dispatch in
-  :func:`repro.curve.multiscalar.multi_scalar_mul`;
+* a sweep of :func:`repro.curve.multiscalar.multi_scalar_mul` (the
+  host's one MSM method, interleaved wNAF) against the Pippenger
+  bucket reference at 3-128 points, re-checking that wNAF wins at
+  every size;
 * the simulated cycles/op figure for MSM, extrapolated from the traced
   bucket-window kernel (trace -> job-shop -> microcode -> simulate) —
   a number nothing in the source paper attempted.
@@ -21,7 +22,7 @@ Run modes:
 * ``python benchmarks/bench_msm.py`` — the full acceptance run: 64
   signatures, per-item baseline vs MSM batch (gate: >= 3x), forged
   batch isolation (gate: every honest item ``Ok(True)``, forged item
-  ``Ok(False)``), crossover sweep, cycles/op report.
+  ``Ok(False)``), wNAF vs Pippenger sweep, cycles/op report.
 * ``python benchmarks/bench_msm.py --smoke`` — CI sizes (16
   signatures, baseline extrapolated from 4 items, >= 2x gate — the
   amortization is weaker at small N).
@@ -76,11 +77,11 @@ def forged_batch_outcomes(engine, items, forged_index):
     return engine.batch_verify(tampered, mode="msm")
 
 
-def crossover_sweep(sizes, repeats=1):
-    """Straus vs Pippenger wall time per batch size (equal results)."""
+def method_sweep(sizes, repeats=1):
+    """wNAF vs Pippenger wall time per point count (equal results)."""
     from repro.curve.multiscalar import (
+        multi_scalar_mul,
         multi_scalar_mul_pippenger,
-        multi_scalar_mul_straus,
     )
     from repro.curve.point import random_subgroup_point
 
@@ -89,16 +90,16 @@ def crossover_sweep(sizes, repeats=1):
     for n in sizes:
         points = [random_subgroup_point(rng) for _ in range(n)]
         scalars = [rng.randrange(2**246) for _ in range(n)]
-        t_straus = t_pip = float("inf")
+        t_wnaf = t_pip = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            a = multi_scalar_mul_straus(scalars, points)
-            t_straus = min(t_straus, time.perf_counter() - t0)
+            a = multi_scalar_mul(scalars, points)
+            t_wnaf = min(t_wnaf, time.perf_counter() - t0)
             t0 = time.perf_counter()
             b = multi_scalar_mul_pippenger(scalars, points)
             t_pip = min(t_pip, time.perf_counter() - t0)
-            assert a == b, f"Straus and Pippenger disagree at n={n}"
-        rows.append((n, t_straus, t_pip))
+            assert a == b, f"wNAF and Pippenger disagree at n={n}"
+        rows.append((n, t_wnaf, t_pip))
     return rows
 
 
@@ -156,19 +157,12 @@ def main(argv=None) -> int:
     print(f"  honest items Ok(True)      : {honest_ok}/{n - 1}")
     print(f"  forged item Ok(False)      : {forged_rejected}")
 
-    sweep_sizes = [2, 8, 16] if args.smoke else [2, 4, 8, 16, 32, 64]
-    print("\nStraus vs Pippenger crossover sweep:")
-    print(f"{'n':>6} {'straus':>12} {'pippenger':>12}  winner")
-    crossover_seen = None
-    for size, t_s, t_p in crossover_sweep(sweep_sizes):
-        winner = "pippenger" if t_p < t_s else "straus"
-        if winner == "pippenger" and crossover_seen is None:
-            crossover_seen = size
-        print(f"{size:>6} {t_s * 1e3:>10.1f}ms {t_p * 1e3:>10.1f}ms  {winner}")
-    from repro.curve.multiscalar import PIPPENGER_CROSSOVER
-    print(f"  auto dispatch switches at n >= {PIPPENGER_CROSSOVER}"
-          + (f" (first measured pippenger win: n={crossover_seen})"
-             if crossover_seen else ""))
+    sweep_sizes = [3, 9, 17] if args.smoke else [3, 5, 9, 17, 33, 65, 128]
+    print("\nmulti_scalar_mul (wNAF) vs Pippenger reference, best of 3:")
+    print(f"{'n':>6} {'wnaf':>12} {'pippenger':>12}  ratio")
+    for size, t_w, t_p in method_sweep(sweep_sizes, repeats=3):
+        print(f"{size:>6} {t_w * 1e3:>10.1f}ms {t_p * 1e3:>10.1f}ms  "
+              f"{t_p / t_w:5.2f}x")
 
     if args.metrics_out:
         from repro.obs import ExportSchemaError, get_registry, write_exports

@@ -2,40 +2,47 @@
 
 Batch signature verification — the ITS scenario's actual hot loop when
 messages arrive from many vehicles — evaluates sums of scalar
-multiples.  Two evaluation strategies live here:
+multiples.  The host evaluates every one of them the same way
+(:func:`multi_scalar_mul`, :func:`batch_verify_schnorr`): an
+**interleaved width-w NAF** MSM.
 
-* **Straus-Shamir** (:func:`multi_scalar_mul_straus`): generalizes the
-  double-base path of :mod:`repro.curve.scalarmult`.  Each scalar gets
-  a 4-D decomposition and an 8-entry table, and all of them share one
-  64-iteration doubling chain.  Per-point cost is dominated by the
-  endomorphism/table setup, so it wins for small batches.
+* Each point gets a small table of odd multiples P, 3P, ...,
+  (2^(w-1) - 1)P (:func:`repro.curve.scalarmult.odd_multiples`), its
+  width chosen from its own scalar's length (:func:`wnaf_width`), and
+  its scalar is recoded into sparse signed digits
+  (:func:`repro.curve.scalarmult.wnaf_terms`).
+* All columns share one doubling chain: at each bit position the
+  accumulator doubles once and adds the (sign-selected) table entry of
+  every column with a digit there.  Unlike a bucket method there is no
+  per-window bucket fold, whose 2*(2^c - 1) additions dominate at the
+  batch sizes this serving stack sees.
+* Batch verification keeps its 128-bit weights short by applying them
+  to negated points, and runs the generator term through a
+  process-cached width-8 table (:data:`GENERATOR_WNAF_WIDTH`), so that
+  column costs additions only.
 
-* **Pippenger bucket method**
-  (:func:`multi_scalar_mul_pippenger`): no per-point tables at all.
-  Scalars are cut into ``c``-bit windows; within a window every point
-  is added into the bucket its digit selects, then the buckets are
-  folded with the running-sum trick (sum_d d*B_d costs 2*(2^c - 1)
-  additions regardless of n).  Amortized cost per point falls as the
-  batch grows, so it wins past a modest batch size.
-
-:func:`multi_scalar_mul` picks between them automatically
-(``method="auto"``) with a measured crossover
-(:data:`PIPPENGER_CROSSOVER`).
-
-Both paths run on the unified extended-coordinate formulas of
+Everything runs on the unified extended-coordinate formulas of
 :mod:`repro.curve.edwards`; ``ecc_add_core`` is the a=-1
 Hisil-Wong-Carter-Dawson addition, complete on the odd-order subgroup
-(it handles the doubling and identity cases the bucket aggregation can
-produce — exercised explicitly by the test suite).
+(it handles the doubling and identity cases that repeated or
+cancelling points produce — exercised explicitly by the test suite).
+
+The **Pippenger bucket method** stays for the datapath:
+:func:`msm_bucket_window` is the traced ASIC window kernel
+(:func:`repro.trace.program.trace_msm_window`),
+:func:`pippenger_cost_model` extrapolates its simulated cycles, and
+:func:`multi_scalar_mul_pippenger` is the reference that checks the
+kernel's window against whole sums.  It is not a host evaluation path.
 """
 
 from __future__ import annotations
 
 import secrets
+from collections import defaultdict
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .decompose import FourQDecomposer
+from ..field.fp2 import fp2_inv, fp2_mul
 from .edwards import (
     RAW_OPS,
     PointR1,
@@ -46,41 +53,27 @@ from .edwards import (
     point_r1_from_affine,
     r1_to_r2,
     r2_negate,
-    r2_select,
-)
-from .endomorphisms import (
-    EndomorphismProvider,
-    default_decomposer,
-    default_endomorphisms,
 )
 from .params import SUBGROUP_ORDER_N, is_on_curve
 from .point import AffinePoint
-from .recoding import recode_glv_sac
-from .scalarmult import (
-    _r2_sign_select,
-    _reseed_with_valid_t,
-    build_table,
-)
+from .scalarmult import _reseed_with_valid_t, odd_multiples, wnaf_terms
 from .tate import cofactor_pairings_trivial
 
 # --------------------------------------------------------------------------
-# Tunables.  These three constants are the module's public performance
-# knobs; everything else derives from them.  tests/test_multiscalar.py
-# pins their measured values and invariants so a retune is a deliberate,
-# reviewed act (re-run ``benchmarks/bench_msm.py`` before changing any).
+# Tunables.  tests/test_multiscalar.py pins their values and invariants
+# so a retune is a deliberate, reviewed act (re-run
+# ``benchmarks/bench_msm.py`` before changing any).
 # --------------------------------------------------------------------------
 
-#: Batch size at which the bucket method overtakes Straus-Shamir and
-#: ``multi_scalar_mul(method="auto")`` switches.  Counted over *live*
-#: pairs (identity points and zero scalars excluded).  Measured on the
-#: reference Python field arithmetic (PR 8, ``bench_msm.py``): warm
-#: Straus costs ~3.3 ms/point (endomorphisms + 8-entry table dominate),
-#: while Pippenger's shared doubling chain and table-free windows
-#: amortize below that once ~8 points split the fixed 246-doubling
-#: cost.  ``test_crossover_is_where_the_cost_model_says`` pins the
-#: value and checks that amortization story against
-#: :func:`pippenger_cost_model`.
-PIPPENGER_CROSSOVER = 8
+#: wNAF width of the generator column of :func:`batch_verify_schnorr`:
+#: a process-cached table of the 2^(w-2) = 64 odd multiples G, 3G, ...,
+#: 127G, built on first use.  A 246-bit scalar then costs about 27
+#: additions and no doublings of its own (the chain is shared).
+GENERATOR_WNAF_WIDTH = 8
+
+#: Widths :func:`wnaf_width` chooses among for a per-point table.
+WNAF_WIDTH_MIN = 2
+WNAF_WIDTH_MAX = 6
 
 #: Window-width clamp for :func:`pippenger_window_bits`.  Below 2 bits
 #: the bucket method degenerates (one bucket per window); above 8 bits
@@ -95,7 +88,48 @@ PIPPENGER_WINDOW_MAX = 8
 #: windowing).
 MSM_SCALAR_BITS = 246
 
-_MSM_METHODS = ("auto", "straus", "pippenger")
+
+def _wnaf_column_mults(bits: int, width: int, table_cached: bool = False) -> float:
+    """Expected multiplier ops of one wNAF column, chain excluded.
+
+    From the formula costs: the table is 2M for P's R2 form, then (for
+    more than one entry) a doubling and its conversion (7M + 2M) and an
+    addition plus conversion (8M + 2M) per further entry; the loop adds
+    one table entry (8M) per nonzero digit, about ``bits / (w + 1)`` of
+    them.
+    """
+    entries = 1 << (width - 2)
+    table = 0 if table_cached else 2 + (9 + 10 * (entries - 1) if entries > 1 else 0)
+    return table + 8 * bits / (width + 1)
+
+
+def wnaf_width(bits: int) -> int:
+    """wNAF width for a ``bits``-long scalar: the cheapest table + loop.
+
+    About 4 for the 128-bit batch weights and 5 for full 246-bit
+    scalars (:func:`_wnaf_column_mults`).
+    """
+    return min(
+        range(WNAF_WIDTH_MIN, WNAF_WIDTH_MAX + 1),
+        key=lambda w: _wnaf_column_mults(bits, w),
+    )
+
+
+def wnaf_msm_cost_model(column_bits: Sequence[int], generator_bits: int = 0) -> int:
+    """Expected multiplier ops of one interleaved wNAF MSM.
+
+    ``column_bits`` lists the scalar length of every per-point column;
+    ``generator_bits`` is the length of the generator column (0: none),
+    whose table is cached.  The shared chain doubles (7M) once per bit
+    of the longest scalar.  Rounded to a whole op.
+    """
+    chain = max(list(column_bits) + [generator_bits], default=0)
+    mults = 7 * chain + sum(
+        _wnaf_column_mults(bits, wnaf_width(bits)) for bits in column_bits
+    )
+    if generator_bits:
+        mults += _wnaf_column_mults(generator_bits, GENERATOR_WNAF_WIDTH, table_cached=True)
+    return round(mults)
 
 
 def pippenger_window_bits(n: int) -> int:
@@ -262,17 +296,57 @@ def multi_scalar_mul_pippenger(
     return AffinePoint(x, y, check=False)
 
 
-def multi_scalar_mul_straus(
+@lru_cache(maxsize=1)
+def _generator_table() -> Tuple[PointR2, ...]:
+    """Odd multiples G, 3G, ..., 127G in R2 (built once per process)."""
+    return tuple(odd_multiples(AffinePoint.generator(), 1 << (GENERATOR_WNAF_WIDTH - 2)))
+
+
+#: One MSM column: the scalar's sparse wNAF terms and its odd-multiple
+#: table.
+_Column = Tuple[List[Tuple[int, int]], Sequence[PointR2]]
+
+
+def _point_column(k: int, pt: AffinePoint) -> _Column:
+    width = wnaf_width(k.bit_length())
+    return wnaf_terms(k, width), odd_multiples(pt, 1 << (width - 2))
+
+
+def _interleaved_wnaf(columns: Sequence[_Column]) -> Optional[PointR1]:
+    """The columns' sum in projective R1; ``None`` if no column has a term.
+
+    Files every column's signed table entries under their bit
+    positions, then walks one doubling chain from the top position
+    down, adding the entries due at each position.
+    """
+    ops = RAW_OPS
+    due: Dict[int, List[PointR2]] = defaultdict(list)
+    for terms, table in columns:
+        for pos, digit in terms:
+            entry = table[abs(digit) >> 1]
+            due[pos].append(entry if digit > 0 else r2_negate(entry, ops))
+    if not due:
+        return None
+    acc: Optional[PointR1] = None
+    for pos in range(max(due), -1, -1):
+        if acc is not None:
+            acc = ecc_double(acc, ops)
+        for entry in due.get(pos, ()):
+            if acc is None:
+                acc = _reseed_with_valid_t(entry, ops)
+            else:
+                acc = ecc_add_core(acc, entry, ops)
+    return acc
+
+
+def multi_scalar_mul(
     scalars: Sequence[int],
     points: Sequence[AffinePoint],
-    endo: Optional[EndomorphismProvider] = None,
-    decomposer: Optional[FourQDecomposer] = None,
 ) -> AffinePoint:
-    """Compute sum_i [k_i] P_i with one shared doubling chain.
+    """Compute sum_i [k_i] P_i with one interleaved wNAF MSM.
 
-    Each point pays the 4-D GLV+GLS setup (endomorphism images plus an
-    8-entry table) and the recoded digits interleave over a single
-    64-iteration double-and-add loop.
+    Identity points and scalars that vanish mod N are dropped before
+    any table is built.
 
     Args:
         scalars: any integers (reduced mod N internally).
@@ -286,96 +360,16 @@ def multi_scalar_mul_straus(
     """
     if len(scalars) != len(points):
         raise ValueError("scalars and points must have equal length")
-    pairs = [
-        (k, p) for k, p in zip(scalars, points) if not p.is_identity()
-    ]
-    if not pairs:
+    columns = []
+    for k, pt in zip(scalars, points):
+        k %= SUBGROUP_ORDER_N
+        if k and not pt.is_identity():
+            columns.append(_point_column(k, pt))
+    acc = _interleaved_wnaf(columns)
+    if acc is None:
         return AffinePoint.identity()
-    endo = endo or default_endomorphisms()
-    decomposer = decomposer or default_decomposer()
-
-    tables = []
-    recs = []
-    for k, pt in pairs:
-        phi_p = endo.phi(pt)
-        psi_p = endo.psi(pt)
-        psiphi_p = endo.psi(phi_p)
-        tables.append(
-            build_table(
-                point_r1_from_affine(pt.x, pt.y),
-                point_r1_from_affine(phi_p.x, phi_p.y),
-                point_r1_from_affine(psi_p.x, psi_p.y),
-                point_r1_from_affine(psiphi_p.x, psiphi_p.y),
-            )
-        )
-        dec = decomposer.decompose(k)
-        recs.append(
-            recode_glv_sac(
-                tuple(dec.scalars),
-                length=max(65, max(s.bit_length() for s in dec.scalars) + 1),
-            )
-        )
-
-    ops = RAW_OPS
-    length = max(r.length for r in recs)
-    q: Optional[PointR1] = None
-    for i in range(length - 1, -1, -1):
-        if q is not None:
-            q = ecc_double(q, ops)
-        for table, rec in zip(tables, recs):
-            if i >= rec.length:
-                continue
-            entry = r2_select(table, rec.digits[i], ops)
-            negated = r2_negate(entry, ops)
-            chosen = _r2_sign_select(entry, negated, rec.signs[i], ops)
-            if q is None:
-                q = _reseed_with_valid_t(chosen, ops)
-            else:
-                q = ecc_add_core(q, chosen, ops)
-    assert q is not None
-    x, y = ecc_normalize(q, ops)
-    return AffinePoint(x, y, check=False)
-
-
-def multi_scalar_mul(
-    scalars: Sequence[int],
-    points: Sequence[AffinePoint],
-    endo: Optional[EndomorphismProvider] = None,
-    decomposer: Optional[FourQDecomposer] = None,
-    method: str = "auto",
-) -> AffinePoint:
-    """Compute sum_i [k_i] P_i, choosing the evaluation strategy.
-
-    ``method="auto"`` counts the points that actually contribute
-    (non-identity, nonzero scalar mod N) and uses Straus-Shamir below
-    :data:`PIPPENGER_CROSSOVER`, the Pippenger bucket method at or
-    above it.  ``"straus"`` / ``"pippenger"`` force a path (the
-    ``endo``/``decomposer`` overrides only apply to Straus).
-
-    Args:
-        scalars: any integers (reduced mod N internally).
-        points: order-N points, same length as ``scalars``.
-
-    Returns:
-        The affine sum; the identity for an empty batch.
-
-    Raises:
-        ValueError: on length mismatch or unknown ``method``.
-    """
-    if method not in _MSM_METHODS:
-        raise ValueError(f"method must be one of {_MSM_METHODS}")
-    if len(scalars) != len(points):
-        raise ValueError("scalars and points must have equal length")
-    if method == "auto":
-        live = sum(
-            1
-            for k, p in zip(scalars, points)
-            if not p.is_identity() and k % SUBGROUP_ORDER_N
-        )
-        method = "pippenger" if live >= PIPPENGER_CROSSOVER else "straus"
-    if method == "pippenger":
-        return multi_scalar_mul_pippenger(scalars, points)
-    return multi_scalar_mul_straus(scalars, points, endo=endo, decomposer=decomposer)
+    zinv = fp2_inv(acc.z)
+    return AffinePoint(fp2_mul(acc.x, zinv), fp2_mul(acc.y, zinv), check=False)
 
 
 _in_subgroup_cached = lru_cache(maxsize=4096)(cofactor_pairings_trivial)
@@ -433,9 +427,14 @@ def batch_verify_schnorr(
     small-exponent randomized batching: with random 128-bit weights
     z_i, checks
 
-        sum_i z_i s_i * G  ==  sum_i z_i R_i + sum_i (z_i e_i) Q_i
+        [sum_i z_i s_i] G + sum_i [z_i](-R_i) + sum_i [z_i e_i](-Q_i)  ==  O
 
-    via one multi-scalar multiplication.  Sound except with probability
+    via one interleaved wNAF MSM.  The weights go on the negated points
+    (-(x, y) = (-x, y) costs one negation), so the commitment columns
+    stay 128 bits long instead of becoming 246-bit ``N - z_i``; the
+    generator column reads the cached width-8 table; and the sum is
+    tested for the identity in projective coordinates, with no
+    inversion.  Sound except with probability
     ~2^-128 per forged batch, **provided** the weights are
     unpredictable to the signer and every point is in the order-N
     subgroup — so the weights default to the OS CSPRNG
@@ -449,8 +448,7 @@ def batch_verify_schnorr(
         return True
     from ..dsa.fourq_schnorr import _challenge
 
-    scalars = []
-    points = []
+    columns = []
     s_weighted = 0
     for public, message, sig in items:
         commit = validate_verify_item(public, sig)
@@ -459,12 +457,11 @@ def batch_verify_schnorr(
         z = rng.getrandbits(128) | 1
         e = _challenge(commit, public, message)
         s_weighted = (s_weighted + z * sig.s) % SUBGROUP_ORDER_N
-        scalars.append(z % SUBGROUP_ORDER_N)
-        points.append(commit)
-        scalars.append(z * e % SUBGROUP_ORDER_N)
-        points.append(public)
-    lhs = multi_scalar_mul(
-        [s_weighted] + [SUBGROUP_ORDER_N - s for s in scalars],
-        [AffinePoint.generator()] + points,
-    )
-    return lhs.is_identity()
+        columns.append(_point_column(z, -commit))
+        columns.append(_point_column(z * e % SUBGROUP_ORDER_N, -public))
+    columns.append((wnaf_terms(s_weighted, GENERATOR_WNAF_WIDTH), _generator_table()))
+    acc = _interleaved_wnaf(columns)
+    # Projective identity (0 : 1 : 1): X = 0 and Y = Z.  Exact here,
+    # since every input is in the odd-order subgroup, where the only
+    # point with x = 0 is the identity (the other, (0, -1), has order 2).
+    return acc is None or (acc.x == (0, 0) and acc.y == acc.z)

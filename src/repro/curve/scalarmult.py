@@ -357,20 +357,47 @@ def scalar_mul_always_double_add(k: int, pt: AffinePoint) -> AffinePoint:
     return AffinePoint(x, y, check=False)
 
 
-def _wnaf_digits(k: int, width: int) -> List[int]:
-    """Non-adjacent form digits (LSB first), odd digits |d| < 2^(w-1)."""
-    digits: List[int] = []
-    while k > 0:
-        if k & 1:
-            d = k % (1 << width)
-            if d >= 1 << (width - 1):
-                d -= 1 << width
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
+def wnaf_terms(k: int, width: int) -> List[Tuple[int, int]]:
+    """Width-w NAF of ``k >= 0`` as sparse ``(bit position, digit)`` terms.
+
+    Every digit is odd with ``|d| < 2^(w-1)``, any ``w`` consecutive
+    positions hold at most one of them, and ``sum d * 2^pos == k``.
+    Zero runs are skipped whole, so the cost is one step per term
+    rather than one per bit.
+    """
+    full = 1 << width
+    half = full >> 1
+    terms: List[Tuple[int, int]] = []
+    pos = 0
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        d = k & (full - 1)
+        if d >= half:
+            d -= full
+        terms.append((pos, d))
+        # k - d is divisible by 2^w: the next w positions are zero.
+        k = (k - d) >> width
+        pos += width
+    return terms
+
+
+def odd_multiples(pt: AffinePoint, count: int) -> List[PointR2]:
+    """The wNAF table [P, 3P, 5P, ..., (2*count - 1)P] in R2 coordinates.
+
+    One doubling, ``count - 1`` additions of 2P and one R1 -> R2
+    conversion per entry; entry ``j`` serves the digits ``+-(2j + 1)``.
+    """
+    p1 = point_r1_from_affine(pt.x, pt.y)
+    table = [r1_to_r2(p1)]
+    if count > 1:
+        two_p = r1_to_r2(ecc_double(p1))
+        current = p1
+        for _ in range(count - 1):
+            current = ecc_add_core(current, two_p)
+            table.append(r1_to_r2(current))
+    return table
 
 
 def scalar_mul_wnaf(k: int, pt: AffinePoint, width: int = 4) -> AffinePoint:
@@ -384,20 +411,13 @@ def scalar_mul_wnaf(k: int, pt: AffinePoint, width: int = 4) -> AffinePoint:
         return scalar_mul_wnaf(-k, -pt, width)
     if k == 0 or pt.is_identity():
         return AffinePoint.identity()
-    # Precompute odd multiples 1P, 3P, ..., (2^(w-1)-1)P in R2 form.
-    p1 = point_r1_from_affine(pt.x, pt.y)
-    two_p = ecc_double(point_r1_from_affine(pt.x, pt.y))
-    two_p_r2 = r1_to_r2(two_p)
-    odd: List[PointR2] = [r1_to_r2(p1)]
-    current = p1
-    for _ in range((1 << (width - 2)) - 1):
-        current = ecc_add_core(current, two_p_r2)
-        odd.append(r1_to_r2(current))
-    digits = _wnaf_digits(k, width)
+    odd = odd_multiples(pt, 1 << (width - 2))
+    digits = dict(wnaf_terms(k, width))
     q: Optional[PointR1] = None
-    for d in reversed(digits):
+    for i in range(max(digits), -1, -1):
         if q is not None:
             q = ecc_double(q)
+        d = digits.get(i)
         if d:
             entry = odd[abs(d) // 2]
             if d < 0:

@@ -713,9 +713,10 @@ class BatchEngine:
     def msm_kernel_flow(self) -> FlowResult:
         """Trace + simulate one Pippenger bucket window (cache-aware).
 
-        The serving MSM itself runs on the raw field arithmetic — its
-        bucket-hit pattern is data-dependent, so per-request traces
-        would never share a shape.  Instead this fixed-shape window
+        The serving MSM itself runs on the raw field arithmetic, by a
+        different algorithm (interleaved wNAF) whose digit pattern is
+        data-dependent, so per-request traces would never share a
+        shape.  Instead this fixed-shape window
         kernel (:func:`repro.trace.program.trace_msm_window`) goes
         through the full trace → job-shop → microcode → simulate flow
         once, and :meth:`msm_cycles_estimate` extrapolates whole-MSM
@@ -844,10 +845,9 @@ class BatchEngine:
     ) -> BatchResult:
         """Evaluate many multi-scalar multiplications sum_i [k_i] P_i.
 
-        Each request is a ``(scalars, points)`` pair; the engine picks
-        Straus-Shamir or the Pippenger bucket method per request by
-        batch size (:func:`repro.curve.multiscalar.multi_scalar_mul`
-        with ``method="auto"``).  A request outside the ``msm`` domain
+        Each request is a ``(scalars, points)`` pair, evaluated by the
+        host's one MSM method, the interleaved wNAF of
+        :func:`repro.curve.multiscalar.multi_scalar_mul`.  A request outside the ``msm`` domain
         (length mismatch, a point off the curve or outside the order-N
         subgroup) costs one typed ``Failed(kind="value"|"type")`` slot,
         never the batch.

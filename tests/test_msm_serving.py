@@ -27,6 +27,7 @@ from repro.serve import BatchEngine, Failed, Frontend
 from repro.serve.faults import KIND_DEADLINE
 from repro.serve.resilience import Deadline
 from tests.metrics_util import counted
+from tests.test_multiscalar import _sign_with_flipped_commitment
 
 SEED = int(os.environ.get("PYTEST_SEED", "0x4D5A"), 0)
 
@@ -65,7 +66,7 @@ class TestBatchMsm:
     def test_matches_direct_multi_scalar_mul(self, engine):
         rng = _rng("batch-msm")
         requests = []
-        for n in (1, 3, 9):  # straddles the Straus/Pippenger crossover
+        for n in (1, 3, 9):  # one, a few and more points than the kernel's 8
             points = [random_subgroup_point(rng) for _ in range(n)]
             scalars = [rng.randrange(1, SUBGROUP_ORDER_N) for _ in range(n)]
             requests.append((scalars, points))
@@ -115,6 +116,19 @@ class TestMsmVerify:
         assert all(v is True for i, v in enumerate(batch.results) if i != 7)
         # The forgery was found by bisection + per-item fallback, not by
         # failing the batch wholesale.
+        after = registry.value("repro_msm_fallback_verifies_total") or 0
+        assert after > before
+
+    def test_flipped_commitment_isolated_by_bisection(self, engine, registry):
+        """A signature on -R, valid for a verifier with +R, is found."""
+        rng = _rng("flipped")
+        items = signed_items(rng, 6)
+        kp = fourq_schnorr.generate_keypair(rng)
+        items[4] = (kp.public, b"flipped",
+                    _sign_with_flipped_commitment(kp, b"flipped", rng))
+        before = registry.value("repro_msm_fallback_verifies_total") or 0
+        batch = engine.batch_verify(items, mode="msm")
+        assert batch.results == [True] * 4 + [False, True]
         after = registry.value("repro_msm_fallback_verifies_total") or 0
         assert after > before
 

@@ -1,15 +1,18 @@
 """Tests for multi-scalar multiplication and batch Schnorr verification.
 
-Covers the Straus-Shamir baseline, the Pippenger bucket method and the
-``method="auto"`` crossover dispatch, the soundness preconditions of
-randomized batch verification (order-N subgroup membership, on-curve
-validation, ``secrets.SystemRandom`` weights), and the differential
-batch ≡ per-item property under ``PYTEST_SEED``.
+Covers the interleaved wNAF MSM against double-and-add and the
+Pippenger reference, the soundness preconditions of randomized batch
+verification (order-N subgroup membership, on-curve validation,
+128-bit ``secrets.SystemRandom`` weights, the sign of the negated
+points), and the differential batch ≡ per-item property under
+``PYTEST_SEED``.
 """
 
 import inspect
 import os
 import random
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
 
@@ -17,18 +20,21 @@ import pytest
 
 from repro.curve import AffinePoint, SUBGROUP_ORDER_N
 from repro.curve.multiscalar import (
+    GENERATOR_WNAF_WIDTH,
     MSM_SCALAR_BITS,
-    PIPPENGER_CROSSOVER,
     PIPPENGER_WINDOW_MAX,
     PIPPENGER_WINDOW_MIN,
+    WNAF_WIDTH_MAX,
+    WNAF_WIDTH_MIN,
     batch_verify_schnorr,
     in_order_n_subgroup,
     multi_scalar_mul,
     multi_scalar_mul_pippenger,
-    multi_scalar_mul_straus,
     pippenger_cost_model,
     pippenger_window_bits,
     validate_verify_item,
+    wnaf_msm_cost_model,
+    wnaf_width,
 )
 from repro.curve.params import PRIME_P
 from repro.curve.point import random_point, random_subgroup_point
@@ -153,53 +159,66 @@ class TestBatchVerify:
         assert not batch_verify_schnorr(bad, rng=rng)
 
 
+def _double_and_add_sum(ks, pts):
+    """The oracle: affine double-and-add per pair, then summed."""
+    total = AffinePoint.identity()
+    for k, p in zip(ks, pts):
+        total = total + (k % SUBGROUP_ORDER_N) * p
+    return total
+
+
 class TestMethodEquivalence:
-    """Straus, Pippenger, and auto agree on every input shape."""
+    """The wNAF MSM equals double-and-add and the Pippenger reference.
+
+    The sizes cross every window-width step of the bucket reference
+    (c = 2, 3, 4 at n = 2, 8, 16) and both per-point wNAF widths.
+    """
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 9, 16])
     def test_methods_agree_across_crossover(self, n):
         rng = _rng(f"methods-{n}")
         pts = [random_subgroup_point(rng) for _ in range(n)]
         ks = [rng.randrange(2**256) for _ in range(n)]
-        straus = multi_scalar_mul_straus(ks, pts)
-        pip = multi_scalar_mul_pippenger(ks, pts)
-        auto = multi_scalar_mul(ks, pts)
-        assert straus == pip == auto
+        # Negative scalars, k = 0, k = N, a 2^256 - 1 and a short one.
+        specials = [-rng.randrange(2**256), 0, SUBGROUP_ORDER_N,
+                    2**256 - 1, rng.randrange(2**128)]
+        for i, k in enumerate(specials[:n]):
+            ks[i] = k
+        got = multi_scalar_mul(ks, pts)
+        assert got == multi_scalar_mul_pippenger(ks, pts)
+        assert got == _double_and_add_sum(ks, pts)
 
     def test_methods_agree_on_degenerate_pairs(self):
         rng = _rng("degenerate")
         p = random_subgroup_point(rng)
         q = random_subgroup_point(rng)
+        k = rng.randrange(1, SUBGROUP_ORDER_N)
         cases = [
+            # Every scalar vanishes mod N.
             ([0] * 9, [random_subgroup_point(rng) for _ in range(9)]),
+            # Zero, N and an identity point among live pairs.
             ([7, 0, SUBGROUP_ORDER_N, 5],
              [p, q, random_subgroup_point(rng), AffinePoint.identity()]),
+            # P and -P cancel to the identity.
+            ([k, k], [p, -p]),
+            ([k, k, 3], [p, -p, q]),
             ([3, SUBGROUP_ORDER_N - 3] + [0] * 8, [p, p] + [q] * 8),
+            # Repeated points and scalars: equal table entries land on
+            # the accumulator, so the addition meets its doubling case.
+            ([k, k, k], [p, p, p]),
+            ([k, -k, 2 * k], [q, q, q]),
         ]
         for ks, pts in cases:
-            assert (
-                multi_scalar_mul_straus(ks, pts)
-                == multi_scalar_mul_pippenger(ks, pts)
-                == multi_scalar_mul(ks, pts)
-            )
+            got = multi_scalar_mul(ks, pts)
+            assert got == multi_scalar_mul_pippenger(ks, pts)
+            assert got == _double_and_add_sum(ks, pts)
 
-    def test_explicit_method_dispatch(self):
-        rng = _rng("dispatch")
-        pts = [random_subgroup_point(rng) for _ in range(3)]
-        ks = [rng.randrange(SUBGROUP_ORDER_N) for _ in range(3)]
-        assert multi_scalar_mul(ks, pts, method="straus") == multi_scalar_mul(
-            ks, pts, method="pippenger"
-        )
-        with pytest.raises(ValueError):
-            multi_scalar_mul(ks, pts, method="bogus")
-
-    def test_auto_counts_live_pairs_not_list_length(self):
-        """Identity/zero padding must not push auto over the crossover."""
+    def test_zero_and_identity_padding_is_skipped(self):
         rng = _rng("live-pairs")
         p = random_subgroup_point(rng)
-        ks = [5] + [0] * (PIPPENGER_CROSSOVER + 4)
-        pts = [p] + [random_subgroup_point(rng)
-                     for _ in range(PIPPENGER_CROSSOVER + 4)]
+        ks = [5] + [0] * 12 + [9]
+        pts = [p] + [random_subgroup_point(rng) for _ in range(12)]
+        pts.append(AffinePoint.identity())
         assert multi_scalar_mul(ks, pts) == 5 * p
 
     def test_cost_model_and_window_sane(self):
@@ -214,71 +233,63 @@ class TestMethodEquivalence:
 class TestTunables:
     """The module-level performance knobs are pinned, not folklore.
 
-    ``PIPPENGER_CROSSOVER``, the window clamp, and ``MSM_SCALAR_BITS``
-    are the three constants ``repro.curve.multiscalar`` exports as
-    documented tunables.  These tests pin their current values and the
-    invariants the rest of the stack relies on, so changing any of them
-    is a deliberate, reviewed act (re-run ``benchmarks/bench_msm.py``
-    first, then update the pin here).
+    The generator width, the per-point wNAF width range, the Pippenger
+    window clamp and ``MSM_SCALAR_BITS`` are the constants
+    ``repro.curve.multiscalar`` exports as documented tunables.  These
+    tests pin their current values and the invariants the rest of the
+    stack relies on, so changing any of them is a deliberate, reviewed
+    act (re-run ``benchmarks/bench_msm.py`` first, then update the pin
+    here).
     """
 
-    def test_crossover_is_where_the_cost_model_says(self):
-        # The pinned value.  8 is the measured wall-clock crossover on
-        # the reference field arithmetic (bench_msm.py, PR 8): Straus
-        # pays a per-point setup (endomorphism images + 8-entry table)
-        # that Pippenger avoids entirely.
-        assert PIPPENGER_CROSSOVER == 8, (
-            "PIPPENGER_CROSSOVER retuned — re-run benchmarks/bench_msm.py "
-            "and update this pin alongside the constant's docstring"
+    def test_wnaf_widths_follow_the_cost_model(self):
+        assert (WNAF_WIDTH_MIN, WNAF_WIDTH_MAX) == (2, 6)
+        assert GENERATOR_WNAF_WIDTH == 8
+        # The batch weights and the full-length scalars.
+        assert wnaf_width(128) == 4
+        assert wnaf_width(MSM_SCALAR_BITS) == 5
+        widths = [wnaf_width(b) for b in range(0, 1000)]
+        assert all(a <= b for a, b in zip(widths, widths[1:]))
+        assert widths[0] == WNAF_WIDTH_MIN
+
+    def test_verify_cost_per_signature(self):
+        """The deterministic figures docs/derivation.md quotes.
+
+        Multiplier ops per verified signature in an 8-signature batch:
+        the 17-point 246-bit bucket MSM against 8 weight columns of 128
+        bits, 8 of 246 and the cached-table generator column.
+        """
+        before = pippenger_cost_model(17)[0] / 8
+        after = wnaf_msm_cost_model([128] * 8 + [246] * 8, 246) / 8
+        assert round(before) == 3963
+        assert round(after) == 897
+        # A per-point table costs, a cached one does not.
+        assert wnaf_msm_cost_model([246]) > wnaf_msm_cost_model([], 246)
+        assert wnaf_msm_cost_model([]) == 0
+
+    def test_generator_table_is_built_lazily(self):
+        code = (
+            "import repro.curve.multiscalar as m\n"
+            "assert m._generator_table.cache_info().currsize == 0\n"
+            "assert len(m._generator_table()) == 1 << (m.GENERATOR_WNAF_WIDTH - 2) == 64\n"
         )
-        # The cost model backs the story that a single-digit crossover
-        # is plausible: per-point cost falls as each extra point splits
-        # the fixed 246-doubling chain and the bucket folds.  Within a
-        # window width it falls strictly (the sawtooth at width steps —
-        # n = 8, 16, ... — is the 2^c fold growing ahead of the batch),
-        # and doubling the batch always wins outright.
-        per_point = {
-            n: pippenger_cost_model(n)[0] / n
-            for n in range(1, 8 * PIPPENGER_CROSSOVER + 1)
-        }
-        for n in range(1, 8 * PIPPENGER_CROSSOVER):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_pippenger_cost_model_has_economies_of_scale(self):
+        # Per-point cost falls as each extra point splits the fixed
+        # 246-doubling chain and the bucket folds.  Within a window
+        # width it falls strictly (the sawtooth at width steps — n = 8,
+        # 16, ... — is the 2^c fold growing ahead of the batch), and
+        # doubling the batch always wins outright.
+        per_point = {n: pippenger_cost_model(n)[0] / n for n in range(1, 65)}
+        for n in range(1, 64):
             if pippenger_window_bits(n) == pippenger_window_bits(n + 1):
                 assert per_point[n] > per_point[n + 1], (
                     "pippenger_cost_model lost its economies of scale", n
                 )
-        for n in range(1, 4 * PIPPENGER_CROSSOVER + 1):
+        for n in range(1, 33):
             assert per_point[2 * n] < per_point[n], n
-        # ...and by the crossover the shared doubling chain — the fixed
-        # cost that makes tiny batches a bad deal — is a small minority
-        # of the total, i.e. already amortized.
-        doubling_mults = 7 * MSM_SCALAR_BITS
-        total_at_crossover = pippenger_cost_model(PIPPENGER_CROSSOVER)[0]
-        assert doubling_mults < total_at_crossover / 4
-
-    def test_auto_dispatch_switches_exactly_at_the_crossover(self, monkeypatch):
-        # Spy on both strategies; auto must flip from Straus to
-        # Pippenger at exactly PIPPENGER_CROSSOVER live pairs.
-        import repro.curve.multiscalar as msm
-
-        calls = []
-        real_straus = msm.multi_scalar_mul_straus
-        real_pip = msm.multi_scalar_mul_pippenger
-        monkeypatch.setattr(
-            msm, "multi_scalar_mul_straus",
-            lambda ks, pts, **kw: (calls.append("straus"),
-                                   real_straus(ks, pts, **kw))[1],
-        )
-        monkeypatch.setattr(
-            msm, "multi_scalar_mul_pippenger",
-            lambda ks, pts, **kw: (calls.append("pippenger"),
-                                   real_pip(ks, pts, **kw))[1],
-        )
-        rng = _rng("tunable-dispatch")
-        for n in (PIPPENGER_CROSSOVER - 1, PIPPENGER_CROSSOVER):
-            pts = [random_subgroup_point(rng) for _ in range(n)]
-            ks = [rng.randrange(1, SUBGROUP_ORDER_N) for _ in range(n)]
-            msm.multi_scalar_mul(ks, pts)
-        assert calls == ["straus", "pippenger"]
 
     def test_window_bits_respects_the_documented_clamp(self):
         assert (PIPPENGER_WINDOW_MIN, PIPPENGER_WINDOW_MAX) == (2, 8), (
@@ -389,3 +400,61 @@ class TestBatchSoundness:
         assert "SystemRandom" in source
         sig = inspect.signature(batch_verify_schnorr)
         assert sig.parameters["rng"].default is None
+
+
+def _sign_with_flipped_commitment(kp, message, rng):
+    """A signature on -R that a verifier using +R would accept.
+
+    With nonce k and R = [k]G it announces the commitment -R and sets
+    s = k + e d for e = H(-R, Q, m), so [s]G = -(-R) + [e]Q: exactly
+    the equation of a verifier whose commitment term has the wrong
+    sign.  -R is in the subgroup, so membership checks pass it.
+    """
+    k = rng.randrange(1, SUBGROUP_ORDER_N)
+    flipped = -(k * AffinePoint.generator())
+    e = fourq_schnorr._challenge(flipped, kp.public, message)
+    return fourq_schnorr.SchnorrSignature(
+        commit_x=flipped.x, commit_y=flipped.y,
+        s=(k + e * kp.private) % SUBGROUP_ORDER_N,
+    )
+
+
+class TestSignErrors:
+    """The batch equation's signs: commitments and keys enter negated."""
+
+    def test_flipped_commitment_rejected(self):
+        rng = _rng("flipped-commit")
+        kp = fourq_schnorr.generate_keypair(rng=rng)
+        sig = _sign_with_flipped_commitment(kp, b"flipped", rng)
+        assert in_order_n_subgroup(AffinePoint(sig.commit_x, sig.commit_y))
+        assert not fourq_schnorr.verify(kp.public, b"flipped", sig)
+        assert not batch_verify_schnorr([(kp.public, b"flipped", sig)], rng=rng)
+        items = _signed(rng, 4)
+        assert batch_verify_schnorr(items, rng=rng)
+        items[2] = (kp.public, b"flipped", sig)
+        assert not batch_verify_schnorr(items, rng=rng)
+
+    def test_swapped_commitments_rejected(self):
+        rng = _rng("swapped-commits")
+        items = _signed(rng, 4)
+        assert batch_verify_schnorr(items, rng=rng)
+        (p0, m0, s0), (p1, m1, s1) = items[0], items[1]
+        items[0] = (p0, m0, replace(s0, commit_x=s1.commit_x, commit_y=s1.commit_y))
+        items[1] = (p1, m1, replace(s1, commit_x=s0.commit_x, commit_y=s0.commit_y))
+        assert not batch_verify_schnorr(items, rng=rng)
+
+    def test_default_weights_are_128_bit_system_random(self, monkeypatch):
+        import repro.curve.multiscalar as msm
+
+        drawn = []
+
+        class Spy(msm.secrets.SystemRandom):
+            def getrandbits(self, k):
+                drawn.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(msm.secrets, "SystemRandom", Spy)
+        items = _signed(_rng("weights"), 3)
+        assert batch_verify_schnorr(items)
+        assert len(drawn) == len(items)
+        assert all(k >= 128 for k in drawn)

@@ -13,6 +13,7 @@ from repro.curve.scalarmult import (
     scalar_mul_double_and_add,
     scalar_mul_fourq,
     scalar_mul_wnaf,
+    wnaf_terms,
 )
 from repro.curve.edwards import point_r1_from_affine
 from repro.curve.recoding import recode_glv_sac
@@ -34,6 +35,15 @@ class TestReferenceMethods:
         for width in (2, 3, 4, 5):
             k = rng.randrange(SUBGROUP_ORDER_N)
             assert scalar_mul_wnaf(k, g, width=width) == k * g
+
+    @given(scalars, st.integers(min_value=2, max_value=8))
+    @settings(max_examples=200)
+    def test_wnaf_terms_are_a_width_w_naf(self, k, width):
+        terms = wnaf_terms(k, width)
+        assert sum(d << pos for pos, d in terms) == k
+        assert all(d % 2 and abs(d) < 1 << (width - 1) for _, d in terms)
+        positions = [pos for pos, _ in terms]
+        assert all(b - a >= width for a, b in zip(positions, positions[1:]))
 
     def test_always_add_matches(self, rng):
         g = AffinePoint.generator()
