@@ -13,9 +13,6 @@ Commands:
 * ``verify``  — run the parameter and endomorphism self-verification;
 * ``table1``  — print the CP-optimal loop-kernel schedule;
 * ``keygen``  — generate and print a FourQ keypair (demo only);
-* ``serve-bench`` — benchmark the batch scalar-multiplication engine
-  (``serve-bench [N] [--workers W] [--baseline M] [--poison R]
-  [--smoke] [--metrics-out PATH]``);
 * ``serve`` — drive the asyncio continuous-batching front door with an
   in-process Poisson arrival stream and print the serving report
   (``serve [N] [--rate R] [--max-batch B] [--max-wait-ms W]
@@ -106,117 +103,6 @@ def cmd_keygen() -> int:
     print(f"  private: {hex(kp.private)}")
     print(f"  public : {kp.public_bytes.hex()}")
     return 0
-
-
-def cmd_serve_bench(argv=()) -> int:
-    """Benchmark the batch engine against per-request flow recompilation.
-
-    ``serve-bench [N] [--workers W] [--baseline M] [--poison R]``: N
-    batched scalarmults (default 16) vs M independent full-flow requests
-    (default 3, extrapolated) — the cold path every request paid before
-    the serving layer existed.  ``--poison R`` additionally runs a
-    batched-DH fault-isolation benchmark with a ratio R of invalid peer
-    keys injected (small-order and malformed encodings) and reports the
-    isolation overhead per good operation.
-
-    Every flow and batch records into one registry owned by this
-    command; its report (:func:`repro.obs.render_report`) is printed
-    after the run.  ``--smoke`` shrinks the run for CI (N=6, one
-    baseline flow); ``--metrics-out PATH`` exports that registry as
-    schema-validated JSON plus a Prometheus text file next to it.
-    """
-    import argparse
-    import random
-    import time
-
-    parser = argparse.ArgumentParser(prog="repro serve-bench")
-    parser.add_argument("n", nargs="?", type=int, default=None,
-                        help="batch size (default 16; 6 with --smoke)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes (0 = serial)")
-    parser.add_argument("--baseline", type=int, default=None,
-                        help="independent per-request flows to time "
-                             "(default 3; 1 with --smoke)")
-    parser.add_argument("--poison", type=float, default=0.0, metavar="R",
-                        help="inject ratio R in (0, 1) of invalid DH "
-                             "requests and report isolation overhead")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small CI-sized run (N=6, baseline=1)")
-    _metrics_out_flag(parser)
-    args = parser.parse_args(list(argv))
-    if args.n is None:
-        args.n = 6 if args.smoke else 16
-    if args.baseline is None:
-        args.baseline = 1 if args.smoke else 3
-    if _bad_poison(args):
-        return 2
-
-    from .flow import run_flow
-    from .obs import MetricsRegistry, render_report
-    from .serve import BatchEngine
-    from .trace import trace_scalar_mult
-
-    registry = MetricsRegistry()
-    rng = random.Random(0x5EED)
-    scalars = [rng.randrange(2**256) for _ in range(args.n)]
-
-    print(f"Baseline: {args.baseline} independent per-request flows "
-          f"(trace -> schedule -> microcode -> simulate, no reuse)...")
-    t0 = time.perf_counter()
-    for k in scalars[: args.baseline]:
-        run_flow(trace_scalar_mult(k=k), metrics=registry)
-    per_op_cold = (time.perf_counter() - t0) / max(1, args.baseline)
-    print(f"  {1.0 / per_op_cold:.2f} ops/s ({per_op_cold * 1e3:.0f} ms/op)")
-
-    print(f"\nBatch engine: warm-up + {args.n} scalarmults"
-          + (f" across {args.workers} workers" if args.workers else "") + "...")
-    engine = BatchEngine(metrics=registry)
-    engine.warm()
-    t0 = time.perf_counter()
-    engine.batch_scalarmult(scalars, workers=args.workers)
-    per_op_batch = (time.perf_counter() - t0) / max(1, args.n)
-    print(f"  {1.0 / per_op_batch:.2f} ops/s ({per_op_batch * 1e3:.1f} ms/op)")
-    print(f"\nspeedup vs per-request flow: {per_op_cold / per_op_batch:.1f}x")
-
-    if args.poison:
-        from .curve.encoding import encode_point
-        from .curve.point import AffinePoint
-        from .dsa import fourq_dh
-
-        n_bad = max(1, round(args.n * args.poison))
-        me = fourq_dh.generate_keypair(rng)
-        clean_pubs = [
-            fourq_dh.generate_keypair(rng).public_bytes for _ in range(args.n)
-        ]
-        print(f"\nPoison benchmark: {args.n} DH requests, clean batch first...")
-        t0 = time.perf_counter()
-        engine.batch_dh(me.private, clean_pubs, workers=args.workers)
-        clean_per_op = (time.perf_counter() - t0) / args.n
-
-        poisoned_pubs = list(clean_pubs)
-        small_order = encode_point(AffinePoint.identity())
-        for j, pos in enumerate(sorted(rng.sample(range(args.n), n_bad))):
-            # Alternate the two rejection paths: small-order points
-            # (decode fine, die at cofactor clearing) and garbage bytes
-            # (die in the decoder).
-            poisoned_pubs[pos] = small_order if j % 2 == 0 else b"\xff" * 32
-        print(f"Injecting {n_bad}/{args.n} invalid peer keys...")
-        t0 = time.perf_counter()
-        poisoned = engine.batch_dh(me.private, poisoned_pubs, workers=args.workers)
-        ok = poisoned.ok_count
-        poisoned_per_ok = (time.perf_counter() - t0) / max(1, ok)
-        overhead = poisoned_per_ok / clean_per_op - 1.0
-        print(f"good results       : {ok}/{args.n}")
-        print(f"isolation overhead : {overhead:+.1%} per good op vs clean batch")
-        if ok != args.n - n_bad or len(poisoned.errors) != n_bad:
-            print("FAIL: poisoned batch did not isolate the injected faults",
-                  file=sys.stderr)
-            return 1
-        print("PASS: every injected fault isolated, every good result returned")
-
-    print()
-    print(render_report(registry.snapshot()))
-    return _write_metrics(registry, args.metrics_out)
 
 
 def _metrics_out_flag(parser) -> None:
@@ -834,14 +720,13 @@ COMMANDS = {
     "verify": cmd_verify,
     "table1": cmd_table1,
     "keygen": cmd_keygen,
-    "serve-bench": cmd_serve_bench,
     "serve": cmd_serve,
     "serve-net": cmd_serve_net,
     "metrics": cmd_metrics,
 }
 
 #: Commands that parse their own trailing arguments.
-ARG_COMMANDS = {"serve-bench", "serve", "serve-net", "metrics"}
+ARG_COMMANDS = {"serve", "serve-net", "metrics"}
 
 #: One-line help per command, rendered by ``--help`` (and asserted
 #: in-sync with COMMANDS by tests/test_cli.py).
@@ -850,7 +735,6 @@ COMMAND_HELP = {
     "verify": "parameter and endomorphism self-verification",
     "table1": "CP-optimal loop-kernel schedule",
     "keygen": "demo FourQ keypair",
-    "serve-bench": "batch-engine benchmark vs per-request flows",
     "serve": "in-process continuous-batching front door demo",
     "serve-net": "TCP front door: server / client / e2e smoke",
     "metrics": "validate or render a metrics export",

@@ -14,8 +14,8 @@ import secrets
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..curve.multiscalar import in_order_n_subgroup
-from ..curve.params import SUBGROUP_ORDER_N, is_on_curve
+from ..curve.multiscalar import validate_verify_item
+from ..curve.params import SUBGROUP_ORDER_N
 from ..curve.point import AffinePoint
 from ..curve.scalarmult import scalar_mul_fourq
 from ..hashes.sha256 import sha256, sha256_int
@@ -82,20 +82,15 @@ def verify(public: AffinePoint, message: bytes, sig: SchnorrSignature) -> bool:
     (:func:`repro.curve.scalarmult.scalar_mul_double_base`) — the shape
     the paper's Section II-A verification step 4 computes — so a
     verification costs one shared 64-iteration loop instead of two
-    separate scalar multiplications.  A public key off the curve or
-    outside the order-N subgroup verifies ``False``: the endomorphism
-    decomposition is wrong there, and could accept a signature the
-    textbook equation rejects.
+    separate scalar multiplications.  A signature outside the domain of
+    :func:`repro.curve.multiscalar.validate_verify_item` verifies
+    ``False``: the endomorphism decomposition is wrong there, and could
+    accept a signature the textbook equation rejects.
     """
     from ..curve.scalarmult import scalar_mul_double_base
 
-    try:
-        commit = AffinePoint(sig.commit_x, sig.commit_y)
-    except ValueError:
-        return False
-    if not (1 <= sig.s < SUBGROUP_ORDER_N):
-        return False
-    if not (is_on_curve(public.x, public.y) and in_order_n_subgroup(public)):
+    commit = validate_verify_item(public, sig)
+    if commit is None:
         return False
     e = _challenge(commit, public, message)
     lhs = scalar_mul_double_base(

@@ -20,7 +20,7 @@ The registry is the only metrics store, and every ``repro_*`` series is
 declared once, in :mod:`repro.obs.series`.
 
 Exports: JSON (schema ``repro.obs/v1``) and Prometheus text via
-``repro serve-bench --metrics-out PATH`` or
+``repro serve --metrics-out PATH`` (or ``serve-net``) or
 :func:`repro.obs.export.export_registry`; ``repro metrics`` renders a
 human report.  See ``docs/observability.md`` for metric names, units,
 and merge semantics.

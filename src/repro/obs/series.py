@@ -78,7 +78,7 @@ SERIES: Tuple[Series, ...] = (
     _s("repro_cache_events_total", "counter", "event", "cache",
        "flow-artifact cache events: hit, miss, eviction, fallback"),
     _s("repro_serve_items_total", "counter", "kind outcome", "serve",
-       "per-item outcomes (ok, error, dedup) by job kind"),
+       "per-item outcomes (ok, error, dedup) by canonical job kind (`?` if unknown)"),
     _s("repro_serve_latency_seconds", "histogram", "kind", "serve",
        "per-item latency of successful items"),
     _s("repro_serve_errors_total", "counter", "kind", "serve",
@@ -90,7 +90,7 @@ SERIES: Tuple[Series, ...] = (
     _s("repro_msm_batches_total", "counter", "outcome", "msm",
        "weighted batch checks: accepted wholesale or fallback (bisection)"),
     _s("repro_msm_items_total", "counter", "verdict", "msm",
-       "per-item verdicts through the MSM path: valid, invalid, error"),
+       "per-item verdicts of items past the `verify` domain check: valid, invalid, error"),
     _s("repro_msm_fallback_verifies_total", "counter", "", "msm",
        "per-item simulated verifications forced by batch rejection"),
     _s("repro_msm_batch_size", "histogram", "", "msm",

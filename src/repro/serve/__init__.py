@@ -15,7 +15,8 @@ requests the way the paper's chip amortizes its silicon:
   across worker processes with chunk-level crash containment;
 * :class:`~repro.serve.faults.Ok` / :class:`~repro.serve.faults.Failed`
   — typed per-item outcomes: one poisoned request costs one error slot,
-  never the batch (``strict=True`` restores raise-on-first-error);
+  never the batch (``strict=True`` raises the first failure once the
+  whole batch has run);
 * :class:`~repro.serve.frontend.Frontend` — the asyncio front door:
   streamed ``await submit(kind, payload, deadline=...)`` requests
   coalesced into engine batches (flush on size-or-deadline), bounded
@@ -49,10 +50,6 @@ from .cache import FlowArtifactCache, FlowArtifacts, trace_shape_key
 from .engine import (
     BatchEngine,
     BatchResult,
-    batch_dh,
-    batch_msm,
-    batch_scalarmult,
-    batch_verify,
     default_engine,
 )
 from .faults import (
@@ -95,10 +92,6 @@ __all__ = [
     "PoolSupervisor",
     "RetryPolicy",
     "TokenBucket",
-    "batch_dh",
-    "batch_msm",
-    "batch_scalarmult",
-    "batch_verify",
     "classify_exception",
     "default_engine",
     "trace_shape_key",

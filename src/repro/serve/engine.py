@@ -25,7 +25,8 @@ a caller that wants per-batch figures passes a registry of its own.
 Fault isolation is a first-class layer: a rejected request (small-order
 peer key, malformed encoding, bad signature material) costs exactly one
 :class:`~repro.serve.faults.Failed` slot in the result, never the batch.
-``strict=True`` restores raise-on-first-error.
+``strict=True`` runs the whole batch, then raises its lowest-index
+failure as the exception class its kind names.
 
 Worker fan-out runs on a *supervised resident pool*
 (:class:`~repro.serve.resilience.PoolSupervisor`): one
@@ -47,9 +48,11 @@ time: items the budget cannot cover resolve as typed
 Every job kind is declared once, in :data:`KINDS`: its payload, its
 input-domain check, its dedup key, its executor, and whether TCP
 clients may send it.  Every batch runs through one dispatcher
-(:meth:`BatchEngine._run_batch`) that reads that table, so a payload
+(:meth:`BatchEngine._run_batch`) and every item through one loop
+(:meth:`BatchEngine._run_serial`) that reads that table, so a payload
 outside its kind's domain resolves as ``Failed(kind="value"|"type")``
-before it reaches any executor.
+before it reaches any executor; a ``grouped`` kind's checked payloads
+reach theirs in one call.
 
 A request whose shape is already cached is not traced into micro-ops:
 the trace builder runs with a value-only
@@ -226,15 +229,8 @@ def _run_dh(engine: "BatchEngine", payload) -> bytes:
 
 def _run_verify(engine: "BatchEngine", payload) -> bool:
     public, message, sig = payload
-    try:
-        commit = AffinePoint(sig.commit_x, sig.commit_y)
-    except ValueError:
-        return False
-    if not (1 <= sig.s < SUBGROUP_ORDER_N):
-        return False
-    # A public key outside the order-N subgroup is rejected, as the MSM
-    # path's vetting does: the endomorphism formulas are wrong there.
-    if not (is_on_curve(public.x, public.y) and in_order_n_subgroup(public)):
+    commit = validate_verify_item(public, sig)
+    if commit is None:
         return False
     e = _challenge(commit, public, message)
     u2 = SUBGROUP_ORDER_N - e
@@ -278,12 +274,12 @@ def _verify_msm_group(
     items: Sequence[Tuple[AffinePoint, bytes, SchnorrSignature]],
     deadline: Optional[Deadline] = None,
 ) -> List[Any]:
-    """Resolve verify items with one randomized MSM + fallback.
+    """Resolve checked verify items with one randomized MSM + fallback.
 
-    Three stages, each fault-isolated per item:
+    Each slot ends as a verdict or as the exception that stopped it, for
+    :meth:`BatchEngine._run_serial` to envelope and count.  Three stages:
 
-    1. **Vet** every item: the ``verify`` domain check (a malformed
-       item fails typed), then :func:`repro.curve.multiscalar.
+    1. **Vet** every item with :func:`repro.curve.multiscalar.
        validate_verify_item`: off-curve or out-of-subgroup points and
        out-of-range s resolve ``False`` (the verdict per-item
        ``verify`` reaches for such a signature, without endangering
@@ -306,42 +302,12 @@ def _verify_msm_group(
     record real datapath cycles.
     """
     m = engine.metrics
-    t0 = time.perf_counter()
+    m.histogram("repro_msm_batch_size").observe(len(items))
     results: List[Any] = [None] * len(items)
-    if items:
-        m.histogram("repro_msm_batch_size").observe(len(items))
-
-    def fail(idx: int, exc: Exception) -> None:
-        results[idx] = engine._count_failure(
-            "verify_msm", Failed(kind=classify_exception(exc), message=str(exc))
-        )
-        m.counter("repro_msm_items_total", verdict="error").inc()
-
-    def resolve(idx: int, verdict: bool) -> None:
-        results[idx] = verdict
-        m.counter(
-            "repro_serve_items_total", kind="verify_msm", outcome="ok"
-        ).inc()
-        m.counter(
-            "repro_msm_items_total",
-            verdict="valid" if verdict else "invalid",
-        ).inc()
-
     live: List[int] = []
-    for idx, item in enumerate(items):
-        if deadline is not None and deadline.expired:
-            fail(idx, DeadlineExceeded(
-                "deadline expired before batch verification"
-            ))
-            continue
-        try:
-            _check_verify(item)
-            commit = validate_verify_item(item[0], item[2])
-        except Exception as exc:
-            fail(idx, exc)
-            continue
-        if commit is None:
-            resolve(idx, False)
+    for idx, (public, _, sig) in enumerate(items):
+        if validate_verify_item(public, sig) is None:
+            results[idx] = False
         else:
             live.append(idx)
 
@@ -352,9 +318,9 @@ def _verify_msm_group(
         subset = subsets.pop()
         if deadline is not None and deadline.expired:
             for idx in subset:
-                fail(idx, DeadlineExceeded(
+                results[idx] = DeadlineExceeded(
                     "deadline expired during batch verification"
-                ))
+                )
             continue
         accepted: Optional[bool]
         try:
@@ -364,7 +330,7 @@ def _verify_msm_group(
         if accepted:
             model_cycles.inc(engine.msm_cycles_estimate(2 * len(subset) + 1))
             for idx in subset:
-                resolve(idx, True)
+                results[idx] = True
             continue
         whole_batch_accepted = False
         if accepted is None or len(subset) == 1:
@@ -372,32 +338,26 @@ def _verify_msm_group(
             for idx in subset:
                 m.counter("repro_msm_fallback_verifies_total").inc()
                 try:
-                    resolve(idx, _run_verify(engine, items[idx]))
+                    results[idx] = _run_verify(engine, items[idx])
                 except Exception as exc:
-                    fail(idx, exc)
+                    results[idx] = exc
             continue
         model_cycles.inc(engine.msm_cycles_estimate(2 * len(subset) + 1))
         mid = len(subset) // 2
         subsets.append(subset[mid:])
         subsets.append(subset[:mid])
 
-    if items:
-        m.counter(
-            "repro_msm_batches_total",
-            outcome="accepted" if whole_batch_accepted else "fallback",
-        ).inc()
+    for r in results:
+        verdict = "error" if isinstance(r, Exception) else "valid" if r else "invalid"
+        m.counter("repro_msm_items_total", verdict=verdict).inc()
+    m.counter(
+        "repro_msm_batches_total",
+        outcome="accepted" if whole_batch_accepted else "fallback",
+    ).inc()
     if live:
         m.gauge("repro_msm_simulated_cycles_per_op").set(
             engine.msm_cycles_estimate(2 * len(live) + 1) / len(live)
         )
-    resolved_ok = sum(1 for r in results if not isinstance(r, Failed))
-    if resolved_ok:
-        # Amortized per-item latency: the group resolves as one MSM,
-        # so each slot's share is the group wall time split evenly.
-        share = (time.perf_counter() - t0) / resolved_ok
-        latency = m.histogram("repro_serve_latency_seconds", kind="verify_msm")
-        for _ in range(resolved_ok):
-            latency.observe(share)
     return results
 
 
@@ -410,8 +370,9 @@ class JobKind:
 
     ``check`` vets a payload (raising ``ValueError``/``TypeError``);
     ``run`` computes it — ``(engine, payload) -> result``, or for a
-    ``grouped`` kind ``(engine, payloads, deadline) -> results`` in the
-    parent.  ``key`` gives the dedup key (``None``: never deduplicated);
+    ``grouped`` kind ``(engine, payloads, deadline) -> results``, one
+    value or raised exception per checked payload, in the parent.
+    ``key`` gives the dedup key (``None``: never deduplicated);
     ``wire`` admits the kind over TCP.  ``payload`` and ``domain`` are
     the contract ``docs/serving.md`` tabulates.
     """
@@ -943,68 +904,82 @@ class BatchEngine:
         return min(workers, n_jobs // min_chunk)
 
     # -- execution -----------------------------------------------------
-    def _count_failure(self, kind: str, failure: Failed) -> Failed:
-        """Count one failed item of job kind ``kind``; returns ``failure``."""
+    def _settle(self, kind: str, outcome: Any, elapsed: float) -> Any:
+        """Count one finished item; an exception becomes its ``Failed`` slot."""
+        m = self.metrics
+        if not isinstance(outcome, Exception):
+            m.counter("repro_serve_items_total", kind=kind, outcome="ok").inc()
+            m.histogram("repro_serve_latency_seconds", kind=kind).observe(elapsed)
+            return outcome
+        failure = Failed(
+            kind=classify_exception(outcome), message=str(outcome), latency=elapsed
+        )
         if failure.kind == KIND_DEADLINE:
-            self.metrics.counter("repro_deadline_expired_total", stage="engine").inc()
-        self.metrics.counter("repro_serve_items_total", kind=kind, outcome="error").inc()
-        self.metrics.counter("repro_serve_errors_total", kind=failure.kind).inc()
+            m.counter("repro_deadline_expired_total", stage="engine").inc()
+        m.counter("repro_serve_items_total", kind=kind, outcome="error").inc()
+        m.counter("repro_serve_errors_total", kind=failure.kind).inc()
         return failure
 
     def _run_serial(
         self,
         jobs: Sequence[Tuple[str, Any]],
         dedup: bool,
-        strict: bool = False,
         deadline: Optional[Deadline] = None,
     ) -> List[Any]:
-        """Run jobs in-process with per-item fault isolation.
+        """The one per-item loop: run jobs in-process, isolating each item.
 
-        Each job is checked against its kind's domain, then either
-        produces its value or (``strict=False``) its typed
-        :class:`~repro.serve.faults.Failed` envelope; with
-        ``strict=True`` the first failure propagates as the original
-        exception, aborting the remainder — the historical behaviour.
-        With a ``deadline``, items the expired budget cannot cover fail
-        with ``KIND_DEADLINE`` instead of running late (an item already
-        underway when the budget runs out still completes — the budget
-        gates starts, it does not abort simulations).
+        Each item is looked up in :data:`KINDS`, gated by the
+        ``deadline`` (an item the expired budget cannot cover fails with
+        ``KIND_DEADLINE`` instead of running late; one already underway
+        still completes), checked against its kind's domain and run —
+        except that a ``grouped`` kind's checked payloads go to its
+        executor in one call after the loop.  Every slot ends as its
+        value or its typed :class:`~repro.serve.faults.Failed` envelope,
+        counted under the kind's canonical name (``"?"`` for a kind the
+        table refuses); a grouped item's latency is an even share of its
+        group's wall time.
         """
         seen: Dict[tuple, Any] = {}
-        results: List[Any] = []
-        m = self.metrics
-        for kind, payload in jobs:
+        results: List[Any] = [None] * len(jobs)
+        groups: Dict[JobKind, List[int]] = {}
+        for i, (kind, payload) in enumerate(jobs):
             t0 = time.perf_counter()
+            label = "?"
             try:
+                spec = job_kind(kind)
+                label = spec.name
                 if deadline is not None and deadline.expired:
                     raise DeadlineExceeded(
                         "deadline expired before this item could start"
                     )
-                spec = job_kind(kind)
                 spec.check(payload)
+                if spec.grouped:
+                    groups.setdefault(spec, []).append(i)
+                    continue
                 key = (spec.name, spec.key(payload)) if dedup and spec.key else None
                 if key is not None and key in seen:
-                    results.append(seen[key])
-                    m.counter("repro_serve_items_total", kind=kind, outcome="dedup").inc()
+                    results[i] = seen[key]
+                    self.metrics.counter(
+                        "repro_serve_items_total", kind=label, outcome="dedup"
+                    ).inc()
                     continue
-                result = spec.run(self, payload)
+                outcome = spec.run(self, payload)
+                if key is not None:
+                    seen[key] = outcome
             except Exception as exc:
-                if strict:
-                    raise
                 # Failures are never deduped: every bad input re-executes
                 # so the error counts match the injected faults exactly.
-                results.append(self._count_failure(kind, Failed(
-                    kind=classify_exception(exc),
-                    message=str(exc),
-                    latency=time.perf_counter() - t0,
-                )))
-                continue
-            elapsed = time.perf_counter() - t0
-            m.counter("repro_serve_items_total", kind=kind, outcome="ok").inc()
-            m.histogram("repro_serve_latency_seconds", kind=kind).observe(elapsed)
-            if key is not None:
-                seen[key] = result
-            results.append(result)
+                outcome = exc
+            results[i] = self._settle(label, outcome, time.perf_counter() - t0)
+        for spec, slots in groups.items():
+            t0 = time.perf_counter()
+            try:
+                done = spec.run(self, [jobs[i][1] for i in slots], deadline)
+            except Exception as exc:
+                done = [exc] * len(slots)
+            share = (time.perf_counter() - t0) / len(slots)
+            for i, outcome in zip(slots, done):
+                results[i] = self._settle(spec.name, outcome, share)
         return results
 
     def _run_batch(
@@ -1018,45 +993,40 @@ class BatchEngine:
     ) -> BatchResult:
         """The one dispatcher every batch entry point runs through.
 
-        Items of a ``grouped`` kind (``verify_msm``) are pulled out before
-        worker planning — their whole point is cross-item amortization —
-        and resolve together in the parent.  Everything else runs on the
-        supervised pool or serially.  Slots are stitched back in input
-        order, and ``strict`` surfaces the first failure.
+        Items of a ``grouped`` kind (``verify_msm``) never fan out —
+        their whole point is cross-item amortization — so only the rest
+        are offered to the supervised pool; whatever the pool does not
+        take runs through :meth:`_run_serial` in the parent.  Slots are
+        stitched back in input order, and ``strict`` raises the
+        lowest-index failure once the whole batch has run.
         """
         deadline = Deadline.coerce(deadline)
         results: List[Any] = [None] * len(jobs)
-        groups: Dict[Optional[JobKind], List[int]] = {}
-        for i, (kind, _) in enumerate(jobs):
-            spec = _BY_NAME.get(kind) if isinstance(kind, str) else None
-            groups.setdefault(spec if spec and spec.grouped else None, []).append(i)
-        rest = groups.pop(None, [])
-        for spec, slots in groups.items():
-            done = spec.run(self, [jobs[i][1] for i in slots], deadline)
-            for i, r in zip(slots, done):
-                results[i] = r
-        if rest:
-            sub = [jobs[i] for i in rest]
-            done = None
-            workers = self.plan_workers(len(sub), workers or 0, min_chunk)
-            if workers > 1 and not self.breaker.allow():
-                # Breaker open: the pool keeps failing, stop paying for it.
-                self.metrics.counter("repro_breaker_short_circuits_total").inc()
-            elif workers > 1:
-                try:
-                    done = self._run_parallel(sub, workers, dedup, deadline=deadline)
-                except (ImportError, OSError, pickle.PicklingError):
-                    # Pools unavailable (restricted platform) or the jobs
-                    # cannot cross a process boundary: serial fallback.
-                    self.breaker.record_failure()
-            if done is None:
-                # A mixed flush resolves its grouped items first, so
-                # strict waits for the lowest-index failure below.
-                done = self._run_serial(
-                    sub, dedup, strict=strict and not groups, deadline=deadline
+        serial = list(range(len(jobs)))
+        grouped = [
+            isinstance(kind, str) and kind in _BY_NAME and _BY_NAME[kind].grouped
+            for kind, _ in jobs
+        ]
+        pooled = [i for i in serial if not grouped[i]]
+        workers = self.plan_workers(len(pooled), workers or 0, min_chunk)
+        if workers > 1 and not self.breaker.allow():
+            # Breaker open: the pool keeps failing, stop paying for it.
+            self.metrics.counter("repro_breaker_short_circuits_total").inc()
+        elif workers > 1:
+            try:
+                done = self._run_parallel(
+                    [jobs[i] for i in pooled], workers, dedup, deadline=deadline
                 )
-            for i, r in zip(rest, done):
-                results[i] = r
+                for i, r in zip(pooled, done):
+                    results[i] = r
+                serial = [i for i in serial if grouped[i]]
+            except (ImportError, OSError, pickle.PicklingError):
+                # Pools unavailable (restricted platform) or the jobs
+                # cannot cross a process boundary: serial fallback.
+                self.breaker.record_failure()
+        done = self._run_serial([jobs[i] for i in serial], dedup, deadline=deadline)
+        for i, r in zip(serial, done):
+            results[i] = r
         if not self.resident_pool and self._supervisor is not None:
             self._supervisor.shutdown()
         batch = BatchResult(results=[
@@ -1064,8 +1034,6 @@ class BatchEngine:
             for i, r in enumerate(results)
         ])
         if strict:
-            # Parallel workers always run isolated (an exception must
-            # not kill the pool); strict surfaces the first failure here.
             batch.raise_any()
         return batch
 
@@ -1312,7 +1280,7 @@ def _chunk(items: List, n: int) -> List[List]:
     return chunks
 
 
-# -- module-level convenience API --------------------------------------
+# -- the shared default engine ------------------------------------------
 
 _DEFAULT_ENGINE: Optional[BatchEngine] = None
 _DEFAULT_ENGINE_LOCK = threading.Lock()
@@ -1333,48 +1301,3 @@ def default_engine() -> BatchEngine:
                 _DEFAULT_ENGINE = BatchEngine()
     return _DEFAULT_ENGINE
 
-
-def batch_scalarmult(
-    scalars: Sequence[int],
-    point: Optional[AffinePoint] = None,
-    points: Optional[Sequence[AffinePoint]] = None,
-    workers: int = 0,
-    strict: bool = False,
-) -> BatchResult:
-    """[k_i]P for a batch of scalars on the shared default engine."""
-    return default_engine().batch_scalarmult(
-        scalars, point=point, points=points, workers=workers, strict=strict
-    )
-
-
-def batch_dh(
-    private: int,
-    peer_publics: Sequence[bytes],
-    workers: int = 0,
-    strict: bool = False,
-) -> BatchResult:
-    """Batched co-factored ECDH on the shared default engine."""
-    return default_engine().batch_dh(
-        private, peer_publics, workers=workers, strict=strict
-    )
-
-
-def batch_verify(
-    items: Sequence[Tuple[AffinePoint, bytes, SchnorrSignature]],
-    workers: int = 0,
-    strict: bool = False,
-    mode: str = "simulate",
-) -> BatchResult:
-    """Batched Schnorr verification on the shared default engine."""
-    return default_engine().batch_verify(
-        items, workers=workers, strict=strict, mode=mode
-    )
-
-
-def batch_msm(
-    requests: Sequence[Tuple[Sequence[int], Sequence[AffinePoint]]],
-    workers: int = 0,
-    strict: bool = False,
-) -> BatchResult:
-    """Batched multi-scalar multiplication on the shared default engine."""
-    return default_engine().batch_msm(requests, workers=workers, strict=strict)

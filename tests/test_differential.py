@@ -272,6 +272,21 @@ class TestSignatureDifferential:
             sig = _sign_under(d, public, msg, rng.randrange(1, SUBGROUP_ORDER_N))
             items.append((public, msg, sig))
             expected.append(fourq_schnorr.verify(public, msg, sig))
+        for component in sorted(TORSION):
+            # A torsion commitment R = [k]G + T under an honest key,
+            # with e = H(R, Q, m): [s]G - [e]Q lies in the subgroup, so
+            # no verifier may accept it.
+            key = fourq_schnorr.generate_keypair(rng)
+            msg = b"torsion-commit-" + component.encode()
+            k = rng.randrange(1, SUBGROUP_ORDER_N)
+            commit = scalar_mul_fourq(k, AffinePoint.generator()) + TORSION[component]
+            e = fourq_schnorr._challenge(commit, key.public, msg)
+            sig = fourq_schnorr.SchnorrSignature(
+                commit.x, commit.y, (k + e * key.private) % SUBGROUP_ORDER_N
+            )
+            items.append((key.public, msg, sig))
+            expected.append(fourq_schnorr.verify(key.public, msg, sig))
+            assert expected[-1] is False
         assert list(engine.batch_verify(items)) == expected
         assert list(engine.batch_verify(items, mode="msm")) == expected
 

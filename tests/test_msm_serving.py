@@ -271,3 +271,27 @@ class TestMsmMetrics:
         counter_names = {s["name"] for s in snap["counters"]}
         assert "repro_msm_batch_size" in hist_names
         assert "repro_msm_fallback_verifies_total" in counter_names
+
+
+class TestOneItemLoop:
+    def test_grouped_flush_is_counted_once_per_item(self, engine, registry):
+        """The engine's item loop envelopes, counts and times every
+        ``verify_msm`` slot; the MSM series see only checked items."""
+        from repro.curve.point import random_point
+
+        rng = _rng("one-loop")
+        honest, forged, off_subgroup = signed_items(rng, 3)
+        forged = (forged[0], b"forged", forged[2])
+        off_subgroup = (random_point(rng), off_subgroup[1], off_subgroup[2])
+        items = [honest, forged, off_subgroup, "not-an-item"]
+        latency = registry.histogram("repro_serve_latency_seconds", kind="verify_msm")
+        seen = latency.count
+        batch, delta = counted(
+            registry, lambda: engine.batch_verify(items, mode="msm")
+        )
+        assert batch.results[:3] == [True, False, False]
+        assert isinstance(batch.results[3], Failed)
+        n = len(items)
+        assert delta("repro_serve_items_total", kind="verify_msm") == n
+        assert delta("repro_msm_items_total") == n - 1
+        assert latency.count - seen == batch.ok_count == n - 1

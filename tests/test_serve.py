@@ -375,3 +375,25 @@ def test_serving_doc_job_kind_table_matches_KINDS():
     end = "<!-- job-kinds:end -->"
     assert doc.count(begin) == 1 and doc.count(end) == 1
     assert doc[doc.index(begin) + len(begin):doc.index(end)] == kinds_markdown()
+
+
+def test_item_series_are_labelled_by_canonical_kind(engine):
+    """An alias counts under its kind's name and an unknown kind under
+    ``?``, so caller-chosen strings cannot grow the ``kind`` label set."""
+    from repro.serve.engine import KINDS
+
+    g = AffinePoint.generator()
+    jobs = [("scalarmult", (3, g)), ("sm", (5, g))]
+    jobs += [(f"junk-{i}", None) for i in range(50)]
+    result, delta = counted(engine.metrics, lambda: engine.run_jobs(jobs, dedup=False))
+    assert result.ok_count == 2
+    assert delta("repro_serve_items_total", kind="sm", outcome="ok") == 2
+    assert delta("repro_serve_items_total", kind="?", outcome="error") == 50
+    snap = engine.metrics.snapshot()
+    labels = {
+        series["labels"]["kind"]
+        for section in ("counters", "histograms")
+        for series in snap[section]
+        if series["name"] in ("repro_serve_items_total", "repro_serve_latency_seconds")
+    }
+    assert labels <= set(KINDS) | {"?"}
