@@ -10,7 +10,12 @@ Commands:
 * ``summary`` (default) — run the full design flow once and print the
   chip "datasheet" (cycles, registers, ROM, area, Fig. 4 headline
   points, Table II factors);
-* ``verify``  — run the parameter and endomorphism self-verification;
+* ``verify``  — run the parameter and endomorphism self-verification,
+  deriving from first principles, and compare the derivation with the
+  committed constants module (exit 1 on a mismatch);
+* ``derive`` — derive phi, psi and the decomposition basis and print
+  the generated ``repro.curve.derived_constants`` module
+  (``derive [--write]``; ``--write`` regenerates the committed file);
 * ``table1``  — print the CP-optimal loop-kernel schedule;
 * ``keygen``  — generate and print a FourQ keypair (demo only);
 * ``serve`` — drive the asyncio continuous-batching front door with an
@@ -70,16 +75,44 @@ def cmd_summary() -> int:
 
 def cmd_verify() -> int:
     from .curve import verify_parameters
-    from .curve.derive import derive_endomorphisms
+    from .curve.committed import COMMITTED_PATH, derive_constants, render_constants
 
     print("Verifying FourQ parameters (on-curve, order, primality)...")
     verify_parameters()
     print("  OK")
     print("Deriving and verifying endomorphisms (Velu isogenies)...")
-    endo = derive_endomorphisms()
+    derived = derive_constants()
+    endo = derived.endo
     print(f"  psi^2 = [8],   lambda_psi = {hex(endo.lambda_psi)}")
     print(f"  phi^2 = [-20], lambda_phi = {hex(endo.lambda_phi)}")
     print("  OK")
+    print(f"Comparing the derivation with the committed {COMMITTED_PATH.name}...")
+    if render_constants(derived) != COMMITTED_PATH.read_text():
+        print("  MISMATCH: regenerate with `python -m repro derive --write`")
+        return 1
+    print("  OK (identical)")
+    return 0
+
+
+def cmd_derive(argv=()) -> int:
+    import argparse
+
+    from .curve.committed import COMMITTED_PATH, derive_constants, render_constants
+
+    parser = argparse.ArgumentParser(
+        prog="repro derive",
+        description="Derive phi, psi and the decomposition basis from first "
+                    "principles and print the generated constants module.",
+    )
+    parser.add_argument("--write", action="store_true",
+                        help=f"write it to {COMMITTED_PATH.name} instead")
+    args = parser.parse_args(argv)
+    text = render_constants(derive_constants())
+    if not args.write:
+        print(text, end="")
+        return 0
+    COMMITTED_PATH.write_text(text)
+    print(f"wrote {COMMITTED_PATH}")
     return 0
 
 
@@ -718,6 +751,7 @@ def cmd_metrics(argv=()) -> int:
 COMMANDS = {
     "summary": cmd_summary,
     "verify": cmd_verify,
+    "derive": cmd_derive,
     "table1": cmd_table1,
     "keygen": cmd_keygen,
     "serve": cmd_serve,
@@ -726,13 +760,14 @@ COMMANDS = {
 }
 
 #: Commands that parse their own trailing arguments.
-ARG_COMMANDS = {"serve", "serve-net", "metrics"}
+ARG_COMMANDS = {"derive", "serve", "serve-net", "metrics"}
 
 #: One-line help per command, rendered by ``--help`` (and asserted
 #: in-sync with COMMANDS by tests/test_cli.py).
 COMMAND_HELP = {
     "summary": "full design flow + chip datasheet (default)",
     "verify": "parameter and endomorphism self-verification",
+    "derive": "print (or --write) the generated curve-constants module",
     "table1": "CP-optimal loop-kernel schedule",
     "keygen": "demo FourQ keypair",
     "serve": "in-process continuous-batching front door demo",

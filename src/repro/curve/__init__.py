@@ -7,8 +7,11 @@ Public surface:
   endomorphism-accelerated Algorithm 1;
 * :class:`repro.curve.decompose.FourQDecomposer` and
   :func:`repro.curve.recoding.recode_glv_sac` — scalar preprocessing;
-* :func:`repro.curve.derive.derive_endomorphisms` — runtime-derived,
-  fully verified phi/psi maps.
+* :func:`repro.curve.derive.derive_endomorphisms` — phi/psi derived
+  from first principles and fully verified;
+* :func:`repro.curve.committed.curve_constants` — the same maps, the
+  compiled maps and the decomposer, loaded from the committed
+  :mod:`repro.curve.derived_constants` and verified at load.
 """
 
 from .decompose import Decomposition, FourQDecomposer

@@ -17,9 +17,10 @@ The solution set is a coset of the 4-dimensional lattice
 
 and short coset representatives are found with Babai rounding against an
 LLL-reduced basis of L.  Costello-Longa ship a hand-optimized basis and
-offset vectors; this module *derives* everything at runtime from the
-eigenvalues and machine-verifies the resulting widths, so nothing is
-trusted from memory:
+offset vectors; this module *derives* the basis with LLL from the
+eigenvalues (or verifies a given one: every row in L, |det| = N) and
+machine-verifies the resulting widths, so nothing is trusted from
+memory:
 
 * the eigenvalues are square roots of -5 (phi, a degree-5 endomorphism)
   and of +2 (psi, a degree-2 Q-curve endomorphism) modulo N — both
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..nt.lattice import babai_round, lll_reduce
+from ..nt.lattice import babai_round, determinant, lll_reduce
 from ..nt.primes import sqrt_mod_prime
 from .params import SUBGROUP_ORDER_N
 
@@ -91,9 +92,16 @@ class FourQDecomposer:
         lambda_psi: eigenvalue of psi mod N (defaults to the smaller
             square root of 2).
         n: subgroup order.
+        basis: a reduced basis of the lattice to use instead of running
+            LLL (the committed one, :mod:`repro.curve.committed`); it is
+            verified, not trusted.
 
     The constructor performs the one-time lattice setup: basis
-    reduction, offset-vector search, and width verification.
+    reduction (or verification of the given basis), offset-vector
+    search, and width verification.
+
+    Raises:
+        ValueError: if the basis is not a basis of the lattice.
     """
 
     def __init__(
@@ -101,6 +109,7 @@ class FourQDecomposer:
         lambda_phi: Optional[int] = None,
         lambda_psi: Optional[int] = None,
         n: int = SUBGROUP_ORDER_N,
+        basis: Optional[Sequence[Sequence[int]]] = None,
     ):
         self.n = n
         self.lambda_phi = lambda_phi if lambda_phi is not None else min(phi_eigenvalue_candidates(n))
@@ -108,16 +117,25 @@ class FourQDecomposer:
         self.lambda_phipsi = self.lambda_phi * self.lambda_psi % n
         self._lams = (1, self.lambda_phi, self.lambda_psi, self.lambda_phipsi)
 
-        raw_basis = [
-            [n, 0, 0, 0],
-            [-self.lambda_phi, 1, 0, 0],
-            [-self.lambda_psi, 0, 1, 0],
-            [-self.lambda_phipsi, 0, 0, 1],
-        ]
-        self.basis = lll_reduce(raw_basis)
+        if basis is None:
+            basis = lll_reduce([
+                [n, 0, 0, 0],
+                [-self.lambda_phi, 1, 0, 0],
+                [-self.lambda_psi, 0, 1, 0],
+                [-self.lambda_phipsi, 0, 0, 1],
+            ])
+        self.basis = [list(row) for row in basis]
+        # Rows inside the lattice spanning a sublattice of index N: the
+        # lattice itself, whose index in Z^4 is N.
+        if len(self.basis) != 4 or any(
+            len(row) != 4 or not all(type(v) is int for v in row) for row in self.basis
+        ):
+            raise ValueError("basis must be a 4 x 4 integer matrix")
         for row in self.basis:
             if self._dot_lams(row) % n != 0:
-                raise AssertionError("reduced basis left the lattice")
+                raise ValueError(f"basis row {row} is not in the lattice")
+        if abs(determinant(self.basis)) != n:
+            raise ValueError("basis does not span the lattice (|det| != N)")
 
         # Per-coordinate residual bound of Babai rounding: half the sum
         # of absolute basis entries in that coordinate.

@@ -34,6 +34,10 @@ the mathematical origin of the published maps:
 Both maps are verified at derivation time to be additive, to commute,
 to land on the curve, and to act as the claimed eigenvalues — the
 derivation *fails loudly* rather than ever returning an unverified map.
+The derivation's generating data (kernels, isomorphism scalars,
+eigenvalues) is committed as :mod:`repro.curve.derived_constants`;
+:mod:`repro.curve.committed` rebuilds the maps from it and re-runs the
+same checks (:func:`verify_endomorphisms`) at load.
 The resulting eigenvalue pair yields a 62-bit LLL basis for the
 4-dimensional decomposition lattice, i.e. exactly the "four 64-bit
 scalars" of the paper's Algorithm 1.
@@ -47,7 +51,7 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 from ..field.fp2 import Fp2Raw, fp2_conj, fp2_mul, fp2_sqr, fp2_sub
-from ..field.tower import f4, f4_mul, f4_neg, f4_sub, f4_sqrt, f4_inv
+from ..field.tower import Fp4Raw, f4, f4_mul, f4_neg, f4_sub, f4_sqrt, f4_inv
 from ..nt.poly import poly_quadratic_part, poly_split_quadratics, poly_deg
 from ..nt.primes import sqrt_mod_prime
 from .params import SUBGROUP_ORDER_N
@@ -125,6 +129,41 @@ class DerivedEndomorphisms:
     def lambda_phipsi(self) -> int:
         """Eigenvalue of the composition psi o phi."""
         return self.lambda_phi * self.lambda_psi % self.n
+
+    @classmethod
+    def from_kernels(
+        cls,
+        tau_x: Fp2Raw,
+        tau_dual_x: Fp2Raw,
+        delta_x: Fp2Raw,
+        velu5_xs: Tuple[Fp4Raw, Fp4Raw],
+        u_tau_dual: Fp2Raw,
+        u_delta: Fp2Raw,
+        u_velu5: Fp2Raw,
+        lambda_phi: int,
+        lambda_psi: int,
+    ) -> "DerivedEndomorphisms":
+        """Rebuild the pair from its generating data (nothing verified).
+
+        The isogenies are reconstructed from their kernels with the
+        Velu constructors, so the rational-map coefficients are never
+        stored; :func:`verify_endomorphisms` checks the result.
+        """
+        model = WeierstrassModel.of_fourq()
+        tau = Isogeny2.from_kernel(model.a, model.b, tau_x)
+        a_w, b_w = tau.a_image, tau.b_image
+        return cls(
+            model=model,
+            tau=tau,
+            tau_dual=Isogeny2.from_kernel(a_w, b_w, tau_dual_x),
+            u_tau_dual=u_tau_dual,
+            delta=Isogeny2.from_kernel(a_w, b_w, delta_x),
+            u_delta=u_delta,
+            velu5=Isogeny5.from_kernel_pair(a_w, b_w, *velu5_xs),
+            u_velu5=u_velu5,
+            lambda_phi=lambda_phi,
+            lambda_psi=lambda_psi,
+        )
 
 
 def _derive_psi_pieces(model: WeierstrassModel):
@@ -206,13 +245,15 @@ def _check_endo(
     evaluate: Callable[[AffinePoint], AffinePoint],
     square_scalar: int,
     rng: random.Random,
+    lam: Optional[int] = None,
     n: int = SUBGROUP_ORDER_N,
 ) -> Optional[int]:
     """Verify a candidate endomorphism and return its eigenvalue.
 
     Checks (on the order-N subgroup): output on curve, additivity, the
-    relation endo^2 = [square_scalar], and resolves the eigenvalue sign.
-    Returns None if any check fails.
+    relation endo^2 = [square_scalar], and that [lam] G is the image of
+    G, for the given ``lam`` or else for either square root of
+    ``square_scalar``.  Returns None if any check fails.
     """
     g = AffinePoint.generator()
     img = evaluate(g)
@@ -223,23 +264,50 @@ def _check_endo(
     p1 = random_subgroup_point(rng)
     if evaluate(p1 + g) != evaluate(p1) + img:
         return None
-    if evaluate(img) != (square_scalar % n) * g:
+    square_g = abs(square_scalar) * g
+    if evaluate(img) != (square_g if square_scalar > 0 else -square_g):
         return None
-    root = sqrt_mod_prime(square_scalar % n, n)
-    if root is None:
-        return None
-    for lam in (root, n - root):
-        if lam * g == img:
-            return lam
-    return None
+    if lam is None:
+        root = sqrt_mod_prime(square_scalar % n, n)
+        if root is None:
+            return None
+        candidates: Tuple[int, ...] = (root, n - root)
+    else:
+        candidates = (lam,)
+    return next((c for c in candidates if c * g == img), None)
+
+
+def verify_endomorphisms(endo: DerivedEndomorphisms, rng: random.Random) -> None:
+    """The checks every (phi, psi) pair passes before it is used.
+
+    Both maps land on the curve, are additive, square to [8] and [-20],
+    and map G to [lambda] G for their recorded eigenvalues; and they
+    commute (needed for the 4-dimensional decomposition to be
+    well-defined).  The derivation ends with these checks and loading
+    the committed constants runs them again.
+
+    Raises:
+        DerivationError: naming the first check that fails.
+    """
+    for name, evaluate, square, lam in (
+        ("psi", endo.psi, PSI_SQUARE, endo.lambda_psi),
+        ("phi", endo.phi, PHI_SQUARE, endo.lambda_phi),
+    ):
+        if _check_endo(evaluate, square, rng, lam=lam) is None:
+            raise DerivationError(f"{name} fails its endomorphism checks")
+    g = AffinePoint.generator()
+    if endo.psi(endo.phi(g)) != endo.phi(endo.psi(g)):
+        raise DerivationError("phi and psi do not commute")
 
 
 @lru_cache(maxsize=1)
 def derive_endomorphisms(seed: int = 2019) -> DerivedEndomorphisms:
     """Derive and fully verify the (phi, psi) endomorphism pair.
 
-    The result is cached per process (the derivation costs a few
-    seconds, dominated by factoring the 5-division polynomial).
+    The result is cached per process (the derivation costs about 0.6 s,
+    dominated by factoring the 5-division polynomial).  Serving paths
+    load the committed constants instead
+    (:func:`repro.curve.committed.curve_constants`).
 
     Raises:
         DerivationError: if any construction or verification step fails.
@@ -312,9 +380,5 @@ def derive_endomorphisms(seed: int = 2019) -> DerivedEndomorphisms:
         lambda_psi=lambda_psi,
     )
 
-    # Final cross-check: the endomorphisms commute (needed for the
-    # 4-dimensional decomposition to be well-defined).
-    g = AffinePoint.generator()
-    if endo.psi(endo.phi(g)) != endo.phi(endo.psi(g)):
-        raise DerivationError("phi and psi do not commute")
+    verify_endomorphisms(endo, rng)
     return endo

@@ -1,6 +1,7 @@
 """Inversion-free (projective) evaluation of the derived endomorphisms.
 
-The derivation in :mod:`repro.curve.derive` produces phi and psi as
+The derivation in :mod:`repro.curve.derive` (committed and verified at
+load by :mod:`repro.curve.committed`) produces phi and psi as
 compositions of affine rational maps, each evaluated with field
 inversions.  Hardware has no divider, so this module *compiles* the
 same compositions into a staged, fraction-tracking evaluator that uses
@@ -31,7 +32,7 @@ from typing import Sequence, Tuple
 
 from ..field.fp2 import Fp2Raw, fp2_mul
 from ..field.tower import f4, f4_add, f4_in_base, f4_mul
-from .derive import DerivedEndomorphisms, derive_endomorphisms
+from .derive import DerivedEndomorphisms
 from .edwards import Fp2Ops, PointR1, RAW_OPS
 from .wmodel import WeierstrassModel
 
@@ -199,8 +200,15 @@ def _poly_coeffs_from_velu_pair(iso5) -> FiveIsogenyStage:
 def compile_endomorphisms(
     derived: DerivedEndomorphisms = None,
 ) -> Tuple[CompiledEndo, CompiledEndo]:
-    """Compile (phi, psi) into inversion-free stage pipelines."""
-    derived = derived or derive_endomorphisms()
+    """Compile (phi, psi) into inversion-free stage pipelines.
+
+    Without an argument: the process-wide pair compiled from the
+    verified committed constants (:mod:`repro.curve.committed`).
+    """
+    if derived is None:
+        from .committed import curve_constants
+
+        return curve_constants().compiled
     model = derived.model
     tau = TwoIsogenyStage(x0=derived.tau.x0, v=derived.tau.v)
     tau_dual = TwoIsogenyStage(x0=derived.tau_dual.x0, v=derived.tau_dual.v)

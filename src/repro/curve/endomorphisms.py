@@ -3,8 +3,9 @@
 Two interchangeable implementations of the (phi, psi) pair:
 
 * :class:`IsogenyEndomorphisms` — the real thing: explicit isogeny-based
-  rational maps derived and verified at runtime by
-  :mod:`repro.curve.derive` (the default).
+  rational maps derived by :mod:`repro.curve.derive`, committed as
+  :mod:`repro.curve.derived_constants` and verified at load by
+  :mod:`repro.curve.committed` (the default).
 * :class:`EigenvalueEndomorphisms` — an oracle that evaluates
   ``phi(P) = [lambda_phi] P`` by plain double-and-add.  Mathematically
   identical on the order-N subgroup (this is *why* the decomposition
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
+from .committed import curve_constants
 from .decompose import FourQDecomposer
 from .params import SUBGROUP_ORDER_N
 from .point import AffinePoint
@@ -64,14 +66,12 @@ class EigenvalueEndomorphisms:
 class IsogenyEndomorphisms:
     """The derived isogeny-based endomorphisms (thin facade over derive).
 
-    Instantiation triggers (cached) derivation and verification; see
-    :func:`repro.curve.derive.derive_endomorphisms`.
+    Instantiation loads the verified committed constants (cached per
+    process); see :func:`repro.curve.committed.curve_constants`.
     """
 
     def __init__(self) -> None:
-        from .derive import derive_endomorphisms
-
-        self._endo = derive_endomorphisms()
+        self._endo = curve_constants().endo
         self.lambda_phi = self._endo.lambda_phi
         self.lambda_psi = self._endo.lambda_psi
 
@@ -83,11 +83,10 @@ class IsogenyEndomorphisms:
 
 
 _DEFAULT_PROVIDER: EndomorphismProvider = None  # type: ignore[assignment]
-_DEFAULT_DECOMPOSER: FourQDecomposer = None  # type: ignore[assignment]
 
 
 def default_endomorphisms() -> EndomorphismProvider:
-    """The process-wide default provider (isogeny-based, lazily derived)."""
+    """The process-wide default provider (isogeny-based, loaded lazily)."""
     global _DEFAULT_PROVIDER
     if _DEFAULT_PROVIDER is None:
         _DEFAULT_PROVIDER = IsogenyEndomorphisms()
@@ -95,11 +94,9 @@ def default_endomorphisms() -> EndomorphismProvider:
 
 
 def default_decomposer() -> FourQDecomposer:
-    """The decomposer matched to the default endomorphism eigenvalues."""
-    global _DEFAULT_DECOMPOSER
-    if _DEFAULT_DECOMPOSER is None:
-        endo = default_endomorphisms()
-        _DEFAULT_DECOMPOSER = FourQDecomposer(
-            lambda_phi=endo.lambda_phi, lambda_psi=endo.lambda_psi
-        )
-    return _DEFAULT_DECOMPOSER
+    """The decomposer matched to the default endomorphism eigenvalues.
+
+    Built on the committed reduced basis, verified at load, so no LLL
+    runs in a fresh process.
+    """
+    return curve_constants().decomposer

@@ -132,6 +132,28 @@ def babai_round(basis: Basis, target: Sequence[int]) -> Vector:
     ]
 
 
+def determinant(basis: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination).
+
+    Every intermediate value stays an integer, so a 250-bit lattice
+    basis needs no rational arithmetic.
+    """
+    m = [[int(x) for x in row] for row in basis]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
 def max_abs_entry(basis: Basis) -> int:
     """Largest absolute entry of a basis — the decomposition width check."""
     return max(abs(int(x)) for row in basis for x in row)

@@ -29,6 +29,7 @@ class Series:
 
 #: Report/doc sections in display order: key -> title.
 SECTIONS: Dict[str, str] = {
+    "curve": "curve constants (repro.curve.committed)",
     "flow": "flow stages (repro.flow)",
     "datapath": "datapath profile (repro.rtl.datapath)",
     "opt": "trace optimizer (repro.opt)",
@@ -46,6 +47,9 @@ def _s(name: str, kind: str, labels: str, section: str, text: str) -> Series:
 
 
 SERIES: Tuple[Series, ...] = (
+    _s("repro_curve_constants_fallbacks_total", "counter", "", "curve",
+       "committed curve constants that failed the load check, so the "
+       "process derived them from scratch"),
     _s("repro_flow_stage_seconds", "histogram", "stage", "flow",
        "wall time per flow stage (trace, problem, optimize, solve, regalloc, "
        "assemble, rebind, simulate)"),

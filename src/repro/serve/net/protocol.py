@@ -46,7 +46,9 @@ identically keeps one canonical wire form), :class:`AffinePoint`
 (coordinate pairs), and :class:`SchnorrSignature`.  Plain ints, floats,
 strings, bools, ``None``, lists, and string-keyed dicts pass through.
 :func:`wire_decode` inverts the mapping exactly (tuples come back as
-tuples), so a payload round-trips ``==``-equal.
+tuples), so a payload round-trips ``==``-equal.  It refuses lists and
+dicts nested deeper than :data:`MAX_WIRE_DEPTH` with
+:class:`WireCodecError`.
 
 msgpack is optional: :data:`SUPPORTED_CODECS` only advertises it when
 the module imports, and negotiation falls back to JSON, which every
@@ -89,6 +91,7 @@ __all__ = [
     "read_frame",
     "wire_encode",
     "wire_decode",
+    "MAX_WIRE_DEPTH",
     "encode_body",
     "decode_body",
 ]
@@ -104,6 +107,11 @@ HEADER_SIZE = 12
 
 #: Default per-frame size bound (length-prefix value), both directions.
 DEFAULT_MAX_FRAME = 1 << 20
+
+#: Deepest list/dict nesting :func:`wire_decode` accepts.  Served
+#: payloads nest at most six deep; the bound keeps a hostile body from
+#: exhausting the interpreter stack.
+MAX_WIRE_DEPTH = 32
 
 _LENGTH = struct.Struct(">I")
 _HEADER = struct.Struct(">BBBBQ")
@@ -231,8 +239,8 @@ def wire_encode(obj: Any) -> Any:
     raise WireCodecError(f"cannot encode {type(obj).__name__} for the wire")
 
 
-def _decode_int(value: Any) -> int:
-    v = wire_decode(value)
+def _decode_int(value: Any, depth: int) -> int:
+    v = _decode(value, depth)
     if not isinstance(v, int) or isinstance(v, bool):
         raise WireCodecError("expected an integer field")
     return v
@@ -240,13 +248,21 @@ def _decode_int(value: Any) -> int:
 
 def wire_decode(obj: Any) -> Any:
     """Invert :func:`wire_encode` exactly (tagged types come back typed)."""
+    return _decode(obj, 0)
+
+
+def _decode(obj: Any, depth: int) -> Any:
+    if isinstance(obj, (list, dict)):
+        if depth >= MAX_WIRE_DEPTH:
+            raise WireCodecError(f"payload nests deeper than {MAX_WIRE_DEPTH} levels")
+        depth += 1
     if isinstance(obj, list):
-        return [wire_decode(v) for v in obj]
+        return [_decode(v, depth) for v in obj]
     if not isinstance(obj, dict):
         return obj
     tag = obj.get(_WIRE_KEY)
     if tag is None:
-        return {k: wire_decode(v) for k, v in obj.items()}
+        return {k: _decode(v, depth) for k, v in obj.items()}
     try:
         if tag == "int":
             raw = obj["hex"]
@@ -256,10 +272,10 @@ def wire_decode(obj: Any) -> Any:
         if tag == "bytes":
             return bytes.fromhex(obj["hex"])
         if tag == "tuple":
-            return tuple(wire_decode(v) for v in obj["items"])
+            return tuple(_decode(v, depth) for v in obj["items"])
         if tag == "point":
-            x = tuple(_decode_int(c) for c in obj["x"])
-            y = tuple(_decode_int(c) for c in obj["y"])
+            x = tuple(_decode_int(c, depth) for c in obj["x"])
+            y = tuple(_decode_int(c, depth) for c in obj["y"])
             if len(x) != 2 or len(y) != 2:
                 raise WireCodecError("point coordinates must be F_{p^2} pairs")
             # check=False: validity is the receiver's business (the
@@ -268,10 +284,12 @@ def wire_decode(obj: Any) -> Any:
             return AffinePoint(x, y, check=False)
         if tag == "schnorr_sig":
             return SchnorrSignature(
-                commit_x=tuple(_decode_int(c) for c in obj["commit_x"]),
-                commit_y=tuple(_decode_int(c) for c in obj["commit_y"]),
-                s=_decode_int(obj["s"]),
+                commit_x=tuple(_decode_int(c, depth) for c in obj["commit_x"]),
+                commit_y=tuple(_decode_int(c, depth) for c in obj["commit_y"]),
+                s=_decode_int(obj["s"], depth),
             )
+    except WireCodecError:
+        raise
     except (KeyError, TypeError, AttributeError) as exc:
         raise WireCodecError(f"malformed {tag!r} wire object: {exc}") from exc
     except ValueError as exc:

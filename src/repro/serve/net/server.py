@@ -60,6 +60,7 @@ Everything observable lands in :mod:`repro.obs` under ``repro_net_*``
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Set
@@ -105,6 +106,8 @@ __all__ = ["NetServer", "NetServerConfig"]
 
 #: On-wire envelope of every frame: 4-byte length prefix + fixed header.
 _ENVELOPE = 4 + HEADER_SIZE
+
+log = logging.getLogger(__name__)
 
 
 def _frame_size(frame: Frame) -> int:
@@ -404,6 +407,15 @@ class NetServer:
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             # Mid-request disconnect: drop undeliverable work, keep serving.
             await self._conn_lost(conn)
+        except Exception as exc:
+            # A handler bug must still end this connection typed and
+            # unregistered, never as an untyped drop left in _conns.
+            log.exception("connection %d: handler failed", conn.id)
+            self._protocol_error_counters("internal")
+            await self._send_frame(conn, FRAME_ERROR, 0, {
+                "error": "internal", "message": f"{type(exc).__name__}: {exc}",
+            })
+            await self._conn_lost(conn)
         else:
             # Clean exit (client GOAWAY): drain this connection's
             # outstanding requests, then close.
@@ -509,10 +521,17 @@ class NetServer:
             ):
                 raise ValueError("deadline_ms must be a positive number")
             payload = wire_decode(body.get("payload"))
-        except ValueError as exc:  # WireCodecError is one too
-            await self._respond_failed(conn, frame.request_id, Failed(
-                kind=KIND_VALUE, message=str(exc),
-            ))
+        except Exception as exc:
+            # A bad kind, deadline or payload (WireCodecError is a
+            # ValueError) is the client's; anything else is ours.  Either
+            # way only this request fails, never the connection.
+            if isinstance(exc, ValueError):
+                failure = Failed(kind=KIND_VALUE, message=str(exc))
+            else:
+                log.exception("request %d: admission failed", frame.request_id)
+                failure = Failed(kind=KIND_INTERNAL,
+                                 message=f"{type(exc).__name__}: {exc}")
+            await self._respond_failed(conn, frame.request_id, failure)
             self._request_counters(kind, "failed")
             return
         # Deadline clamp: the client's relative budget never exceeds

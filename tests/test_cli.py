@@ -122,3 +122,41 @@ class TestMetricsCheck:
         code, out, err = run_main(["metrics", str(bad), "--check"])
         assert code == 1
         assert "schema violation" in err
+
+
+class TestCurveConstants:
+    """`verify` re-derives from first principles and compares with the
+    committed module; `derive` prints or writes the generated module."""
+
+    def test_verify_reports_the_committed_module_identical(self):
+        code, out, _ = run_main(["verify"])
+        assert code == 0
+        assert "OK (identical)" in out
+
+    def test_verify_exits_1_when_the_committed_module_differs(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.curve import committed
+
+        text = committed.COMMITTED_PATH.read_text()
+        at = text.index("LAMBDA_PSI = 0x") + len("LAMBDA_PSI = 0x")
+        tampered = tmp_path / "derived_constants.py"
+        tampered.write_text(text[:at] + ("1" if text[at] != "1" else "2")
+                            + text[at + 1:])
+        monkeypatch.setattr(committed, "COMMITTED_PATH", tampered)
+        code, out, _ = run_main(["verify"])
+        assert code == 1
+        assert "MISMATCH" in out
+
+    def test_derive_prints_and_writes_the_committed_module(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.curve import committed
+
+        text = committed.COMMITTED_PATH.read_text()
+        code, out, _ = run_main(["derive"])
+        assert (code, out) == (0, text)
+        target = tmp_path / "derived_constants.py"
+        monkeypatch.setattr(committed, "COMMITTED_PATH", target)
+        code, out, _ = run_main(["derive", "--write"])
+        assert code == 0 and target.read_text() == text

@@ -32,6 +32,7 @@ from repro.serve.net.protocol import (
     FRAME_REQUEST,
     FRAME_RESPONSE,
     HEADER_SIZE,
+    MAX_WIRE_DEPTH,
     PROTOCOL_VERSION,
     FrameTooLarge,
     ProtocolError,
@@ -112,6 +113,21 @@ class TestWireCodec:
                     {"__wire__": "point", "x": [1], "y": [2, 3]}):
             with pytest.raises(WireCodecError):
                 wire_decode(bad)
+
+    def test_nesting_depth_is_bounded(self):
+        """Deeper than MAX_WIRE_DEPTH is a codec error, not a
+        RecursionError; tagged objects count toward the depth too."""
+        ok = 1
+        for _ in range(MAX_WIRE_DEPTH):
+            ok = [ok]
+        assert wire_decode(ok) == ok
+        for wrap in (lambda v: [v], lambda v: {"k": v},
+                     lambda v: {"__wire__": "tuple", "items": [v]}):
+            deep = 1
+            for _ in range(600):
+                deep = wrap(deep)
+            with pytest.raises(WireCodecError, match="nests deeper"):
+                wire_decode(deep)
 
     def test_codec_names(self):
         assert "json" in SUPPORTED_CODECS

@@ -30,6 +30,8 @@ import time
 import zlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry
 from repro.serve import (
@@ -43,7 +45,17 @@ from repro.serve import (
     NetServerConfig,
 )
 from repro.serve.faults import KIND_DEADLINE, KIND_OVERLOADED, Overloaded
-from repro.serve.net.protocol import ConnectionLostError
+from repro.serve.net.protocol import (
+    FRAME_ERROR,
+    FRAME_HELLO,
+    FRAME_HELLO_OK,
+    FRAME_REQUEST,
+    FRAME_RESPONSE,
+    HEADER_SIZE,
+    ConnectionLostError,
+    encode_frame,
+    read_frame,
+)
 from tests.metrics_util import count
 
 SEED = int(os.environ.get("PYTEST_SEED", "0xF10C"), 0)
@@ -160,6 +172,99 @@ class TestRoundTrip:
                 await server.frontend.aclose()
 
         run(body())
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+_BODIES = _JSON | st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["sm", "dh", "verify", "msm", "fault"]) | _JSON,
+        "payload": _JSON,
+    },
+    optional={"deadline_ms": _JSON},
+)
+
+
+async def _exchange(frames: list) -> list:
+    """Send raw REQUEST frames on one connection; the answers, in order.
+
+    Reads until every request has a RESPONSE or the server sends an
+    ERROR frame, then leaves and checks nothing stays registered.
+    """
+    server = await make_server(frame_timeout_s=0.3).start()
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(encode_frame(FRAME_HELLO, 0, {"versions": [1]}))
+        assert (await read_frame(reader)).type == FRAME_HELLO_OK
+        for data in frames:
+            writer.write(data)
+        await writer.drain()
+        answers = []
+        while len(answers) < len(frames):
+            frame = await read_frame(reader)
+            assert frame.type in (FRAME_RESPONSE, FRAME_ERROR), frame.type_name
+            answers.append(frame)
+            if frame.type == FRAME_ERROR:
+                break
+        writer.close()
+        for _ in range(200):
+            if not server._conns:
+                break
+            await asyncio.sleep(0.01)
+        assert not server._conns
+        assert [g["value"] for g in server.metrics.snapshot()["gauges"]
+                if g["name"] == "repro_net_connections_open"] == [0]
+    finally:
+        await server.aclose()
+        await server.frontend.aclose()
+    return answers
+
+
+class TestHostileRequests:
+    """Whatever a REQUEST carries, the request gets a RESPONSE (a value
+    or a typed failure) or the connection a typed ERROR frame."""
+
+    def test_deeply_nested_payload_is_a_typed_failure(self):
+        """A 600-deep list payload (about 1.2 kB on the wire) once blew
+        the decoder's recursion and dropped the connection untyped."""
+        nested = 7
+        for _ in range(600):
+            nested = [nested]
+        deep, ok = run(_exchange([
+            encode_frame(FRAME_REQUEST, 1, {"kind": "sm", "payload": nested}),
+            encode_frame(FRAME_REQUEST, 2, {"kind": "sm", "payload": [3, None]}),
+        ]))
+        assert (deep.request_id, deep.body["status"], deep.body["kind"]) == \
+            (1, "failed", "value")
+        assert "nests deeper" in deep.body["message"]
+        assert (ok.request_id, ok.body["status"]) == (2, "ok")
+
+    @given(bodies=st.lists(_BODIES, min_size=1, max_size=4))
+    def test_any_json_body_gets_a_response(self, bodies):
+        frames = [encode_frame(FRAME_REQUEST, i, b) for i, b in enumerate(bodies, 1)]
+        answers = run(_exchange(frames))
+        assert [f.type for f in answers] == [FRAME_RESPONSE] * len(bodies)
+        for frame in answers:
+            assert frame.body["status"] in ("ok", "failed")
+
+    @given(body=_BODIES, data=st.data())
+    def test_mutated_body_bytes_get_a_response_or_a_typed_error(self, body, data):
+        frame = bytearray(encode_frame(FRAME_REQUEST, 1, body))
+        start = 4 + HEADER_SIZE
+        for at in data.draw(st.lists(
+            st.integers(start, len(frame) - 1), min_size=1, max_size=3
+        )):
+            frame[at] = data.draw(st.integers(0, 255))
+        (answer,) = run(_exchange([bytes(frame)]))
+        if answer.type == FRAME_ERROR:
+            assert answer.body["error"]
+        else:
+            assert answer.body["status"] in ("ok", "failed")
 
 
 class TestFairness:
