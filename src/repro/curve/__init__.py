@@ -34,7 +34,6 @@ from .edwards import (
 from .endomorphisms import (
     EigenvalueEndomorphisms,
     EndomorphismProvider,
-    IsogenyEndomorphisms,
     default_decomposer,
     default_endomorphisms,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "Fp2Ops",
     "GENERATOR_X",
     "GENERATOR_Y",
-    "IsogenyEndomorphisms",
     "PRIME_P",
     "PointR1",
     "PointR2",

@@ -19,7 +19,9 @@ isomorphism scalars, the eigenvalues and the reduced lattice basis.
   image of G, phi psi = psi phi) — the checks the derivation ends with;
 * the compiled inversion-free maps agree with the affine ones on G;
 * every basis row lies in the lattice and |det| = N
-  (:class:`repro.curve.decompose.FourQDecomposer`).
+  (:class:`repro.curve.decompose.FourQDecomposer`), and the verified
+  decomposition width is at most 64 bits, so every recoding is 65
+  digits.
 
 A failed check logs one warning, counts
 ``repro_curve_constants_fallbacks_total`` and falls back to the full
@@ -156,6 +158,23 @@ def _check_compiled(endo: DerivedEndomorphisms, compiled) -> None:
             raise ValueError(f"compiled {c.name} disagrees with the affine map on G")
 
 
+def _decomposer(endo: DerivedEndomorphisms, basis=None) -> FourQDecomposer:
+    """The decomposer matched to ``endo``, refused if wider than 64 bits.
+
+    Every recoding is 65 digits (:func:`repro.curve.recoding.recode_glv_sac`),
+    which holds sub-scalars below 2^64.
+    """
+    decomposer = FourQDecomposer(
+        lambda_phi=endo.lambda_phi, lambda_psi=endo.lambda_psi, basis=basis
+    )
+    if decomposer.max_scalar_bits > 64:
+        raise ValueError(
+            f"decomposition is {decomposer.max_scalar_bits} bits wide; "
+            "a 65-digit recoding holds 64"
+        )
+    return decomposer
+
+
 def verify_constants(source) -> CurveConstants:
     """Rebuild the curve constants from ``source``'s fields and check them.
 
@@ -183,18 +202,18 @@ def verify_constants(source) -> CurveConstants:
     verify_endomorphisms(endo, random.Random(_CHECK_SEED))
     compiled = compile_endomorphisms(endo)
     _check_compiled(endo, compiled)
-    decomposer = FourQDecomposer(
-        lambda_phi=endo.lambda_phi, lambda_psi=endo.lambda_psi, basis=values["BASIS"]
+    return CurveConstants(
+        endo, compiled, _decomposer(endo, values["BASIS"]), source="committed"
     )
-    return CurveConstants(endo, compiled, decomposer, source="committed")
 
 
 @lru_cache(maxsize=1)
 def derive_constants() -> CurveConstants:
     """The curve constants from first principles (derivation + LLL)."""
     endo = derive_endomorphisms()
-    decomposer = FourQDecomposer(lambda_phi=endo.lambda_phi, lambda_psi=endo.lambda_psi)
-    return CurveConstants(endo, compile_endomorphisms(endo), decomposer, source="derived")
+    return CurveConstants(
+        endo, compile_endomorphisms(endo), _decomposer(endo), source="derived"
+    )
 
 
 def load_constants(source) -> CurveConstants:

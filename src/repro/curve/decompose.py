@@ -22,10 +22,12 @@ eigenvalues (or verifies a given one: every row in L, |det| = N) and
 machine-verifies the resulting widths, so nothing is trusted from
 memory:
 
-* the eigenvalues are square roots of -5 (phi, a degree-5 endomorphism)
-  and of +2 (psi, a degree-2 Q-curve endomorphism) modulo N — both
-  verified to exist and rechecked against the derived endomorphism maps
-  by :mod:`repro.curve.endomorphisms`;
+* the eigenvalues of the derived maps are l1 = sqrt(-20) (phi) and
+  l2 = sqrt(8) (psi) modulo N: twice a square root of -5 (the degree-5
+  endomorphism) and of +2 (the degree-2 Q-curve endomorphism), the
+  factor 2 coming from the tau / tau_dual pair both maps pass through.
+  The decomposer takes them as arguments; the matched instance is
+  :func:`repro.curve.endomorphisms.default_decomposer`;
 * the LLL basis entries come out at 62 bits, matching the paper's
   "four 64-bit scalars";
 * two precomputed offset vectors (of opposite first-coordinate parity)
@@ -43,10 +45,11 @@ from .params import SUBGROUP_ORDER_N
 
 
 def phi_eigenvalue_candidates(n: int = SUBGROUP_ORDER_N) -> Tuple[int, int]:
-    """Both square roots of -5 modulo N (eigenvalues of the degree-5 phi).
+    """Both square roots of -5 modulo N.
 
-    phi has degree 5 and trace 0 on the order-N subgroup, so its
-    eigenvalue satisfies  l^2 + 5 === 0 (mod N).
+    A trace-0 degree-5 endomorphism has an eigenvalue with
+    l^2 + 5 === 0 (mod N); the derived phi's eigenvalue is twice one
+    of these (phi squares to [-20]).
     """
     r = sqrt_mod_prime(-5 % n, n)
     if r is None:
@@ -55,10 +58,11 @@ def phi_eigenvalue_candidates(n: int = SUBGROUP_ORDER_N) -> Tuple[int, int]:
 
 
 def psi_eigenvalue_candidates(n: int = SUBGROUP_ORDER_N) -> Tuple[int, int]:
-    """Both square roots of +2 modulo N (eigenvalues of the degree-2 psi).
+    """Both square roots of +2 modulo N.
 
-    psi = (Frobenius conjugation) o (2-isogeny) squares to a translate
-    of [2] on the order-N subgroup: l^2 - 2 === 0 (mod N).
+    A degree-2 endomorphism squaring to [2] on the order-N subgroup has
+    an eigenvalue with l^2 - 2 === 0 (mod N); the derived psi's
+    eigenvalue is twice one of these (psi squares to [8]).
     """
     r = sqrt_mod_prime(2, n)
     if r is None:
@@ -86,11 +90,9 @@ class FourQDecomposer:
     """Decomposes scalars into four short positive sub-scalars.
 
     Args:
-        lambda_phi: eigenvalue of phi mod N (pass the value matched to
-            the actual endomorphism in use; defaults to the smaller
-            square root of -5).
-        lambda_psi: eigenvalue of psi mod N (defaults to the smaller
-            square root of 2).
+        lambda_phi: eigenvalue of phi mod N, matched to the map in use
+            (sqrt(-20) for the derived phi).
+        lambda_psi: eigenvalue of psi mod N (sqrt(8) for the derived psi).
         n: subgroup order.
         basis: a reduced basis of the lattice to use instead of running
             LLL (the committed one, :mod:`repro.curve.committed`); it is
@@ -106,14 +108,14 @@ class FourQDecomposer:
 
     def __init__(
         self,
-        lambda_phi: Optional[int] = None,
-        lambda_psi: Optional[int] = None,
+        lambda_phi: int,
+        lambda_psi: int,
         n: int = SUBGROUP_ORDER_N,
         basis: Optional[Sequence[Sequence[int]]] = None,
     ):
         self.n = n
-        self.lambda_phi = lambda_phi if lambda_phi is not None else min(phi_eigenvalue_candidates(n))
-        self.lambda_psi = lambda_psi if lambda_psi is not None else min(psi_eigenvalue_candidates(n))
+        self.lambda_phi = lambda_phi
+        self.lambda_psi = lambda_psi
         self.lambda_phipsi = self.lambda_phi * self.lambda_psi % n
         self._lams = (1, self.lambda_phi, self.lambda_psi, self.lambda_phipsi)
 
@@ -218,14 +220,6 @@ class FourQDecomposer:
         if self._dot_lams(list(scalars)) % self.n != k_mod:
             raise AssertionError("decomposition does not recompose to k")
         return Decomposition(scalars=scalars, k_mod_n=k_mod)  # type: ignore[arg-type]
-
-    def decompose_many(self, scalars: Sequence[int]) -> List[Decomposition]:
-        """Decompose a batch of scalars (the serve-layer entry point).
-
-        One lattice setup (paid at construction) amortized over the
-        whole batch; results are positionally aligned with the input.
-        """
-        return [self.decompose(k) for k in scalars]
 
     def recompose(self, scalars) -> int:
         """Inverse check: map sub-scalars back to the scalar mod N."""

@@ -198,17 +198,13 @@ def _poly_coeffs_from_velu_pair(iso5) -> FiveIsogenyStage:
 
 
 def compile_endomorphisms(
-    derived: DerivedEndomorphisms = None,
+    derived: DerivedEndomorphisms,
 ) -> Tuple[CompiledEndo, CompiledEndo]:
     """Compile (phi, psi) into inversion-free stage pipelines.
 
-    Without an argument: the process-wide pair compiled from the
-    verified committed constants (:mod:`repro.curve.committed`).
+    The process-wide compiled pair is
+    ``repro.curve.committed.curve_constants().compiled``.
     """
-    if derived is None:
-        from .committed import curve_constants
-
-        return curve_constants().compiled
     model = derived.model
     tau = TwoIsogenyStage(x0=derived.tau.x0, v=derived.tau.v)
     tau_dual = TwoIsogenyStage(x0=derived.tau_dual.x0, v=derived.tau_dual.v)

@@ -1,20 +1,16 @@
 """Endomorphism providers for the FourQ scalar-multiplication pipeline.
 
-Two interchangeable implementations of the (phi, psi) pair:
+The production pair is :class:`repro.curve.derive.DerivedEndomorphisms`:
+the isogeny-based rational maps derived by :mod:`repro.curve.derive`,
+committed as :mod:`repro.curve.derived_constants` and verified at load
+by :mod:`repro.curve.committed`.  :func:`default_endomorphisms` and
+:func:`default_decomposer` read it, and its matched decomposer, from
+:func:`repro.curve.committed.curve_constants`.
 
-* :class:`IsogenyEndomorphisms` — the real thing: explicit isogeny-based
-  rational maps derived by :mod:`repro.curve.derive`, committed as
-  :mod:`repro.curve.derived_constants` and verified at load by
-  :mod:`repro.curve.committed` (the default).
-* :class:`EigenvalueEndomorphisms` — an oracle that evaluates
-  ``phi(P) = [lambda_phi] P`` by plain double-and-add.  Mathematically
-  identical on the order-N subgroup (this is *why* the decomposition
-  works), but slow; it exists as a fallback and as an independent
-  cross-check for the derived maps.
-
-Both expose the same eigenvalues, so :class:`repro.curve.decompose.
-FourQDecomposer` built from either provider produces identical
-sub-scalars.
+:class:`EigenvalueEndomorphisms` is an independent cross-check: it
+evaluates ``phi(P) = [lambda_phi] P`` by plain double-and-add.
+Mathematically identical on the order-N subgroup (this is *why* the
+decomposition works), but slow.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ class EndomorphismProvider(Protocol):
 
 @dataclass(frozen=True)
 class EigenvalueEndomorphisms:
-    """Oracle endomorphisms: phi = [lambda_phi], psi = [lambda_psi].
+    """Cross-check endomorphisms: phi = [lambda_phi], psi = [lambda_psi].
 
     Exact on the order-N subgroup by definition of the eigenvalues.
     Roughly 250x slower per application than the isogeny maps — use for
@@ -63,40 +59,11 @@ class EigenvalueEndomorphisms:
         return self.lambda_psi * pt
 
 
-class IsogenyEndomorphisms:
-    """The derived isogeny-based endomorphisms (thin facade over derive).
-
-    Instantiation loads the verified committed constants (cached per
-    process); see :func:`repro.curve.committed.curve_constants`.
-    """
-
-    def __init__(self) -> None:
-        self._endo = curve_constants().endo
-        self.lambda_phi = self._endo.lambda_phi
-        self.lambda_psi = self._endo.lambda_psi
-
-    def phi(self, pt: AffinePoint) -> AffinePoint:
-        return self._endo.phi(pt)
-
-    def psi(self, pt: AffinePoint) -> AffinePoint:
-        return self._endo.psi(pt)
-
-
-_DEFAULT_PROVIDER: EndomorphismProvider = None  # type: ignore[assignment]
-
-
 def default_endomorphisms() -> EndomorphismProvider:
-    """The process-wide default provider (isogeny-based, loaded lazily)."""
-    global _DEFAULT_PROVIDER
-    if _DEFAULT_PROVIDER is None:
-        _DEFAULT_PROVIDER = IsogenyEndomorphisms()
-    return _DEFAULT_PROVIDER
+    """The process-wide (phi, psi): the verified committed constants."""
+    return curve_constants().endo
 
 
 def default_decomposer() -> FourQDecomposer:
-    """The decomposer matched to the default endomorphism eigenvalues.
-
-    Built on the committed reduced basis, verified at load, so no LLL
-    runs in a fresh process.
-    """
+    """The decomposer matched to :func:`default_endomorphisms`."""
     return curve_constants().decomposer

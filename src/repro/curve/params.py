@@ -18,9 +18,10 @@ Every constant in this module is *verified computationally* by
 * ``[N]G`` is the identity and N is prime,
 * the cofactor annihilates random curve points.
 
-The endomorphism eigenvalues (sqrt(-5) and sqrt(2) mod N — degree-5 phi
-and degree-2 psi) are derived at runtime in
-:mod:`repro.curve.decompose`, not stored.
+The endomorphism eigenvalues (sqrt(-20) and sqrt(8) mod N for the
+derived phi and psi) are generated with the maps by
+:mod:`repro.curve.derive` and verified at load by
+:mod:`repro.curve.committed`, not stored here.
 """
 
 from __future__ import annotations

@@ -115,33 +115,6 @@ def recode_glv_sac(scalars: Sequence[int], length: int = 65) -> RecodedScalar:
     return RecodedScalar(digits=digits, signs=signs)
 
 
-def recode_glv_sac_many(
-    scalar_tuples: Sequence[Sequence[int]], length: int = 65
-) -> List[RecodedScalar]:
-    """Recode a batch of decomposed scalars at one common digit length.
-
-    The batch engine streams many scalars through one cached
-    microprogram; a shared ``length`` keeps every recoding — and
-    therefore every traced workload — the same shape, which is what
-    makes the flow-artifact cache hit.  Raises ValueError if any tuple
-    does not fit the requested length.
-    """
-    return [recode_glv_sac(tuple(s), length=length) for s in scalar_tuples]
-
-
-def recoding_length_for(scalar_tuples: Sequence[Sequence[int]], floor: int = 65) -> int:
-    """The smallest common recoding length covering every tuple.
-
-    FourQ's decomposition yields ~64-bit sub-scalars, so this is 65 in
-    practice; the helper exists for the rare wider decomposition and for
-    non-standard decomposers.
-    """
-    longest = floor
-    for scalars in scalar_tuples:
-        longest = max(longest, max(int(s).bit_length() for s in scalars) + 1)
-    return longest
-
-
 def recoded_to_scalars(rec: RecodedScalar) -> Tuple[int, int, int, int]:
     """Inverse of :func:`recode_glv_sac` (used by the round-trip tests)."""
     a1 = sum(s * (1 << i) for i, s in enumerate(rec.signs))

@@ -107,8 +107,6 @@ def fourq_main_loop(
 
 def _r2_sign_select(entry, negated, sign: int, ops: Fp2Ops):
     """Constant-time +-T[v] selection (mux per affected coordinate)."""
-    from .edwards import PointR2
-
     if sign == -1:
         return PointR2(
             ops.select(negated.yx_plus, entry.yx_plus, entry.yx_minus),
@@ -140,6 +138,55 @@ def _r2_to_r1(entry: PointR2, ops: Fp2Ops) -> PointR1:
     return PointR1(x2, y2, entry.z2, x2, y2)
 
 
+def double_base_main_loop(
+    tables: Sequence[Sequence[PointR2]],
+    recs: Sequence[RecodedScalar],
+    ops: Fp2Ops = RAW_OPS,
+) -> PointR1:
+    """The Straus-Shamir loop of [u1]P1 + [u2]P2 over two 8-entry tables.
+
+    Both recodings share one chain of 64 doublings; each iteration adds
+    one signed entry of each table.  Like :func:`fourq_main_loop`, the
+    negation is always computed and muxed, so the op sequence is the
+    same for every pair of scalars.
+    """
+    q: Optional[PointR1] = None
+    for i in range(recs[0].length - 1, -1, -1):
+        if q is not None:
+            q = ecc_double(q, ops)
+        for table, rec in zip(tables, recs):
+            entry = r2_select(table, rec.digits[i], ops)
+            negated = r2_negate(entry, ops)
+            chosen = _r2_sign_select(entry, negated, rec.signs[i], ops)
+            if q is None:
+                # Unlike the single-scalar loop, the very next operation
+                # on the seed is an *addition* (the second base's entry),
+                # so the seed needs a valid extended coordinate.
+                q = _reseed_with_valid_t(chosen, ops)
+            else:
+                q = ecc_add_core(q, chosen, ops)
+    assert q is not None
+    return q
+
+
+def _recode(k: int, decomposer: FourQDecomposer) -> RecodedScalar:
+    """Steps 3-4 of Algorithm 1: decompose ``k``, recode into 65 digits."""
+    return recode_glv_sac(decomposer.decompose(k).scalars)
+
+
+def _endo_table(pt: AffinePoint, endo: EndomorphismProvider) -> List[PointR2]:
+    """Steps 1-2 of Algorithm 1: phi(P), psi(P), psi(phi(P)), then the table."""
+    phi_p = endo.phi(pt)
+    psi_p = endo.psi(pt)
+    psiphi_p = endo.psi(phi_p)
+    return build_table(
+        point_r1_from_affine(pt.x, pt.y),
+        point_r1_from_affine(phi_p.x, phi_p.y),
+        point_r1_from_affine(psi_p.x, psi_p.y),
+        point_r1_from_affine(psiphi_p.x, psiphi_p.y),
+    )
+
+
 def scalar_mul_fourq(
     k: int,
     pt: AffinePoint,
@@ -161,33 +208,14 @@ def scalar_mul_fourq(
     """
     if pt.is_identity():
         return AffinePoint.identity()
-    endo = endo or default_endomorphisms()
-    decomposer = decomposer or default_decomposer()
-
-    phi_p = endo.phi(pt)
-    psi_p = endo.psi(pt)
-    psiphi_p = endo.psi(phi_p)
-
-    table = build_table(
-        point_r1_from_affine(pt.x, pt.y),
-        point_r1_from_affine(phi_p.x, phi_p.y),
-        point_r1_from_affine(psi_p.x, psi_p.y),
-        point_r1_from_affine(psiphi_p.x, psiphi_p.y),
-    )
-    scalars = decomposer.decompose(k)
-    recoded = recode_glv_sac(tuple(scalars), length=max(65, max(s.bit_length() for s in scalars) + 1))
-    q = fourq_main_loop(table, recoded)
+    table = _endo_table(pt, endo or default_endomorphisms())
+    q = fourq_main_loop(table, _recode(k, decomposer or default_decomposer()))
     x, y = ecc_normalize(q)
     return AffinePoint(x, y, check=False)
 
 
 def scalar_mul_double_base(
-    u1: int,
-    u2: int,
-    p1: AffinePoint,
-    p2: AffinePoint,
-    endo: Optional[EndomorphismProvider] = None,
-    decomposer: Optional[FourQDecomposer] = None,
+    u1: int, u2: int, p1: AffinePoint, p2: AffinePoint
 ) -> AffinePoint:
     """Double-scalar multiplication [u1]P1 + [u2]P2 (signature verify).
 
@@ -199,59 +227,14 @@ def scalar_mul_double_base(
     iteration) instead of two separate scalar multiplications.
     """
     if p1.is_identity():
-        return scalar_mul_fourq(u2, p2, endo, decomposer)
+        return scalar_mul_fourq(u2, p2)
     if p2.is_identity():
-        return scalar_mul_fourq(u1, p1, endo, decomposer)
-    endo = endo or default_endomorphisms()
-    decomposer = decomposer or default_decomposer()
-
-    tables = []
-    recs = []
-    for k, pt in ((u1, p1), (u2, p2)):
-        phi_p = endo.phi(pt)
-        psi_p = endo.psi(pt)
-        psiphi_p = endo.psi(phi_p)
-        tables.append(
-            build_table(
-                point_r1_from_affine(pt.x, pt.y),
-                point_r1_from_affine(phi_p.x, phi_p.y),
-                point_r1_from_affine(psi_p.x, psi_p.y),
-                point_r1_from_affine(psiphi_p.x, psiphi_p.y),
-            )
-        )
-        scalars = decomposer.decompose(k)
-        recs.append(
-            recode_glv_sac(
-                tuple(scalars),
-                length=max(65, max(s.bit_length() for s in scalars) + 1),
-            )
-        )
-    length = max(r.length for r in recs)
-    if any(r.length != length for r in recs):
-        # Pad by re-recoding at the common length (recodings are
-        # length-flexible as long as the scalars fit).
-        recs = [
-            recode_glv_sac(recoded_to_scalars_safe(r), length=length) for r in recs
-        ]
-
-    ops = RAW_OPS
-    last = length - 1
-    q: Optional[PointR1] = None
-    for i in range(last, -1, -1):
-        if q is not None:
-            q = ecc_double(q, ops)
-        for table, rec in zip(tables, recs):
-            entry = r2_select(table, rec.digits[i], ops)
-            if rec.signs[i] == -1:
-                entry = r2_negate(entry, ops)
-            if q is None:
-                # Unlike the single-scalar loop, the very next operation
-                # on the seed is an *addition* (the second base's entry),
-                # so the seed needs a valid extended coordinate.
-                q = _reseed_with_valid_t(entry, ops)
-            else:
-                q = ecc_add_core(q, entry, ops)
-    assert q is not None
+        return scalar_mul_fourq(u1, p1)
+    endo, decomposer = default_endomorphisms(), default_decomposer()
+    q = double_base_main_loop(
+        [_endo_table(p, endo) for p in (p1, p2)],
+        [_recode(u, decomposer) for u in (u1, u2)],
+    )
     x, y = ecc_normalize(q)
     return AffinePoint(x, y, check=False)
 
@@ -272,35 +255,6 @@ def _reseed_with_valid_t(entry: PointR2, ops: Fp2Ops) -> PointR1:
     y_new = ops.mul(two_y, entry.z2)
     z_new = ops.sqr(entry.z2)
     return PointR1(x_new, y_new, z_new, two_x, two_y)
-
-
-def recoded_to_scalars_safe(rec) -> Tuple[int, int, int, int]:
-    """Recover the sub-scalars from a recoding (helper for re-recoding)."""
-    from .recoding import recoded_to_scalars
-
-    return recoded_to_scalars(rec)
-
-
-def prepare_scalars(
-    scalars: Sequence[int],
-    decomposer: Optional[FourQDecomposer] = None,
-) -> List[Tuple["Decomposition", RecodedScalar]]:
-    """Batch decompose + recode at one common length (serve entry point).
-
-    Returns, per input scalar, the :class:`Decomposition` (whose
-    ``k_mod_n`` also serves as a canonical dedup key for batches with
-    repeated scalars) and its :class:`RecodedScalar`.  All recodings
-    share the smallest common length, so every prepared scalar drives
-    the identical loop shape — a guaranteed flow-artifact cache hit.
-    """
-    from .decompose import Decomposition
-    from .recoding import recode_glv_sac_many, recoding_length_for
-
-    decomposer = decomposer or default_decomposer()
-    decs = decomposer.decompose_many(scalars)
-    length = recoding_length_for([d.scalars for d in decs])
-    recs = recode_glv_sac_many([d.scalars for d in decs], length=length)
-    return list(zip(decs, recs))
 
 
 # ---------------------------------------------------------------------

@@ -3,11 +3,11 @@
 The paper's chip amortizes its design effort across every operation it
 will ever run — the microprogram is compiled once, then scalars stream
 through the datapath.  The serving layer reproduces that economics in
-software.  A :class:`BatchEngine` owns
+software.  The curve constants (phi, psi, their compiled maps and the
+decomposer) are process-wide: the trace builders read
+:func:`repro.curve.committed.curve_constants`, loaded and verified once
+per process.  A :class:`BatchEngine` owns
 
-* the one-time curve artifacts (derived endomorphisms, compiled
-  inversion-free maps, lattice decomposer) that dominate cold-start
-  cost,
 * a :class:`~repro.serve.cache.FlowArtifactCache` so the job-shop solve
   and register allocation are paid once per workload shape, and each
   shape's program is compiled once into an instruction tape,
@@ -74,10 +74,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..curve.decompose import FourQDecomposer
 from ..curve.encoding import encode_point, decode_point
-from ..curve.endomaps import CompiledEndo, compile_endomorphisms
-from ..curve.endomorphisms import default_decomposer
 from ..curve.multiscalar import (
     batch_verify_schnorr,
     in_order_n_subgroup,
@@ -575,8 +572,6 @@ class BatchEngine:
             mult_depth=self.machine.mult_latency,
             addsub_depth=self.machine.addsub_latency,
         )
-        self._decomposer: Optional[FourQDecomposer] = None
-        self._compiled: Optional[Tuple[CompiledEndo, CompiledEndo]] = None
         # (cycles, arithmetic µops) of the traced MSM window kernel —
         # memoized so batch verification prices its cycle model without
         # re-tracing per batch.
@@ -586,19 +581,6 @@ class BatchEngine:
         # trace.  A stale key (shape drift) is harmless — run_flow
         # detects the mismatch, recomputes the true key, and we re-memo.
         self._shape_keys: Dict[str, str] = {}
-
-    # -- one-time curve artifacts -------------------------------------
-    @property
-    def decomposer(self) -> FourQDecomposer:
-        if self._decomposer is None:
-            self._decomposer = default_decomposer()
-        return self._decomposer
-
-    @property
-    def compiled_endos(self) -> Tuple[CompiledEndo, CompiledEndo]:
-        if self._compiled is None:
-            self._compiled = compile_endomorphisms()
-        return self._compiled
 
     def warm(self, point: Optional[AffinePoint] = None) -> None:
         """Pay every one-time cost now: curve artifacts + one full flow.
@@ -644,9 +626,7 @@ class BatchEngine:
         # inside the tracer; the datapath result is still verified
         # op by op against the traced values.
         return self._flow(
-            "scalarmult", trace_scalar_mult, k=k, point=point,
-            decomposer=self.decomposer, compiled=self.compiled_endos,
-            self_check=False,
+            "scalarmult", trace_scalar_mult, k=k, point=point, self_check=False,
         )
 
     def scalarmult(self, k: int, point: Optional[AffinePoint] = None) -> AffinePoint:
@@ -667,8 +647,7 @@ class BatchEngine:
         """Full verified flow for [u1]P1 + [u2]P2 (cache-aware)."""
         return self._flow(
             "double_scalarmult", trace_double_scalar_mult, u1=u1, u2=u2,
-            p1=p1, p2=p2, decomposer=self.decomposer,
-            compiled=self.compiled_endos, self_check=False,
+            p1=p1, p2=p2, self_check=False,
         )
 
     def msm_kernel_flow(self) -> FlowResult:

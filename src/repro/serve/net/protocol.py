@@ -345,13 +345,18 @@ def codec_name(ident: int) -> str:
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded frame: header fields plus the decoded body object."""
+    """One decoded frame: header fields plus the decoded body object.
+
+    ``wire_size`` is the bytes it took on the wire, length prefix
+    included (set by :func:`read_frame`).
+    """
 
     type: int
     request_id: int
     body: Any
     codec: int = CODEC_JSON
     version: int = PROTOCOL_VERSION
+    wire_size: int = 0
 
     @property
     def type_name(self) -> str:
@@ -444,4 +449,5 @@ async def read_frame(
         body=body,
         codec=codec,
         version=version,
+        wire_size=_LENGTH.size + length,
     )

@@ -87,7 +87,6 @@ from .protocol import (
     FRAME_PONG,
     FRAME_REQUEST,
     FRAME_RESPONSE,
-    HEADER_SIZE,
     PROTOCOL_VERSION,
     Frame,
     FrameTooLarge,
@@ -95,7 +94,6 @@ from .protocol import (
     SUPPORTED_CODECS,
     WireCodecError,
     codec_id,
-    encode_body,
     encode_frame,
     read_frame,
     wire_decode,
@@ -104,18 +102,7 @@ from .protocol import (
 
 __all__ = ["NetServer", "NetServerConfig"]
 
-#: On-wire envelope of every frame: 4-byte length prefix + fixed header.
-_ENVELOPE = 4 + HEADER_SIZE
-
 log = logging.getLogger(__name__)
-
-
-def _frame_size(frame: Frame) -> int:
-    """Approximate inbound wire size for the bytes counters."""
-    try:
-        return _ENVELOPE + len(encode_body(frame.body, frame.codec))
-    except Exception:  # pragma: no cover - counting must never raise
-        return _ENVELOPE
 
 
 @dataclass(frozen=True)
@@ -440,6 +427,7 @@ class NetServer:
             first_byte_timeout=cfg.handshake_timeout_s,
             body_timeout=cfg.frame_timeout_s,
         )
+        self._record("in", frame.type_name, frame.wire_size)
         if frame.type != FRAME_HELLO:
             raise ProtocolError(
                 "handshake", f"expected HELLO, got {frame.type_name}"
@@ -492,7 +480,7 @@ class NetServer:
                 first_byte_timeout=None,  # idle connections are welcome
                 body_timeout=cfg.frame_timeout_s,
             )
-            self._record("in", frame.type_name, _frame_size(frame))
+            self._record("in", frame.type_name, frame.wire_size)
             if frame.type == FRAME_REQUEST:
                 await self._accept_request(conn, frame)
             elif frame.type == FRAME_PING:

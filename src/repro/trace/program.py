@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..curve.decompose import FourQDecomposer
+from ..curve.committed import curve_constants
 from ..curve.edwards import (
     PointR1,
     PointR2,
@@ -33,19 +33,16 @@ from ..curve.edwards import (
     ecc_normalize,
     r1_to_r2,
     r2_negate,
-    r2_select,
 )
-from ..curve.endomaps import (
-    CompiledEndo,
-    apply_compiled_endo_frac,
-    compile_endomorphisms,
-    frac_to_r1,
-)
-from ..curve.endomorphisms import default_decomposer
+from ..curve.endomaps import apply_compiled_endo_frac, frac_to_r1
 from ..curve.params import SUBGROUP_ORDER_N
 from ..curve.point import AffinePoint
-from ..curve.recoding import recode_glv_sac
-from ..curve.scalarmult import build_table, fourq_main_loop
+from ..curve.scalarmult import (
+    _recode,
+    build_table,
+    double_base_main_loop,
+    fourq_main_loop,
+)
 from .tracer import Tracer, ValueRecorder
 
 
@@ -174,13 +171,31 @@ def trace_loop_iteration(
     )
 
 
+def _trace_endo_images(
+    points: List[Tuple], one, tracer: Tracer
+) -> List[Tuple[PointR1, PointR1, PointR1]]:
+    """phi(P), psi(P), psi(phi(P)) of each traced input point, in R1.
+
+    Runs the compiled inversion-free maps, point by point; the caller
+    opens the ``endo`` section.
+    """
+    phi_c, psi_c = curve_constants().compiled
+    images = []
+    for px, py in points:
+        fx_phi, fy_phi = apply_compiled_endo_frac(phi_c, (px, one), (py, one), tracer)
+        phi_r1 = frac_to_r1(fx_phi, fy_phi, tracer)
+        fx_psi, fy_psi = apply_compiled_endo_frac(psi_c, (px, one), (py, one), tracer)
+        psi_r1 = frac_to_r1(fx_psi, fy_psi, tracer)
+        fx_pp, fy_pp = apply_compiled_endo_frac(psi_c, fx_phi, fy_phi, tracer)
+        images.append((phi_r1, psi_r1, frac_to_r1(fx_pp, fy_pp, tracer)))
+    return images
+
+
 def trace_double_scalar_mult(
     u1: Optional[int] = None,
     u2: Optional[int] = None,
     p1: Optional[AffinePoint] = None,
     p2: Optional[AffinePoint] = None,
-    decomposer: Optional[FourQDecomposer] = None,
-    compiled: Optional[Tuple[CompiledEndo, CompiledEndo]] = None,
     self_check: bool = True,
     tracer: Optional[Tracer] = None,
 ) -> TraceProgram:
@@ -189,8 +204,9 @@ def trace_double_scalar_mult(
     ECDSA/Schnorr verification computes exactly this (paper Section
     II-A, verification step 4).  Interleaves two decomposed/recoded
     scalars over one shared 64-iteration double-and-add loop
-    (Straus-Shamir), so one iteration costs one doubling plus two
-    table additions: 24 multiplier ops vs the single-scalar 15.
+    (Straus-Shamir, :func:`repro.curve.scalarmult.double_base_main_loop`),
+    so one iteration costs one doubling plus two table additions: 24
+    multiplier ops vs the single-scalar 15.
 
     Sections: ``endo`` (both points), ``table`` (two 8-entry tables),
     ``loop``, ``normalize``.
@@ -204,63 +220,28 @@ def trace_double_scalar_mult(
     # not shift which value the other defaults to.
     u1 = random.Random(0xD5F1).randrange(2**256) if u1 is None else u1
     u2 = random.Random(0xD5F2).randrange(2**256) if u2 is None else u2
-    decomposer = decomposer or default_decomposer()
-    compiled = compiled or compile_endomorphisms()
-    phi_c, psi_c = compiled
 
     tracer = tracer if tracer is not None else Tracer()
     one = tracer.const((1, 0), "one")
-    tables = []
-    recs = []
     tracer.begin_section("endo")
-    point_inputs = []
-    for tag, pt in (("P1", p1), ("P2", p2)):
-        px = tracer.input(pt.x, f"{tag}x")
-        py = tracer.input(pt.y, f"{tag}y")
-        point_inputs.append((px, py))
-    endo_r1s = []
-    for px, py in point_inputs:
-        fx_phi, fy_phi = apply_compiled_endo_frac(phi_c, (px, one), (py, one), tracer)
-        phi_r1 = frac_to_r1(fx_phi, fy_phi, tracer)
-        fx_psi, fy_psi = apply_compiled_endo_frac(psi_c, (px, one), (py, one), tracer)
-        psi_r1 = frac_to_r1(fx_psi, fy_psi, tracer)
-        fx_pp, fy_pp = apply_compiled_endo_frac(psi_c, fx_phi, fy_phi, tracer)
-        psiphi_r1 = frac_to_r1(fx_pp, fy_pp, tracer)
-        endo_r1s.append((phi_r1, psi_r1, psiphi_r1))
+    point_inputs = [
+        (tracer.input(pt.x, f"{tag}x"), tracer.input(pt.y, f"{tag}y"))
+        for tag, pt in (("P1", p1), ("P2", p2))
+    ]
+    images = _trace_endo_images(point_inputs, one, tracer)
     tracer.end_section()
 
     tracer.begin_section("table")
-    for (px, py), (phi_r1, psi_r1, psiphi_r1) in zip(point_inputs, endo_r1s):
-        base_r1 = PointR1(px, py, one, px, py)
-        tables.append(build_table(base_r1, phi_r1, psi_r1, psiphi_r1, tracer))
+    tables = [
+        build_table(PointR1(px, py, one, px, py), *image, tracer)
+        for (px, py), image in zip(point_inputs, images)
+    ]
     tracer.end_section()
 
-    for k in (u1, u2):
-        scalars = decomposer.decompose(k)
-        recs.append(
-            recode_glv_sac(
-                tuple(scalars),
-                length=max(65, max(s.bit_length() for s in scalars) + 1),
-            )
-        )
-    length = max(r.length for r in recs)
-
-    from ..curve.scalarmult import _r2_sign_select, _reseed_with_valid_t
-
     tracer.begin_section("loop")
-    q = None
-    last = length - 1
-    for i in range(last, -1, -1):
-        if q is not None:
-            q = ecc_double(q, tracer)
-        for table, rec in zip(tables, recs):
-            entry = r2_select(table, rec.digits[i], tracer)
-            negated = r2_negate(entry, tracer)
-            chosen = _r2_sign_select(entry, negated, rec.signs[i], tracer)
-            if q is None:
-                q = _reseed_with_valid_t(chosen, tracer)
-            else:
-                q = ecc_add_core(q, chosen, tracer)
+    decomposer = curve_constants().decomposer
+    recs = [_recode(u, decomposer) for u in (u1, u2)]
+    q = double_base_main_loop(tables, recs, tracer)
     tracer.end_section()
 
     tracer.begin_section("normalize")
@@ -282,7 +263,7 @@ def trace_double_scalar_mult(
         expected=expected,
         retrace=_retrace(
             tracer, trace_double_scalar_mult, u1=u1, u2=u2, p1=p1, p2=p2,
-            decomposer=decomposer, compiled=compiled, self_check=self_check,
+            self_check=self_check,
         ),
     )
 
@@ -499,8 +480,6 @@ def _affine_to_r2_raw(p: AffinePoint) -> PointR2:
 def trace_scalar_mult(
     k: Optional[int] = None,
     point: Optional[AffinePoint] = None,
-    decomposer: Optional[FourQDecomposer] = None,
-    compiled: Optional[Tuple[CompiledEndo, CompiledEndo]] = None,
     include_endomorphisms: bool = True,
     self_check: bool = True,
     tracer: Optional[Tracer] = None,
@@ -527,9 +506,6 @@ def trace_scalar_mult(
     point = point or AffinePoint.generator()
     if k is None:
         k = rng.randrange(2**256)
-    decomposer = decomposer or default_decomposer()
-    compiled = compiled or compile_endomorphisms()
-    phi_c, psi_c = compiled
 
     tracer = tracer if tracer is not None else Tracer()
     px = tracer.input(point.x, "Px")
@@ -538,12 +514,7 @@ def trace_scalar_mult(
 
     if include_endomorphisms:
         tracer.begin_section("endo")
-        fx_phi, fy_phi = apply_compiled_endo_frac(phi_c, (px, one), (py, one), tracer)
-        phi_r1 = frac_to_r1(fx_phi, fy_phi, tracer)
-        fx_psi, fy_psi = apply_compiled_endo_frac(psi_c, (px, one), (py, one), tracer)
-        psi_r1 = frac_to_r1(fx_psi, fy_psi, tracer)
-        fx_pp, fy_pp = apply_compiled_endo_frac(psi_c, fx_phi, fy_phi, tracer)
-        psiphi_r1 = frac_to_r1(fx_pp, fy_pp, tracer)
+        ((phi_r1, psi_r1, psiphi_r1),) = _trace_endo_images([(px, py)], one, tracer)
         tracer.end_section()
     else:
 
@@ -557,9 +528,7 @@ def trace_scalar_mult(
                 tracer.input(raw.tb, f"{tag}tb"),
             )
 
-        from ..curve.endomorphisms import default_endomorphisms
-
-        endo = default_endomorphisms()
+        endo = curve_constants().endo
         phi_p = endo.phi(point)
         psi_p = endo.psi(point)
         psiphi_p = endo.psi(phi_p)
@@ -573,13 +542,8 @@ def trace_scalar_mult(
     table = build_table(p_r1, phi_r1, psi_r1, psiphi_r1, tracer)
     tracer.end_section()
 
-    scalars = decomposer.decompose(k)
-    recoded = recode_glv_sac(
-        tuple(scalars), length=max(65, max(s.bit_length() for s in scalars) + 1)
-    )
-
     tracer.begin_section("loop")
-    q = fourq_main_loop(table, recoded, tracer)
+    q = fourq_main_loop(table, _recode(k, curve_constants().decomposer), tracer)
     tracer.end_section()
 
     tracer.begin_section("normalize")
@@ -601,8 +565,7 @@ def trace_scalar_mult(
         point=point,
         expected=expected,
         retrace=_retrace(
-            tracer, trace_scalar_mult, k=k, point=point, decomposer=decomposer,
-            compiled=compiled, include_endomorphisms=include_endomorphisms,
-            self_check=self_check,
+            tracer, trace_scalar_mult, k=k, point=point,
+            include_endomorphisms=include_endomorphisms, self_check=self_check,
         ),
     )

@@ -91,11 +91,7 @@ class TestDefaultsLoadTheCommittedModule:
     def test_defaults_share_the_loaded_constants(self):
         loaded = curve_constants()
         assert default_decomposer() is loaded.decomposer
-        assert compile_endomorphisms() is loaded.compiled
-        endo = default_endomorphisms()
-        assert (endo.lambda_phi, endo.lambda_psi) == (
-            loaded.endo.lambda_phi, loaded.endo.lambda_psi
-        )
+        assert default_endomorphisms() is loaded.endo
 
     def test_committed_module_passes_without_fallback(self):
         before = count(get_registry(), FALLBACKS)
@@ -131,6 +127,23 @@ class TestTamper:
         before = count(get_registry(), FALLBACKS)
         assert load_constants(types.SimpleNamespace(**namespace)).source == "derived"
         assert count(get_registry(), FALLBACKS) == before + 1
+
+    def test_decomposer_wider_than_64_bits_is_rejected(self, caplog):
+        """A basis of the right lattice that is not reduced decomposes
+        correctly but too wide for the 65-digit recoding."""
+        rows = [list(r) for r in derived_constants.BASIS]
+        rows[0] = [a + 4 * b for a, b in zip(rows[0], rows[1])]
+        source = _source(BASIS=tuple(map(tuple, rows)))
+        with pytest.raises(ValueError, match="64"):
+            verify_constants(source)
+        before = count(get_registry(), FALLBACKS)
+        with caplog.at_level(logging.WARNING, logger=committed.__name__):
+            loaded = load_constants(source)
+        assert loaded is derive_constants()
+        assert loaded.decomposer.max_scalar_bits == 64
+        assert count(get_registry(), FALLBACKS) == before + 1
+        warnings = [r for r in caplog.records if r.name == committed.__name__]
+        assert len(warnings) == 1 and "66 bits wide" in warnings[0].getMessage()
 
     def test_non_canonical_coordinate_is_rejected(self):
         x = derived_constants.TAU_KERNEL_X

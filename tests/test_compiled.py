@@ -79,10 +79,7 @@ class TestTapeEquivalence:
     @settings(max_examples=20)
     def test_single_base_shape(self, engine, k, p):
         def build(tracer):
-            return trace_scalar_mult(
-                k=k, point=p, decomposer=engine.decomposer,
-                compiled=engine.compiled_endos, self_check=False, tracer=tracer,
-            )
+            return trace_scalar_mult(k=k, point=p, self_check=False, tracer=tracer)
 
         tape = _tape_vs_interpreted(_entry(engine, "scalarmult"), build)
         assert tape.cycles == tape.profile.cycles == 2069
@@ -95,8 +92,7 @@ class TestTapeEquivalence:
 
         def build(tracer):
             return trace_double_scalar_mult(
-                u1=u1, u2=u2, p1=g, p2=p, decomposer=engine.decomposer,
-                compiled=engine.compiled_endos, self_check=False, tracer=tracer,
+                u1=u1, u2=u2, p1=g, p2=p, self_check=False, tracer=tracer
             )
 
         tape = _tape_vs_interpreted(_entry(engine, "double_scalarmult"), build)
@@ -113,9 +109,7 @@ class TestTapeEquivalence:
             tape = _tape_vs_interpreted(
                 entry,
                 lambda tracer, k=k: trace_scalar_mult(
-                    k=k, point=g, decomposer=engine.decomposer,
-                    compiled=engine.compiled_endos, self_check=False,
-                    tracer=tracer,
+                    k=k, point=g, self_check=False, tracer=tracer
                 ),
             )
             p = tape.profile

@@ -10,6 +10,7 @@ from repro.curve.decompose import (
     phi_eigenvalue_candidates,
     psi_eigenvalue_candidates,
 )
+from repro.curve.endomorphisms import default_decomposer
 from repro.curve.params import SUBGROUP_ORDER_N
 
 scalars256 = st.integers(min_value=0, max_value=2**256 - 1)
@@ -30,39 +31,43 @@ class TestEigenvalueCandidates:
 
 
 class TestDecomposerSetup:
-    def test_default_construction(self):
-        dec = FourQDecomposer()
-        assert dec.max_scalar_bits <= 66
+    def test_default_construction(self, decomposer):
+        """LLL from the derived eigenvalues gives the 64-bit width."""
+        assert decomposer.max_scalar_bits == 64
 
-    def test_basis_is_in_lattice(self):
-        dec = FourQDecomposer()
+    def test_eigenvalues_are_required(self):
+        """No default eigenvalues: the old default (roots of -5 and 2)
+        built a lattice that does not match the derived phi and psi."""
+        with pytest.raises(TypeError):
+            FourQDecomposer()
+
+    def test_basis_is_in_lattice(self, decomposer):
+        dec = decomposer
         lams = (1, dec.lambda_phi, dec.lambda_psi, dec.lambda_phipsi)
         for row in dec.basis:
             assert sum(v * l for v, l in zip(row, lams)) % dec.n == 0
 
-    def test_basis_entries_are_62_bits(self):
+    def test_basis_entries_are_62_bits(self, decomposer):
         """The paper's '64-bit scalars' rest on a ~N^(1/4) = 2^62 basis."""
-        dec = FourQDecomposer()
-        worst = max(abs(x) for row in dec.basis for x in row)
+        worst = max(abs(x) for row in decomposer.basis for x in row)
         assert worst.bit_length() <= 63
 
 
 class TestDecompose:
     @pytest.fixture(scope="class")
     def dec(self):
-        return FourQDecomposer()
+        """The decomposer production uses (matched to the derived maps)."""
+        return default_decomposer()
 
     @given(scalars256)
     @settings(max_examples=50)
-    def test_recomposition(self, k):
-        dec = FourQDecomposer()
+    def test_recomposition(self, dec, k):
         d = dec.decompose(k)
         assert dec.recompose(d.scalars) == k % SUBGROUP_ORDER_N
 
     @given(scalars256)
     @settings(max_examples=50)
-    def test_width_positivity_parity(self, k):
-        dec = FourQDecomposer()
+    def test_width_positivity_parity(self, dec, k):
         d = dec.decompose(k)
         a1, a2, a3, a4 = d.scalars
         assert a1 % 2 == 1

@@ -267,6 +267,35 @@ class TestHostileRequests:
             assert answer.body["status"] in ("ok", "failed")
 
 
+class TestWireBytes:
+    def test_inbound_bytes_are_the_bytes_on_the_wire(self):
+        """HELLO included, and a body whose JSON is not byte-canonical
+        counted as sent, not as the server would re-encode it."""
+        loose = b'{ "kind" : "sm" ,\n  "payload" : [ 3 , null ] }'
+        header = encode_frame(FRAME_REQUEST, 1, {})[4:4 + HEADER_SIZE]
+        request = (HEADER_SIZE + len(loose)).to_bytes(4, "big") + header + loose
+        hello = encode_frame(FRAME_HELLO, 0, {"versions": [1]})
+
+        async def body():
+            server = await make_server().start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(hello + request)
+                await writer.drain()
+                assert (await read_frame(reader)).type == FRAME_HELLO_OK
+                answer = await read_frame(reader)
+                assert (answer.type, answer.body["status"]) == (FRAME_RESPONSE, "ok")
+                writer.close()
+                return count(server.metrics, "repro_net_bytes_total", direction="in")
+            finally:
+                await server.aclose()
+                await server.frontend.aclose()
+
+        assert run(body()) == len(hello) + len(request)
+
+
 class TestFairness:
     def test_firehose_cannot_starve_a_polite_client(self):
         # A slow engine makes service the bottleneck; the firehose

@@ -1,8 +1,20 @@
 """Tests for the execution-trace recorder and traced programs."""
 
+import random
+
 import pytest
 
-from repro.trace import OpKind, Tracer, trace_loop_iteration, trace_msm_window, trace_scalar_mult
+from repro.curve.point import random_subgroup_point
+from repro.sched import MachineSpec
+from repro.serve.cache import trace_shape_key
+from repro.trace import (
+    OpKind,
+    Tracer,
+    trace_double_scalar_mult,
+    trace_loop_iteration,
+    trace_msm_window,
+    trace_scalar_mult,
+)
 
 
 class TestTracer:
@@ -160,3 +172,42 @@ class TestMsmWindowTrace:
             trace_msm_window(n_points=0)
         with pytest.raises(ValueError):
             trace_msm_window(n_points=4, window=1)
+
+
+class TestPinnedShapes:
+    """The serving shapes, pinned: any refactor of the builders must
+    emit the same ops in the same order (the cache key and the per-section
+    op counts), for any scalar and any point."""
+
+    SINGLE = (
+        "46e65433a2039ed5b3a6b45de7afdbc102469a464d60e3e901a538745845b101",
+        {"endo": (162, 67), "table": (78, 75), "loop": (960, 834), "normalize": (142, 1)},
+    )
+    DOUBLE = (
+        "49a9cab1afef204d91c5789241197f2e20b1fca88b9cb859607eca4e3593ba33",
+        {"endo": (324, 134), "table": (156, 150), "loop": (1483, 1290),
+         "normalize": (142, 1)},
+    )
+
+    @staticmethod
+    def _pinned(prog):
+        key = trace_shape_key(prog.tracer.trace, MachineSpec(), "auto")
+        return key, prog.section_counts()
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_single_base(self, seed):
+        args = {}
+        if seed is not None:
+            rng = random.Random(seed)
+            args = dict(k=rng.randrange(2**256), point=random_subgroup_point(rng))
+        assert self._pinned(trace_scalar_mult(self_check=False, **args)) == self.SINGLE
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_double_base(self, seed):
+        args = {}
+        if seed is not None:
+            rng = random.Random(seed)
+            args = dict(u1=rng.randrange(2**256), u2=rng.randrange(2**256),
+                        p1=random_subgroup_point(rng), p2=random_subgroup_point(rng))
+        prog = trace_double_scalar_mult(self_check=False, **args)
+        assert self._pinned(prog) == self.DOUBLE
