@@ -475,10 +475,13 @@ def run_flow(
 
 
 #: What a cache hit's tape may raise: a length or output mismatch
-#: (ValueError / SimulationError), a leaf outside the candidate set
-#: (KeyError), a golden mismatch (SimulationError), or a corrupted
-#: tape tripping a unit model's width assertions.
-_TAPE_FAILURES = (KeyError, IndexError, ValueError, RuntimeError, AssertionError)
+#: (ValueError / SimulationError), a non-canonical preload or a golden
+#: mismatch (SimulationError), a leaf outside the candidate set
+#: (KeyError), or a corrupted tape reading a slot that does not exist
+#: (IndexError).  The tape's multiplier asserts no widths: they are
+#: proven once for canonical operands, and the preload check makes
+#: every operand canonical.
+_TAPE_FAILURES = (KeyError, IndexError, ValueError, RuntimeError)
 
 
 def _tape_reproduces(compiled, program: TraceProgram, sim: SimulationResult) -> bool:

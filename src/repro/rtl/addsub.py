@@ -21,34 +21,34 @@ class AddSubStats:
     issues: int = 0
 
 
-def _lane_add(a: int, b: int) -> int:
-    s = a + b
-    if s >= P127:
-        s -= P127
-    return s
-
-
-def _lane_sub(a: int, b: int) -> int:
-    s = a - b
-    if s < 0:
-        s += P127
-    return s
+# Each unit function is one Python call per issue: the lanes are
+# written out, not delegated, since the compiled tape calls these
+# directly.  Canonical operands give canonical results: a sum lies in
+# [0, 2p) and a difference in (-p, p), so one correction lands each
+# lane in [0, p).
 
 
 def _unit_add(a: Fp2Raw, b: Fp2Raw) -> Fp2Raw:
-    return (_lane_add(a[0], b[0]), _lane_add(a[1], b[1]))
+    s0 = a[0] + b[0]
+    s1 = a[1] + b[1]
+    return (s0 - P127 if s0 >= P127 else s0, s1 - P127 if s1 >= P127 else s1)
 
 
 def _unit_sub(a: Fp2Raw, b: Fp2Raw) -> Fp2Raw:
-    return (_lane_sub(a[0], b[0]), _lane_sub(a[1], b[1]))
+    s0 = a[0] - b[0]
+    s1 = a[1] - b[1]
+    return (s0 + P127 if s0 < 0 else s0, s1 + P127 if s1 < 0 else s1)
 
 
 def _unit_neg(a: Fp2Raw, b: Optional[Fp2Raw] = None) -> Fp2Raw:
-    return (_lane_sub(0, a[0]), _lane_sub(0, a[1]))
+    s0 = -a[0]
+    s1 = -a[1]
+    return (s0 + P127 if s0 < 0 else s0, s1 + P127 if s1 < 0 else s1)
 
 
 def _unit_conj(a: Fp2Raw, b: Optional[Fp2Raw] = None) -> Fp2Raw:
-    return (a[0], _lane_sub(0, a[1]))
+    s1 = -a[1]
+    return (a[0], s1 + P127 if s1 < 0 else s1)
 
 
 #: One combinational pass of the adder/subtractor per opcode, as

@@ -16,12 +16,19 @@ A mux-fed operand carries one candidate slot per leaf.  The request's
 :class:`~repro.trace.tracer.ValueRecorder` names the leaf each SELECT
 chose; a leaf outside the candidate set is refused.
 
-:meth:`CompiledProgram.run` executes the tape with the datapath's own
-unit models (:func:`~repro.rtl.multiplier.karatsuba_fp2_multiply` with
-its width assertions, the add/sub lanes) and compares every result with
-the request's recorded field-layer value — the same per-writeback
-golden check the interpreted simulator makes — and every output with
-its recorded value.
+:meth:`CompiledProgram.run` first checks that every preloaded value is
+canonical (both halves in ``[0, p)``), then executes the tape with the
+datapath's unit models — the multiplier's assertion-free Algorithm 2
+body (:func:`~repro.rtl.multiplier.karatsuba_fp2_multiply_lean`) and
+the add/sub lanes — and compares every result with the request's
+recorded field-layer value, the same per-writeback golden check the
+interpreted simulator makes, and every output with its recorded value.
+The multiplier's widths need no per-op assertion: they are proven once
+for canonical operands (:data:`~repro.rtl.multiplier.WIDTHS`), every
+unit maps canonical operands to a canonical result, and every operand
+is a preload or an earlier result, so vetting the preloads covers
+every op.  The interpreted simulator keeps the asserting multiplier,
+and a fill stores a tape only if it reproduces the interpreted run.
 
 What depends only on the schedule and the set of mux alternatives is
 proven once, in :func:`compile_program`, over every alternative: the
@@ -33,18 +40,18 @@ is data, a few tuples per issued op.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..field.fp import P127
 from ..field.fp2 import Fp2Raw
 from ..isa.microcode import Operand, OperandSource, ProgramTemplate, UnitIssue
 from ..trace.ops import Unit
 from ..trace.tracer import ValueRecorder
 from .addsub import ADDSUB_OPS, AddSubStats
 from .datapath import SimulationError, SimulationResult, UnitProfile
-from .multiplier import MultiplierStats, karatsuba_fp2_multiply
+from .multiplier import MultiplierStats, karatsuba_fp2_multiply_lean
 from .regfile import RegisterFile
 
 #: One mux-fed issue: (tape position, cycle, SELECT uids feeding it,
@@ -57,8 +64,8 @@ MuxIssue = Tuple[int, int, Tuple[int, ...], Dict[Tuple[int, ...], Tuple[int, int
 class CompiledProgram:
     """A cached shape's program as a golden-checked instruction tape.
 
-    Per issued op: ``fns`` (an add/sub unit function, or ``None`` for
-    the multiplier), operand slots ``a`` / ``b`` and the golden uid
+    Per issued op: ``fns`` (its unit function: the lean multiplier or
+    an add/sub lane), operand slots ``a`` / ``b`` and the golden uid
     ``uids``.  ``muxes`` overrides ``a`` / ``b`` per request.  The
     ``UnitProfile`` fields that do not depend on the mux routing are
     constants; register reads, forwarding uses and the per-cycle read
@@ -66,7 +73,7 @@ class CompiledProgram:
     """
 
     preload: Tuple[int, ...]   # slot -> the uid whose value it holds
-    fns: Tuple[Optional[Callable[[Fp2Raw, Fp2Raw], Fp2Raw]], ...]
+    fns: Tuple[Callable[[Fp2Raw, Fp2Raw], Fp2Raw], ...]
     a: Tuple[int, ...]
     b: Tuple[int, ...]
     uids: Tuple[int, ...]
@@ -83,13 +90,18 @@ class CompiledProgram:
     def run(self, recording: ValueRecorder) -> SimulationResult:
         """Execute the tape for one request's recording.
 
-        Raises :class:`SimulationError` on a golden or output mismatch
-        and ``KeyError`` when a SELECT chose a leaf outside the
-        candidate set; the caller falls back to the full flow.
+        Raises :class:`SimulationError` on a non-canonical preload
+        (before any op runs), a golden or an output mismatch, and
+        ``KeyError`` when a SELECT chose a leaf outside the candidate
+        set; the caller falls back to the full flow.
         """
         values = recording.values
         if recording.outputs != [uid for _, uid, _ in self.outputs]:
             raise SimulationError("recording outputs differ from the compiled program's")
+        slots = [values[uid] for uid in self.preload]
+        for v0, v1 in slots:
+            if not (0 <= v0 < P127 and 0 <= v1 < P127):
+                raise SimulationError(f"preload ({v0}, {v1}) is not canonical")
         leaf: Dict[int, int] = {}
         for sel, src in recording.chosen.items():
             leaf[sel] = leaf.get(src, src)
@@ -108,12 +120,9 @@ class CompiledProgram:
             fwd_addsub += fs
             cycle_reads[cycle] = cycle_reads.get(cycle, self.mux_cycle_reads[cycle]) + r
 
-        mult_stats = MultiplierStats()
-        mul = functools.partial(karatsuba_fp2_multiply, stats=mult_stats)
-        slots = [values[uid] for uid in self.preload]
         append = slots.append
         for fn, x, y, uid in zip(self.fns, a, b, self.uids):
-            value = (fn or mul)(slots[x], slots[y])
+            value = fn(slots[x], slots[y])
             if value != values[uid]:
                 raise SimulationError(
                     f"v{uid} mismatch: {value} != {values[uid]}"
@@ -144,7 +153,7 @@ class CompiledProgram:
         return SimulationResult(
             outputs=outputs,
             cycles=base.cycles,
-            mult_stats=mult_stats,
+            mult_stats=MultiplierStats(issues=base.mult_issues),
             addsub_stats=AddSubStats(issues=base.addsub_issues),
             max_reads_per_cycle=max_reads,
             max_writes_per_cycle=base.max_writes_per_cycle,
@@ -177,7 +186,7 @@ def compile_program(
         slot_uid.append(uid)
     preload = tuple(slot_uid)
 
-    fns: List[Optional[Callable]] = []
+    fns: List[Callable] = []
     a: List[int] = []
     b: List[int] = []
     muxes: List[MuxIssue] = []
@@ -228,7 +237,7 @@ def compile_program(
                 static_reads += r
                 fwd_mult += fm
                 fwd_addsub += fs
-            fns.append(None if is_mult else ADDSUB_OPS[issue.kind])
+            fns.append(karatsuba_fp2_multiply_lean if is_mult else ADDSUB_OPS[issue.kind])
             a.append(x)
             b.append(y)
             issued.append(len(slot_uid))
@@ -263,7 +272,7 @@ def compile_program(
             raise SimulationError(f"output {name} never written")
         outputs.append((name, uid, {leaf: reg[r] for leaf, r in premap.items()}))
 
-    n_mult = fns.count(None)
+    n_mult = fns.count(karatsuba_fp2_multiply_lean)
     return CompiledProgram(
         preload=preload,
         fns=tuple(fns),

@@ -8,8 +8,24 @@ corrects a possibly-negative ``t4 = t0 - t1`` by adding "p"; with
 ``t0, t1`` being full 254-bit products the correction must be a
 multiple of p of comparable magnitude, so this model adds
 ``p^2 = p * (2^127 + 1)`` (``p^2 === 0 mod p``), which makes every
-subsequent slice width check out.  The result is verified against the
-mathematical F_{p^2} multiplication exhaustively in the test suite.
+subsequent slice width check out.
+
+:data:`WIDTHS` is the one width table of the datapath: the operands,
+t0–t8, the output of each fold stage (two per half) and the input of
+the conditional subtraction.  For canonical operands (< p) every value
+stays inside its declared width; ``tests/test_widths.py`` proves this
+by interval arithmetic and shows that narrowing any entry by one bit,
+or dropping a fold stage, breaks the proof (the argument is in
+``docs/derivation.md``).  Two bodies run the datapath:
+
+* :func:`karatsuba_fp2_multiply` asserts every width from the table as
+  it goes.  The interpreted simulator's :class:`PipelinedMultiplier`
+  runs it, so every cache fill re-checks the widths on real values.
+* :func:`karatsuba_fp2_multiply_lean` is the same slice-and-add
+  datapath without the assertions; the compiled tape
+  (:mod:`repro.rtl.compiled`) runs it after vetting that every value it
+  preloads is canonical.  Both bodies are bit-identical on canonical
+  operands and agree with the field layer's F_{p^2} product.
 
 The pipeline wrapper models the initiation-interval-1 behaviour: a new
 operand pair can be accepted every cycle, and the product appears
@@ -29,80 +45,155 @@ _MASK127 = (1 << 127) - 1
 _P_SQUARED = P127 * P127
 
 
+@dataclass(frozen=True)
+class Algorithm2Widths:
+    """The declared bit width of every value on Algorithm 2's datapath.
+
+    A value of width ``w`` lies in ``[0, 2^w)``; ``t4 = t0 - t1`` is
+    signed, ``|t4| < 2^t4``.  ``folds`` holds each fold stage's output
+    width in order, so its length is the fold depth of each half;
+    ``cond_sub`` is the input width of the final conditional
+    subtraction, which lands each half in ``[0, p)``.
+    """
+
+    operand: int
+    t0: int  # x0 * y0
+    t1: int  # x1 * y1
+    t2: int  # x0 + x1
+    t3: int  # y0 + y1
+    t4: int  # t0 - t1, signed
+    t5: int  # t0 + t1
+    t6: int  # t2 * t3
+    t7: int  # t4, made non-negative by adding p^2
+    t8: int  # t6 - t5 = x0 * y1 + x1 * y0
+    folds: Tuple[int, ...]
+    cond_sub: int
+
+    @property
+    def folds_per_product(self) -> int:
+        """Fold stages one product passes: the depth, once per half."""
+        return 2 * len(self.folds)
+
+    #: One final conditional subtraction per half.
+    cond_subs_per_product = 2
+
+
+#: The tight widths for canonical operands (see the module docstring).
+WIDTHS = Algorithm2Widths(
+    operand=127,
+    t0=254,
+    t1=254,
+    t2=128,
+    t3=128,
+    t4=254,
+    t5=255,
+    t6=256,
+    t7=254,
+    t8=255,
+    folds=(129, 128),
+    cond_sub=128,
+)
+
+(_OPERAND, _T0, _T1, _T2, _T3, _T4, _T5, _T6, _T7, _T8, _COND_SUB) = (
+    1 << w
+    for w in (
+        WIDTHS.operand, WIDTHS.t0, WIDTHS.t1, WIDTHS.t2, WIDTHS.t3, WIDTHS.t4,
+        WIDTHS.t5, WIDTHS.t6, WIDTHS.t7, WIDTHS.t8, WIDTHS.cond_sub,
+    )
+)
+_FOLDS = tuple(1 << w for w in WIDTHS.folds)
+
+
 @dataclass
 class MultiplierStats:
-    """Operation statistics the area/energy model consumes."""
+    """Operation statistics the area/energy model consumes.
+
+    Folds and conditional subtractions are fixed per product
+    (:attr:`Algorithm2Widths.folds_per_product`,
+    :attr:`Algorithm2Widths.cond_subs_per_product`), so only issues are
+    counted.
+    """
 
     issues: int = 0
-    folds: int = 0
-    cond_subs: int = 0
 
 
 def karatsuba_fp2_multiply(x: Fp2Raw, y: Fp2Raw, stats: Optional[MultiplierStats] = None) -> Fp2Raw:
     """One combinational pass of Algorithm 2 (bit-exact, width-checked).
 
-    Raises AssertionError if any intermediate exceeds its declared
-    hardware width — the widths are part of the model.
+    Raises AssertionError if any intermediate exceeds its width in
+    :data:`WIDTHS` — the widths are part of the model.
     """
     x0, x1 = x
     y0, y1 = y
-    assert 0 <= x0 < (1 << 127) and 0 <= x1 < (1 << 127)
-    assert 0 <= y0 < (1 << 127) and 0 <= y1 < (1 << 127)
+    assert 0 <= x0 < _OPERAND and 0 <= x1 < _OPERAND
+    assert 0 <= y0 < _OPERAND and 0 <= y1 < _OPERAND
 
     # Stage 1: three 127/128-bit multiplications (Karatsuba) + 2 adds.
-    t0 = x0 * y0                       # <= (2^127-1)^2 : 254 bits
+    t0 = x0 * y0
     t1 = x1 * y1
-    t2 = x0 + x1                       # 128 bits
+    t2 = x0 + x1
     t3 = y0 + y1
-    assert t0 < (1 << 254) and t1 < (1 << 254)
-    assert t2 < (1 << 128) and t3 < (1 << 128)
+    assert t0 < _T0 and t1 < _T1
+    assert t2 < _T2 and t3 < _T3
 
     # Stage 2: cross product and lazily-reduced combinations.
-    t6 = t2 * t3                       # <= (2^128-2)^2 : 256 bits
-    t4 = t0 - t1                       # signed, |t4| < 2^254
-    t5 = t0 + t1                       # 255 bits
-    assert t6 < (1 << 256)
+    t6 = t2 * t3
+    t4 = t0 - t1                       # signed
+    t5 = t0 + t1
+    assert -_T4 < t4 < _T4 and t5 < _T5 and t6 < _T6
 
     # Stage 3: corrections and Mersenne folds.
     # t7: make the real part non-negative by adding p^2 (=== 0 mod p).
     t7 = t4 + _P_SQUARED if t4 < 0 else t4
-    assert 0 <= t7 < (1 << 255)
     t8 = t6 - t5                       # = x0 y1 + x1 y0 >= 0
-    assert 0 <= t8 < (1 << 256)
+    assert 0 <= t7 < _T7 and 0 <= t8 < _T8
 
-    t9 = _fold(t7, stats)
-    t10 = _fold(t8, stats)
-    z0 = _cond_sub(t9, stats)
-    z1 = _cond_sub(t10, stats)
+    z0 = _cond_sub(_fold(t7))
+    z1 = _cond_sub(_fold(t8))
     if stats is not None:
         stats.issues += 1
     return (z0, z1)
 
 
-def _fold(v: int, stats: Optional[MultiplierStats]) -> int:
-    """Mersenne fold v[126:0] + v[.. :127] until the value fits 128 bits.
-
-    For inputs below 2^256 at most two folds are needed; the fold count
-    is asserted so the combinational depth stays what the hardware has.
-    """
-    folds = 0
-    while v >> 127:
+def _fold(v: int) -> int:
+    """The Mersenne fold stages: v[126:0] + v[.. :127], once per stage."""
+    for limit in _FOLDS:
         v = (v & _MASK127) + (v >> 127)
-        folds += 1
-        assert folds <= 3, "fold chain deeper than hardware"
-    if stats is not None:
-        stats.folds += folds
+        assert v < limit, "fold stage output wider than declared"
     return v
 
 
-def _cond_sub(v: int, stats: Optional[MultiplierStats]) -> int:
+def _cond_sub(v: int) -> int:
     """Final conditional subtraction into [0, p)."""
-    assert v <= 2 * P127, "cond-sub input out of single-subtraction range"
-    if stats is not None:
-        stats.cond_subs += 1
+    assert v < _COND_SUB, "cond-sub input wider than declared"
     if v >= P127:
         v -= P127
+    assert v < P127, "cond-sub input out of single-subtraction range"
     return v
+
+
+def karatsuba_fp2_multiply_lean(x: Fp2Raw, y: Fp2Raw) -> Fp2Raw:
+    """Algorithm 2 without width assertions or statistics.
+
+    The datapath of :func:`karatsuba_fp2_multiply` — Karatsuba partial
+    products, the p^2 correction, two slice-and-add fold stages per
+    half and one conditional subtraction — for operands the caller has
+    vetted canonical, where :data:`WIDTHS` is proven to hold.  Every
+    result is canonical again.
+    """
+    x0, x1 = x
+    y0, y1 = y
+    t0 = x0 * y0
+    t1 = x1 * y1
+    t7 = t0 - t1
+    if t7 < 0:
+        t7 += _P_SQUARED
+    t8 = (x0 + x1) * (y0 + y1) - t0 - t1
+    t7 = (t7 & _MASK127) + (t7 >> 127)
+    t7 = (t7 & _MASK127) + (t7 >> 127)
+    t8 = (t8 & _MASK127) + (t8 >> 127)
+    t8 = (t8 & _MASK127) + (t8 >> 127)
+    return (t7 - P127 if t7 >= P127 else t7, t8 - P127 if t8 >= P127 else t8)
 
 
 @dataclass

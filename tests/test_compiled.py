@@ -8,7 +8,9 @@ reproduce the interpreted simulation of the full trace: the outputs,
 the multiplier statistics and every ``UnitProfile`` field, the
 routing-dependent register reads and forwarding counts included.
 Random straight-line programs on random machines check the same
-through ``run_flow``'s fill and hit paths.
+through ``run_flow``'s fill and hit paths.  Each shape's static op
+counts are pinned, and a recording with a non-canonical preload is
+refused before the tape runs an op.
 """
 
 import dataclasses
@@ -18,9 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.flow as flow_mod
 from repro.curve.params import SUBGROUP_ORDER_N as N
+from repro.field.fp import P127
 from repro.curve.point import AffinePoint, random_subgroup_point
-from repro.flow import run_flow
+from repro.flow import CACHE_EVENTS, run_flow
 from repro.obs import MetricsRegistry
 from repro.rtl import DatapathSimulator, SimulationError
 from repro.rtl.compiled import compile_program
@@ -160,3 +164,90 @@ class TestFillTimeProofs:
         bad = dataclasses.replace(template, preload_slots=template.preload_slots[1:])
         with pytest.raises(SimulationError, match="uninitialized"):
             compile_program(bad)
+
+
+class TestStaticCounts:
+    """A tape issues a fixed op mix per shape; its multiplier statistics
+    are that static count and equal the interpreted run's."""
+
+    @pytest.mark.parametrize(
+        "shape, mult_issues", [("scalarmult", 1342), ("double_scalarmult", 2105)]
+    )
+    def test_multiplier_issues(self, engine, shape, mult_issues):
+        entry = _entry(engine, shape)
+        assert entry.compiled.base.mult_issues == mult_issues
+        g = AffinePoint.generator()
+        if shape == "scalarmult":
+            def build(tracer):
+                return trace_scalar_mult(k=0xABCDEF, point=g, self_check=False, tracer=tracer)
+        else:
+            def build(tracer):
+                return trace_double_scalar_mult(
+                    u1=3, u2=0xABCDEF, p1=g, p2=g, self_check=False, tracer=tracer
+                )
+        tape = _tape_vs_interpreted(entry, build)
+        assert tape.mult_stats.issues == mult_issues
+        assert tape.profile.mult_issues == mult_issues
+
+
+def _planted(recording, uid, value):
+    """A copy of ``recording`` whose value ``uid`` reads ``value``."""
+    planted = ValueRecorder()
+    planted.values = list(recording.values)
+    planted.values[uid] = value
+    planted.chosen = recording.chosen
+    planted.outputs = recording.outputs
+    return planted
+
+
+NON_CANONICAL = [(P127, 0), (0, P127), (2**127, 0), (0, 2**127)]
+
+
+class TestPreloadCheck:
+    """The tape's multiplier asserts no widths, so a non-canonical
+    preload must never reach it."""
+
+    @pytest.mark.parametrize("value", NON_CANONICAL)
+    def test_refused_before_any_op(self, engine, value):
+        compiled = _entry(engine, "scalarmult").compiled
+        recording = trace_scalar_mult(
+            k=0xBEEF, point=AffinePoint.generator(), self_check=False,
+            tracer=ValueRecorder(),
+        ).tracer
+        compiled.run(recording)  # the unplanted recording passes
+        calls = []
+
+        def spy(a, b):
+            calls.append((a, b))
+            raise AssertionError("an op ran")
+
+        spied = dataclasses.replace(compiled, fns=(spy,) * len(compiled.fns))
+        for uid in (compiled.preload[0], compiled.preload[-1]):
+            with pytest.raises(SimulationError, match="not canonical"):
+                spied.run(_planted(recording, uid, value))
+        assert calls == []
+
+    @pytest.mark.parametrize("value", [(P127, 0), (2**127, 0)])
+    def test_engine_falls_back(self, engine, monkeypatch, value):
+        """A planted preload costs one counted fallback to the full
+        flow, which answers textbook [k]P; the next request hits."""
+        compiled = _entry(engine, "scalarmult").compiled
+        real = ValueRecorder.of
+        planted = []
+
+        def plant_once(tracer):
+            recording = real(tracer)
+            if planted:
+                return recording
+            planted.append(value)
+            return _planted(recording, compiled.preload[0], value)
+
+        monkeypatch.setattr(flow_mod.ValueRecorder, "of", staticmethod(plant_once))
+        before = engine.metrics.value(CACHE_EVENTS, event="fallback")
+        k, p = 0xFACADE + value[0] % 7, AffinePoint.generator()
+        flow = engine.scalarmult_flow(k, p)
+        assert planted == [value]
+        assert flow.fallback and not flow.cache_hit
+        assert _point(flow.simulation) == (k % N) * p
+        assert engine.metrics.value(CACHE_EVENTS, event="fallback") == before + 1
+        assert engine.scalarmult_flow(k + 1, p).cache_hit

@@ -14,7 +14,7 @@ from repro.rtl import (
     fp2_addsub_compute,
     karatsuba_fp2_multiply,
 )
-from repro.rtl.multiplier import MultiplierStats
+from repro.rtl.multiplier import WIDTHS, MultiplierStats
 from repro.trace.ops import OpKind
 
 coord = st.integers(min_value=0, max_value=P127 - 1)
@@ -38,8 +38,8 @@ class TestMultiplierCombinational:
         stats = MultiplierStats()
         karatsuba_fp2_multiply((123, 456), (789, 321), stats)
         assert stats.issues == 1
-        assert stats.cond_subs == 2
-        assert stats.folds <= 6  # at most ~2 folds per half
+        assert WIDTHS.cond_subs_per_product == 2
+        assert WIDTHS.folds_per_product <= 6  # two fold stages per half
 
 
 class TestMultiplierPipeline:
