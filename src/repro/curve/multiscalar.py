@@ -3,11 +3,11 @@
 Batch signature verification — the ITS scenario's actual hot loop when
 messages arrive from many vehicles — evaluates sums of scalar
 multiples.  The host evaluates every one of them the same way
-(:func:`multi_scalar_mul`, :func:`batch_verify_schnorr`): an
+(:func:`multi_scalar_mul`, :class:`SchnorrBatch`): an
 **interleaved width-w NAF** MSM.
 
 * Each point gets a small table of odd multiples P, 3P, ...,
-  (2^(w-1) - 1)P (:func:`repro.curve.scalarmult.odd_multiples`), its
+  (2^(w-1) - 1)P (:func:`_table`), its
   width chosen from its own scalar's length (:func:`wnaf_width`), and
   its scalar is recoded into sparse signed digits
   (:func:`repro.curve.scalarmult.wnaf_terms`).
@@ -20,9 +20,13 @@ multiples.  The host evaluates every one of them the same way
   to negated points, and runs the generator term through a
   process-cached width-8 table (:data:`GENERATOR_WNAF_WIDTH`), so that
   column costs additions only.
+* A :class:`SchnorrBatch` prepares each signature once (vetting,
+  challenge, weight, columns) and then sums any subset of it, so
+  locating a forgery by bisection repeats only the MSMs themselves.
 
 Everything runs on the unified extended-coordinate formulas of
-:mod:`repro.curve.edwards`; ``ecc_add_core`` is the a=-1
+:mod:`repro.curve.edwards` (the host MSM, tables included, unrolls them
+on integers: :func:`_add`, :func:`_double`); ``ecc_add_core`` is the a=-1
 Hisil-Wong-Carter-Dawson addition, complete on the odd-order subgroup
 (it handles the doubling and identity cases that repeated or
 cancelling points produce — exercised explicitly by the test suite).
@@ -42,6 +46,7 @@ from collections import defaultdict
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..field.fp import P127
 from ..field.fp2 import fp2_inv, fp2_mul
 from .edwards import (
     RAW_OPS,
@@ -54,9 +59,9 @@ from .edwards import (
     r1_to_r2,
     r2_negate,
 )
-from .params import SUBGROUP_ORDER_N, is_on_curve
+from .params import D2, SUBGROUP_ORDER_N, is_on_curve
 from .point import AffinePoint
-from .scalarmult import _reseed_with_valid_t, odd_multiples, wnaf_terms
+from .scalarmult import _reseed_with_valid_t, wnaf_terms
 from .tate import cofactor_pairings_trivial
 
 # --------------------------------------------------------------------------
@@ -296,47 +301,154 @@ def multi_scalar_mul_pippenger(
     return AffinePoint(x, y, check=False)
 
 
+# --------------------------------------------------------------------------
+# The host MSM's point arithmetic.  These are exactly the formulas of
+# repro.curve.edwards (ecc_double, ecc_add_core, r1_to_r2 and
+# scalarmult._reseed_with_valid_t), unrolled on the integer halves of
+# each F_{p^2} value: every product is reduced mod p, a sum or difference
+# only where it feeds a product.  CPython spends more on the generic
+# formulas' per-operation calls and point objects than on the arithmetic.
+# --------------------------------------------------------------------------
+
+#: A working point in R1, (X, Y, Z, Ta, Tb), as ten integers: each
+#: coordinate's real then imaginary part.
+_Acc = Tuple[int, int, int, int, int, int, int, int, int, int]
+#: A table entry in R2, (Y+X, Y-X, 2Z, 2dT), as eight integers.
+_Entry = Tuple[int, int, int, int, int, int, int, int]
+
+_D2_RE, _D2_IM = D2
+
+
+def _double(acc: _Acc) -> _Acc:
+    """:func:`repro.curve.edwards.ecc_double`: G = Y^2 - X^2,
+    H = X^2 + Y^2, E = (X+Y)^2 - H, F = 2Z^2 - G;
+    (X, Y, Z, Ta, Tb) = (E*F, G*H, G*F, E, H)."""
+    x0, x1, y0, y1, z0, z1, _, _, _, _ = acc
+    p = P127
+    a0, a1 = (x0 - x1) * (x0 + x1) % p, 2 * x0 * x1 % p
+    b0, b1 = (y0 - y1) * (y0 + y1) % p, 2 * y0 * y1 % p
+    s0, s1 = x0 + y0, x1 + y1
+    h0, h1 = a0 + b0, a1 + b1
+    g0, g1 = b0 - a0, b1 - a1
+    e0, e1 = ((s0 - s1) * (s0 + s1) - h0) % p, (2 * s0 * s1 - h1) % p
+    f0, f1 = (2 * (z0 - z1) * (z0 + z1) - g0) % p, (4 * z0 * z1 - g1) % p
+    return ((e0 * f0 - e1 * f1) % p, (e0 * f1 + e1 * f0) % p,
+            (g0 * h0 - g1 * h1) % p, (g0 * h1 + g1 * h0) % p,
+            (g0 * f0 - g1 * f1) % p, (g0 * f1 + g1 * f0) % p,
+            e0, e1, h0, h1)
+
+
+def _add(acc: _Acc, entry: _Entry) -> _Acc:
+    """:func:`repro.curve.edwards.ecc_add_core`: T = Ta*Tb,
+    A = (Y-X)(Y2-X2), B = (Y+X)(Y2+X2), C = T*2dT2, D = Z*2Z2;
+    E = B-A, F = D-C, G = D+C, H = B+A; (E*F, G*H, F*G, E, H)."""
+    x0, x1, y0, y1, z0, z1, ta0, ta1, tb0, tb1 = acc
+    yp0, yp1, ym0, ym1, w0, w1, d0, d1 = entry
+    p = P127
+    t0, t1 = (ta0 * tb0 - ta1 * tb1) % p, (ta0 * tb1 + ta1 * tb0) % p
+    s0, s1, m0, m1 = y0 + x0, y1 + x1, y0 - x0, y1 - x1
+    a0, a1 = (m0 * ym0 - m1 * ym1) % p, (m0 * ym1 + m1 * ym0) % p
+    b0, b1 = (s0 * yp0 - s1 * yp1) % p, (s0 * yp1 + s1 * yp0) % p
+    c0, c1 = (t0 * d0 - t1 * d1) % p, (t0 * d1 + t1 * d0) % p
+    d0, d1 = (z0 * w0 - z1 * w1) % p, (z0 * w1 + z1 * w0) % p
+    e0, e1, h0, h1 = b0 - a0, b1 - a1, b0 + a0, b1 + a1
+    f0, f1, g0, g1 = d0 - c0, d1 - c1, d0 + c0, d1 + c1
+    return ((e0 * f0 - e1 * f1) % p, (e0 * f1 + e1 * f0) % p,
+            (g0 * h0 - g1 * h1) % p, (g0 * h1 + g1 * h0) % p,
+            (f0 * g0 - f1 * g1) % p, (f0 * g1 + f1 * g0) % p,
+            e0, e1, h0, h1)
+
+
+def _seed(entry: _Entry) -> _Acc:
+    """:func:`repro.curve.scalarmult._reseed_with_valid_t`: the entry as
+    a working point, (2X, 2Y, 2Z) scaled by 2Z with Ta = 2X, Tb = 2Y."""
+    yp0, yp1, ym0, ym1, w0, w1, _, _ = entry
+    p = P127
+    ta0, ta1, tb0, tb1 = yp0 - ym0, yp1 - ym1, yp0 + ym0, yp1 + ym1
+    return ((ta0 * w0 - ta1 * w1) % p, (ta0 * w1 + ta1 * w0) % p,
+            (tb0 * w0 - tb1 * w1) % p, (tb0 * w1 + tb1 * w0) % p,
+            (w0 - w1) * (w0 + w1) % p, 2 * w0 * w1 % p,
+            ta0, ta1, tb0, tb1)
+
+
+def _entry(acc: _Acc) -> _Entry:
+    """:func:`repro.curve.edwards.r1_to_r2`: (Y+X, Y-X, 2Z, 2d*Ta*Tb)."""
+    x0, x1, y0, y1, z0, z1, ta0, ta1, tb0, tb1 = acc
+    p = P127
+    t0, t1 = (ta0 * tb0 - ta1 * tb1) % p, (ta0 * tb1 + ta1 * tb0) % p
+    return ((y0 + x0) % p, (y1 + x1) % p, (y0 - x0) % p, (y1 - x1) % p,
+            2 * z0 % p, 2 * z1 % p,
+            (t0 * _D2_RE - t1 * _D2_IM) % p, (t0 * _D2_IM + t1 * _D2_RE) % p)
+
+
+def _table(pt: AffinePoint, width: int) -> Tuple[_Entry, ...]:
+    """:func:`repro.curve.scalarmult.odd_multiples`: P, 3P, ...,
+    (2^(w-1) - 1)P for width ``w``; entry ``j`` serves digits +-(2j + 1)."""
+    (x0, x1), (y0, y1) = pt.x, pt.y
+    acc = (x0, x1, y0, y1, 1, 0, x0, x1, y0, y1)
+    table = [_entry(acc)]
+    if width > 2:
+        two_p = _entry(_double(acc))
+        for _ in range((1 << (width - 2)) - 1):
+            acc = _add(acc, two_p)
+            table.append(_entry(acc))
+    return tuple(table)
+
+
 @lru_cache(maxsize=1)
-def _generator_table() -> Tuple[PointR2, ...]:
+def _generator_table() -> Tuple[_Entry, ...]:
     """Odd multiples G, 3G, ..., 127G in R2 (built once per process)."""
-    return tuple(odd_multiples(AffinePoint.generator(), 1 << (GENERATOR_WNAF_WIDTH - 2)))
+    return _table(AffinePoint.generator(), GENERATOR_WNAF_WIDTH)
 
 
-#: One MSM column: the scalar's sparse wNAF terms and its odd-multiple
-#: table.
-_Column = Tuple[List[Tuple[int, int]], Sequence[PointR2]]
+#: One MSM column: (bit position, signed table entry) for every nonzero
+#: wNAF digit of its scalar.
+_Column = List[Tuple[int, _Entry]]
+
+
+def _column(k: int, width: int, table: Sequence[_Entry]) -> _Column:
+    """``k``'s width-``width`` wNAF digits resolved against ``table``.
+
+    A negative digit takes the negated entry (:func:`repro.curve.edwards.
+    r2_negate`): Y+X and Y-X swap and 2dT changes sign.
+    """
+    column: _Column = []
+    for pos, digit in wnaf_terms(k, width):
+        if digit > 0:
+            column.append((pos, table[digit >> 1]))
+        else:
+            yp0, yp1, ym0, ym1, z0, z1, t0, t1 = table[-digit >> 1]
+            column.append((pos, (ym0, ym1, yp0, yp1, z0, z1, -t0 % P127, -t1 % P127)))
+    return column
 
 
 def _point_column(k: int, pt: AffinePoint) -> _Column:
     width = wnaf_width(k.bit_length())
-    return wnaf_terms(k, width), odd_multiples(pt, 1 << (width - 2))
+    return _column(k, width, _table(pt, width))
 
 
 def _interleaved_wnaf(columns: Sequence[_Column]) -> Optional[PointR1]:
     """The columns' sum in projective R1; ``None`` if no column has a term.
 
-    Files every column's signed table entries under their bit
-    positions, then walks one doubling chain from the top position
-    down, adding the entries due at each position.
+    Files every column's entries under their bit positions, then walks
+    one doubling chain from the top position down, adding the entries
+    due at each position.
     """
-    ops = RAW_OPS
-    due: Dict[int, List[PointR2]] = defaultdict(list)
-    for terms, table in columns:
-        for pos, digit in terms:
-            entry = table[abs(digit) >> 1]
-            due[pos].append(entry if digit > 0 else r2_negate(entry, ops))
+    due: Dict[int, List[_Entry]] = defaultdict(list)
+    for column in columns:
+        for pos, entry in column:
+            due[pos].append(entry)
     if not due:
         return None
-    acc: Optional[PointR1] = None
+    acc: Optional[_Acc] = None
     for pos in range(max(due), -1, -1):
         if acc is not None:
-            acc = ecc_double(acc, ops)
+            acc = _double(acc)
         for entry in due.get(pos, ()):
-            if acc is None:
-                acc = _reseed_with_valid_t(entry, ops)
-            else:
-                acc = ecc_add_core(acc, entry, ops)
-    return acc
+            acc = _seed(entry) if acc is None else _add(acc, entry)
+    x0, x1, y0, y1, z0, z1, ta0, ta1, tb0, tb1 = acc
+    p = P127
+    return PointR1((x0, x1), (y0, y1), (z0, z1), (ta0 % p, ta1 % p), (tb0 % p, tb1 % p))
 
 
 def multi_scalar_mul(
@@ -417,51 +529,113 @@ def validate_verify_item(public, sig) -> Optional[AffinePoint]:
     return commit
 
 
-def batch_verify_schnorr(
-    items: Sequence, rng=None
-) -> bool:
-    """Batch-verify FourQ-Schnorr signatures with random weights.
+class SchnorrBatch:
+    """FourQ-Schnorr signatures prepared once for any number of subset sums.
 
     ``items`` is a sequence of ``(public, message, signature)`` triples
-    (types from :mod:`repro.dsa.fourq_schnorr`).  Uses the standard
-    small-exponent randomized batching: with random 128-bit weights
-    z_i, checks
+    (types from :mod:`repro.dsa.fourq_schnorr`).  Construction does
+    every per-item step once: it vets the item
+    (:func:`validate_verify_item`; a rejected slot is listed in
+    :attr:`rejected`, the rest in :attr:`live`), hashes its challenge
+    e_i, draws its weight z_i (128 bits, odd) and builds its two wNAF
+    columns, [z_i](-R_i) and [z_i e_i](-Q_i), tables included.
+
+    :meth:`sum` then evaluates
+
+        S(I) = [sum_{i in I} z_i s_i] G + sum_{i in I} ([z_i](-R_i) + [z_i e_i](-Q_i))
+             = sum_{i in I} z_i D_i,   D_i = [s_i]G - R_i - [e_i]Q_i
+
+    for any subset I of :attr:`live` as one interleaved wNAF MSM; the
+    generator column reads the cached width-8 table.  An honest item
+    has D_i = O exactly, so a sum that is not the identity proves a bad
+    item in I.  The weights are fixed once the batch is built and drawn
+    after the items are, so a sum over a subset holding a bad item
+    vanishes with probability at most 2^-127, for *each* sum taken
+    (``docs/derivation.md``); they default to the OS CSPRNG
+    (``secrets.SystemRandom``; pass a seeded ``rng`` only in tests).  :attr:`total` keeps the sum over every
+    live item once :func:`batch_verify_schnorr` has computed it.
+    """
+
+    def __init__(self, items: Sequence, rng=None):
+        from ..dsa.fourq_schnorr import _challenge
+
+        rng = rng or secrets.SystemRandom()
+        self.live: List[int] = []
+        self.rejected: List[int] = []
+        self.total: Optional[PointR1] = None
+        #: Per live slot: (weighted s mod N, commitment column, key column).
+        self._prepared: Dict[int, Tuple[int, _Column, _Column]] = {}
+        for idx, (public, message, sig) in enumerate(items):
+            commit = validate_verify_item(public, sig)
+            if commit is None:
+                self.rejected.append(idx)
+                continue
+            z = rng.getrandbits(128) | 1
+            e = _challenge(commit, public, message)
+            self._prepared[idx] = (
+                z * sig.s % SUBGROUP_ORDER_N,
+                _point_column(z, -commit),
+                _point_column(z * e % SUBGROUP_ORDER_N, -public),
+            )
+            self.live.append(idx)
+
+    def sum(self, indices: Sequence[int]) -> Optional[PointR1]:
+        """S(indices) in projective R1 (``None``: no term, the identity)."""
+        columns: List[_Column] = []
+        s_weighted = 0
+        for idx in indices:
+            zs, commit_column, key_column = self._prepared[idx]
+            s_weighted += zs
+            columns += (commit_column, key_column)
+        columns.append(_column(
+            s_weighted % SUBGROUP_ORDER_N, GENERATOR_WNAF_WIDTH, _generator_table()
+        ))
+        return _interleaved_wnaf(columns)
+
+    @staticmethod
+    def difference(whole: PointR1, part: Optional[PointR1]) -> PointR1:
+        """``whole - part``: a sibling's sum from its parent's, one addition."""
+        if part is None:
+            return whole
+        return ecc_add_core(whole, r2_negate(r1_to_r2(part)))
+
+    @staticmethod
+    def is_identity(acc: Optional[PointR1]) -> bool:
+        """True iff ``acc`` (a :meth:`sum`) is the identity."""
+        # Projective identity (0 : 1 : 1): X = 0 and Y = Z.  Exact here,
+        # since every input is in the odd-order subgroup, where the only
+        # point with x = 0 is the identity (the other, (0, -1), has order 2).
+        return acc is None or (acc.x == (0, 0) and acc.y == acc.z)
+
+
+def batch_verify_schnorr(items, rng=None) -> bool:
+    """Batch-verify FourQ-Schnorr signatures with random weights.
+
+    ``items`` is a sequence of ``(public, message, signature)`` triples,
+    or a :class:`SchnorrBatch` already built from them.  Uses the
+    standard small-exponent randomized batching: with random 128-bit
+    weights z_i, checks
 
         [sum_i z_i s_i] G + sum_i [z_i](-R_i) + sum_i [z_i e_i](-Q_i)  ==  O
 
-    via one interleaved wNAF MSM.  The weights go on the negated points
-    (-(x, y) = (-x, y) costs one negation), so the commitment columns
-    stay 128 bits long instead of becoming 246-bit ``N - z_i``; the
-    generator column reads the cached width-8 table; and the sum is
-    tested for the identity in projective coordinates, with no
-    inversion.  Sound except with probability
+    via one interleaved wNAF MSM (:meth:`SchnorrBatch.sum`, kept as the
+    batch's :attr:`~SchnorrBatch.total`).  The weights go on the
+    negated points (-(x, y) = (-x, y) costs one negation), so the
+    commitment columns stay 128 bits long instead of becoming 246-bit
+    ``N - z_i``; and the sum is tested for the identity in projective
+    coordinates, with no inversion.  Sound except with probability
     ~2^-128 per forged batch, **provided** the weights are
     unpredictable to the signer and every point is in the order-N
     subgroup — so the weights default to the OS CSPRNG
-    (``secrets.SystemRandom``; pass a seeded ``rng`` only in tests) and
-    every public key and commitment is membership-checked before
-    batching.  Returns False on any malformed or out-of-subgroup
-    input.
+    (``secrets.SystemRandom``) and every public key and commitment is
+    membership-checked before batching.  A sequence with any malformed
+    or out-of-subgroup item returns False (after every item is vetted);
+    a built batch is judged on its :attr:`~SchnorrBatch.live` items,
+    its rejects being the caller's to resolve.
     """
-    rng = rng or secrets.SystemRandom()
-    if not items:
-        return True
-    from ..dsa.fourq_schnorr import _challenge
-
-    columns = []
-    s_weighted = 0
-    for public, message, sig in items:
-        commit = validate_verify_item(public, sig)
-        if commit is None:
+    if not isinstance(items, SchnorrBatch):
+        items = SchnorrBatch(items, rng)
+        if items.rejected:
             return False
-        z = rng.getrandbits(128) | 1
-        e = _challenge(commit, public, message)
-        s_weighted = (s_weighted + z * sig.s) % SUBGROUP_ORDER_N
-        columns.append(_point_column(z, -commit))
-        columns.append(_point_column(z * e % SUBGROUP_ORDER_N, -public))
-    columns.append((wnaf_terms(s_weighted, GENERATOR_WNAF_WIDTH), _generator_table()))
-    acc = _interleaved_wnaf(columns)
-    # Projective identity (0 : 1 : 1): X = 0 and Y = Z.  Exact here,
-    # since every input is in the odd-order subgroup, where the only
-    # point with x = 0 is the identity (the other, (0, -1), has order 2).
-    return acc is None or (acc.x == (0, 0) and acc.y == acc.z)
+    items.total = items.sum(items.live)
+    return items.is_identity(items.total)

@@ -66,11 +66,15 @@ def lll_reduce(basis: Basis, delta: Fraction = Fraction(3, 4)) -> Basis:
     k = 1
     while k < n:
         ortho, mu, norms = _gram_schmidt(b)
-        # Size reduction of b_k against all previous vectors.
+        # Size reduction of b_k against all previous vectors.  Each
+        # step b_k -= q b_j also moves b_k's coefficients on b_0..b_j,
+        # which the later (smaller-j) steps must round.
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
         ortho, mu, norms = _gram_schmidt(b)
         if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1

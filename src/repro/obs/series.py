@@ -103,6 +103,8 @@ SERIES: Tuple[Series, ...] = (
        "modelled cycles per item of the last MSM-mode batch"),
     _s("repro_msm_model_cycles_total", "counter", "", "msm",
        "window-kernel-extrapolated cycles of every MSM evaluated"),
+    _s("repro_msm_sums_total", "counter", "", "msm",
+       "weighted subset sums evaluated: one per batch plus one per bisection split"),
     _s("repro_frontend_queue_depth", "gauge", "kind", "frontend",
        "per-kind queue high-water mark (max gauge)"),
     _s("repro_frontend_batch_size", "histogram", "kind", "frontend",

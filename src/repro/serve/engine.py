@@ -76,6 +76,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..curve.encoding import encode_point, decode_point
 from ..curve.multiscalar import (
+    SchnorrBatch,
     batch_verify_schnorr,
     in_order_n_subgroup,
     multi_scalar_mul,
@@ -276,80 +277,110 @@ def _verify_msm_group(
     Each slot ends as a verdict or as the exception that stopped it, for
     :meth:`BatchEngine._run_serial` to envelope and count.  Three stages:
 
-    1. **Vet** every item with :func:`repro.curve.multiscalar.
-       validate_verify_item`: off-curve or out-of-subgroup points and
-       out-of-range s resolve ``False`` (the verdict per-item
-       ``verify`` reaches for such a signature, without endangering
-       the batch soundness argument).
+    1. **Prepare** one :class:`~repro.curve.multiscalar.SchnorrBatch`:
+       every item is vetted, hashed, weighted and tabulated once.  A
+       vetting reject (off-curve or out-of-subgroup point, s out of
+       range) resolves ``False``, the verdict per-item ``verify``
+       reaches for such a signature.
     2. **Batch-check** the survivors via
-       :func:`~repro.curve.multiscalar.batch_verify_schnorr` —
-       all-honest batches (the overwhelmingly common case) resolve
-       here at roughly the cost of one large MSM.
-    3. **Bisect** a rejected batch: halves re-check recursively, so
-       each bad item is cornered in O(log n) sub-batches while the
-       honest majority still resolves in bulk; size-1 rejects run
-       the authoritative per-item *simulated* verification (the
-       bit-verified datapath path — same verdict as
-       :func:`repro.dsa.fourq_schnorr.verify`), so one forgery
-       costs log-factor extra MSM work, never 63 honest slots.
+       :func:`~repro.curve.multiscalar.batch_verify_schnorr`, which
+       keeps their weighted sum T on the batch.  T = O resolves every
+       survivor ``True`` — the all-honest case, at the cost of one MSM.
+    3. **Bisect** a nonzero sum by subtraction.  A subset whose sum S
+       is not the identity provably holds a bad item; one MSM gives its
+       left half's sum S_L, and the right half's is S - S_L, one point
+       addition.  A half whose sum is the identity resolves ``True``;
+       any other half splits again.  One weight set serves every sum
+       (the soundness argument is in ``docs/derivation.md``), so a
+       forgery costs log2(n) extra MSMs over n/2, n/4, ..., 1 items.
+       A singleton whose sum is not the identity runs the authoritative
+       per-item *simulated* verification (the bit-verified datapath
+       path — same verdict as :func:`repro.dsa.fourq_schnorr.verify`):
+       ``True`` comes only from a zero sum, ``False`` only from the
+       simulated verifier.
 
-    Every batch MSM performed adds its window-kernel extrapolation
+    A deadline expiring mid-bisection fails the slots not yet resolved.
+    A subset whose MSM raises falls back to per-item verification.
+    Every MSM adds its window-kernel extrapolation
     (:meth:`BatchEngine.msm_cycles_estimate`) to
-    ``repro_msm_model_cycles_total``; fallback per-item verifications
-    record real datapath cycles.
+    ``repro_msm_model_cycles_total`` and one to
+    ``repro_msm_sums_total``; fallback per-item verifications record
+    real datapath cycles.
     """
     m = engine.metrics
     m.histogram("repro_msm_batch_size").observe(len(items))
-    results: List[Any] = [None] * len(items)
-    live: List[int] = []
-    for idx, (public, _, sig) in enumerate(items):
-        if validate_verify_item(public, sig) is None:
-            results[idx] = False
-        else:
-            live.append(idx)
-
     model_cycles = m.counter("repro_msm_model_cycles_total")
-    whole_batch_accepted = bool(live)
-    subsets: List[List[int]] = [live] if live else []
-    while subsets:
-        subset = subsets.pop()
-        if deadline is not None and deadline.expired:
-            for idx in subset:
-                results[idx] = DeadlineExceeded(
-                    "deadline expired during batch verification"
-                )
-            continue
-        accepted: Optional[bool]
-        try:
-            accepted = batch_verify_schnorr([items[i] for i in subset])
-        except Exception:
-            accepted = None  # isolate: resolve these items one by one
-        if accepted:
-            model_cycles.inc(engine.msm_cycles_estimate(2 * len(subset) + 1))
-            for idx in subset:
-                results[idx] = True
-            continue
-        whole_batch_accepted = False
-        if accepted is None or len(subset) == 1:
-            # The authoritative per-item verdict on the simulated datapath.
-            for idx in subset:
-                m.counter("repro_msm_fallback_verifies_total").inc()
-                try:
-                    results[idx] = _run_verify(engine, items[idx])
-                except Exception as exc:
-                    results[idx] = exc
-            continue
+    sums = m.counter("repro_msm_sums_total")
+    results: List[Any] = [None] * len(items)
+
+    def count_msm(subset: Sequence[int]) -> None:
+        sums.inc()
         model_cycles.inc(engine.msm_cycles_estimate(2 * len(subset) + 1))
-        mid = len(subset) // 2
-        subsets.append(subset[mid:])
-        subsets.append(subset[:mid])
+
+    def fallback(subset: Sequence[int]) -> None:
+        # The authoritative per-item verdict on the simulated datapath.
+        for idx in subset:
+            m.counter("repro_msm_fallback_verifies_total").inc()
+            try:
+                results[idx] = _run_verify(engine, items[idx])
+            except Exception as exc:
+                results[idx] = exc
+
+    def expired(subset: Sequence[int]) -> bool:
+        if deadline is None or not deadline.expired:
+            return False
+        for idx in subset:
+            results[idx] = DeadlineExceeded("deadline expired during batch verification")
+        return True
+
+    live: List[int] = []
+    accepted = False
+    # (subset, its weighted sum) for subsets holding a bad item.
+    pending: List[Tuple[List[int], Any]] = []
+    try:
+        batch = SchnorrBatch(items)
+        live = batch.live
+        for idx in batch.rejected:
+            results[idx] = False
+        if live and not expired(live):
+            # The group's one top-level MSM; T stays on the batch.
+            accepted = batch_verify_schnorr(batch)
+            count_msm(live)
+            if accepted:
+                for idx in live:
+                    results[idx] = True
+            else:
+                pending.append((live, batch.total))
+    except Exception:  # isolate: resolve what is left item by item
+        fallback([idx for idx, r in enumerate(results) if r is None])
+    while pending:
+        subset, total = pending.pop()
+        if expired(subset):
+            continue
+        if len(subset) == 1:
+            fallback(subset)
+            continue
+        left, right = subset[: len(subset) // 2], subset[len(subset) // 2:]
+        try:
+            left_total = batch.sum(left)
+        except Exception:
+            fallback(subset)
+            continue
+        count_msm(left)
+        for half, half_total in ((right, batch.difference(total, left_total)),
+                                 (left, left_total)):
+            if batch.is_identity(half_total):
+                for idx in half:
+                    results[idx] = True
+            else:
+                pending.append((half, half_total))
 
     for r in results:
         verdict = "error" if isinstance(r, Exception) else "valid" if r else "invalid"
         m.counter("repro_msm_items_total", verdict=verdict).inc()
     m.counter(
         "repro_msm_batches_total",
-        outcome="accepted" if whole_batch_accepted else "fallback",
+        outcome="accepted" if accepted else "fallback",
     ).inc()
     if live:
         m.gauge("repro_msm_simulated_cycles_per_op").set(

@@ -19,6 +19,7 @@ from dataclasses import replace
 import pytest
 
 from repro.curve import AffinePoint, SUBGROUP_ORDER_N
+from repro.curve.edwards import RAW_OPS, ecc_add_core, ecc_double
 from repro.curve.multiscalar import (
     GENERATOR_WNAF_WIDTH,
     MSM_SCALAR_BITS,
@@ -26,6 +27,7 @@ from repro.curve.multiscalar import (
     PIPPENGER_WINDOW_MIN,
     WNAF_WIDTH_MAX,
     WNAF_WIDTH_MIN,
+    SchnorrBatch,
     batch_verify_schnorr,
     in_order_n_subgroup,
     multi_scalar_mul,
@@ -35,8 +37,13 @@ from repro.curve.multiscalar import (
     validate_verify_item,
     wnaf_msm_cost_model,
     wnaf_width,
+    _add,
+    _double,
+    _seed,
+    _table,
 )
 from repro.curve.params import PRIME_P
+from repro.curve.scalarmult import _reseed_with_valid_t, odd_multiples
 from repro.curve.point import random_point, random_subgroup_point
 from repro.dsa import fourq_schnorr
 
@@ -106,6 +113,40 @@ class TestMultiScalar:
         for k, p in zip(ks, pts):
             exp = exp + k * p
         assert got == exp
+
+
+class TestHostFormulas:
+    """The host MSM's integer arithmetic is the edwards formulas, value
+    for value: tables and chain steps equal the generic versions."""
+
+    @staticmethod
+    def _r1(p):
+        return (*p.x, *p.y, *p.z, *p.ta, *p.tb)
+
+    @staticmethod
+    def _r2(q):
+        return (*q.yx_plus, *q.yx_minus, *q.z2, *q.t2d)
+
+    def test_table_equals_odd_multiples(self, rng):
+        pt = random_subgroup_point(rng)
+        for width in (2, 4, GENERATOR_WNAF_WIDTH):
+            generic = odd_multiples(pt, 1 << (width - 2))
+            assert _table(pt, width) == tuple(self._r2(q) for q in generic)
+
+    def test_chain_steps_equal_the_edwards_formulas(self, rng):
+        def canonical(flat):
+            return tuple(v % PRIME_P for v in flat)
+
+        pt, q = random_subgroup_point(rng), random_subgroup_point(rng)
+        entry, generic_entry = _table(q, 2)[0], odd_multiples(q, 1)[0]
+        acc = _seed(_table(pt, 2)[0])
+        ref = _reseed_with_valid_t(odd_multiples(pt, 1)[0], RAW_OPS)
+        for _ in range(3):
+            assert canonical(acc) == self._r1(ref)
+            acc, ref = _double(acc), ecc_double(ref)
+            assert canonical(acc) == self._r1(ref)
+            acc, ref = _add(acc, entry), ecc_add_core(ref, generic_entry)
+        assert canonical(acc) == self._r1(ref)
 
 
 class TestBatchVerify:
@@ -396,10 +437,9 @@ class TestBatchSoundness:
     def test_default_weights_come_from_system_random(self):
         """Regression pin for the weak-RNG fix: with no injected rng the
         weights must come from the OS CSPRNG, not ``random``."""
-        source = inspect.getsource(batch_verify_schnorr)
-        assert "SystemRandom" in source
-        sig = inspect.signature(batch_verify_schnorr)
-        assert sig.parameters["rng"].default is None
+        for fn in (batch_verify_schnorr, SchnorrBatch):
+            assert "SystemRandom" in inspect.getsource(fn)
+            assert inspect.signature(fn).parameters["rng"].default is None
 
 
 def _sign_with_flipped_commitment(kp, message, rng):
