@@ -16,7 +16,9 @@ The solution set is a coset of the 4-dimensional lattice
     L = { a in Z^4 : a . (1, l1, l2, l3) === 0 (mod N) },
 
 and short coset representatives are found with Babai rounding against an
-LLL-reduced basis of L.  Costello-Longa ship a hand-optimized basis and
+LLL-reduced basis of L.  Per scalar the rounding is exact integer
+arithmetic on precomputed constants, as in Costello-Longa's rounding
+decomposition: no rational linear solve runs per call.  Costello-Longa ship a hand-optimized basis and
 offset vectors; this module *derives* the basis with LLL from the
 eigenvalues (or verifies a given one: every row in L, |det| = N) and
 machine-verifies the resulting widths, so nothing is trusted from
@@ -99,11 +101,13 @@ class FourQDecomposer:
             verified, not trusted.
 
     The constructor performs the one-time lattice setup: basis
-    reduction (or verification of the given basis), offset-vector
+    reduction (or verification of the given basis), the integer
+    rounding constants (the first row of B^-1 over den = N), offset-vector
     search, and width verification.
 
     Raises:
-        ValueError: if the basis is not a basis of the lattice.
+        ValueError: if N is even or the basis is not a basis of the
+            lattice.
     """
 
     def __init__(
@@ -113,6 +117,9 @@ class FourQDecomposer:
         n: int = SUBGROUP_ORDER_N,
         basis: Optional[Sequence[Sequence[int]]] = None,
     ):
+        if n % 2 == 0:
+            # Integer rounding relies on an odd N (no half-way ties).
+            raise ValueError("N must be odd")
         self.n = n
         self.lambda_phi = lambda_phi
         self.lambda_psi = lambda_psi
@@ -136,8 +143,22 @@ class FourQDecomposer:
         for row in self.basis:
             if self._dot_lams(row) % n != 0:
                 raise ValueError(f"basis row {row} is not in the lattice")
-        if abs(determinant(self.basis)) != n:
+        det = determinant(self.basis)
+        if abs(det) != n:
             raise ValueError("basis does not span the lattice (|det| != N)")
+
+        # Babai rounding of (k, 0, 0, 0) needs only the first row of
+        # B^-1 = adj(B) / det: x_j = k * num_j / den with den = |det| = N.
+        # Cofactor C[j][0] is adj(B)[0][j]; the sign of det moves into
+        # the numerators so the denominator stays positive.
+        sign = 1 if det > 0 else -1
+        self._round_den = abs(det)
+        self._round_num = tuple(
+            sign * (-1) ** j * determinant(
+                [row[1:] for i, row in enumerate(self.basis) if i != j]
+            )
+            for j in range(4)
+        )
 
         # Per-coordinate residual bound of Babai rounding: half the sum
         # of absolute basis entries in that coordinate.
@@ -197,6 +218,19 @@ class FourQDecomposer:
         return (even_off, odd_off)
 
     # -- public API ---------------------------------------------------
+    def closest_vector(self, k: int) -> List[int]:
+        """Babai rounding of the target (k, 0, 0, 0), in integers.
+
+        Equals ``babai_round(self.basis, [k, 0, 0, 0])`` for every
+        integer k.  Each coefficient x_j = k * num_j / N is rounded as
+        floor(x_j + 1/2) = (2 k num_j + N) // (2 N).  N is odd, so
+        2 k num_j is never an odd multiple of N: no coefficient is ever
+        exactly half-way, and no tie-breaking rule is needed.
+        """
+        den2 = 2 * self._round_den
+        x = [(2 * k * num + self._round_den) // den2 for num in self._round_num]
+        return [sum(xr * row[c] for xr, row in zip(x, self.basis)) for c in range(4)]
+
     def decompose(self, k: int) -> Decomposition:
         """Decompose ``k`` into four positive sub-scalars with a1 odd.
 
@@ -207,7 +241,7 @@ class FourQDecomposer:
         """
         k_mod = k % self.n
         target = [k_mod, 0, 0, 0]
-        close = babai_round(self.basis, target)
+        close = self.closest_vector(k_mod)
         residual = [t - c for t, c in zip(target, close)]
         # Choose the offset that makes a1 odd.
         even_off, odd_off = self._offsets

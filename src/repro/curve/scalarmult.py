@@ -81,15 +81,21 @@ def fourq_main_loop(
 ) -> PointR1:
     """Steps 6-10 of the paper's Algorithm 1: the double-and-add loop.
 
-    Q = s_64 * T[v_64]; then for i = 63..0: Q = [2]Q; Q = Q + s_i T[v_i].
+    Q = T[v_64]; then for i = 63..0: Q = [2]Q; Q = Q + s_i T[v_i].
     Each iteration costs 15 multiplications + 13 additions/subtractions
     on the F_{p^2} datapath (Fig. 2(b) of the paper).
+
+    The top sign s_64 must be +1, as :func:`recode_glv_sac` always
+    makes it: a secret-dependent negation of the seed would change the
+    op sequence.
+
+    Raises:
+        ValueError: for a recoding whose top sign is not +1.
     """
     table = list(table)
     last = recoded.length - 1
+    _require_top_sign(recoded)
     first = r2_select(table, recoded.digits[last], ops)
-    if recoded.signs[last] == -1:
-        first = r2_negate(first, ops)
     # Seed Q from a table entry: convert R2 -> R1 via addition with the
     # identity would waste ops; instead reconstruct the R1 directly.
     q = _r2_to_r1(first, ops)
@@ -103,6 +109,11 @@ def fourq_main_loop(
         negated = r2_negate(entry, ops)
         q = ecc_add_core(q, _r2_sign_select(entry, negated, recoded.signs[i], ops), ops)
     return q
+
+
+def _require_top_sign(recoded: RecodedScalar) -> None:
+    if recoded.signs[recoded.length - 1] != 1:
+        raise ValueError("the recoding's top sign must be +1")
 
 
 def _r2_sign_select(entry, negated, sign: int, ops: Fp2Ops):
@@ -148,8 +159,11 @@ def double_base_main_loop(
     Both recodings share one chain of 64 doublings; each iteration adds
     one signed entry of each table.  Like :func:`fourq_main_loop`, the
     negation is always computed and muxed, so the op sequence is the
-    same for every pair of scalars.
+    same for every pair of scalars, and each recoding's top sign must
+    be +1 (``ValueError`` otherwise).
     """
+    for rec in recs:
+        _require_top_sign(rec)
     q: Optional[PointR1] = None
     for i in range(recs[0].length - 1, -1, -1):
         if q is not None:

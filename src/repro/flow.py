@@ -18,14 +18,19 @@ the shape's program into a flat instruction tape
 (:class:`repro.rtl.compiled.CompiledProgram`); the tape runs on the
 filling request and must reproduce the interpreted, golden-checked
 simulation's outputs and unit profile, or the entry is not stored.
-Every cache hit then runs only the tape: no solve, no rebind, no
-interpreted simulation.  The hit still checks every op's result
+For a scalar-multiplication shape the fill also builds the shape's
+:class:`repro.trace.replay.Replay` from the full trace and checks it
+(its select map against the traced main loop, and its recording of the
+filling request against that request's trace); a replay that fails
+stores nothing, like a tape that fails.  Uncached flows build no
+replay.  Every cache hit then runs only the tape: no solve, no rebind,
+no interpreted simulation.  The hit still checks every op's result
 against the request's traced value and every output against its traced
 value.  Its input may be a value-only recording
-(:class:`repro.trace.tracer.ValueRecorder`) instead of a full trace, as
-the batch engine sends.  A hit that fails any check falls back to the
-full flow (re-tracing a recording first), so caching never changes
-results, only cost.
+(:class:`repro.trace.tracer.ValueRecorder`) instead of a full trace:
+the batch engine sends the cached replay's recording.  A hit that fails
+any check falls back to the full flow (re-tracing a recording first),
+so caching never changes results, only cost.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .sched.jobshop import JobShopProblem, MachineSpec, problem_from_trace
 from .sched.list_scheduler import list_schedule
 from .sched.schedule import Schedule
 from .trace.program import TraceProgram
+from .trace.replay import Replay, ReplayError, build_replay
 from .trace.tracer import ValueRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve imports flow)
@@ -111,7 +117,8 @@ class FlowResult:
     shape-invariant geometry of the cached controller).  ``fallback``
     marks requests where the fast path failed a check and the full flow
     was recomputed.  A hit assembles no microprogram: ``microprogram``
-    rebinds the cached template on first access.
+    rebinds the cached template on first access.  ``replay`` is the
+    cached shape's replay, when it has one (set on hits and on fills).
     """
 
     trace_program: TraceProgram
@@ -130,6 +137,7 @@ class FlowResult:
     #: "cse"/"full"; ``trace_program`` always stays the caller's
     #: original recording.
     optimized_program: Optional[TraceProgram] = None
+    replay: Optional[Replay] = None
     _microprogram: Optional[MicroProgram] = field(default=None, repr=False)
     _assemble: Optional[Callable[[], MicroProgram]] = field(
         default=None, repr=False, compare=False
@@ -245,10 +253,10 @@ def run_flow(
     Args:
         trace_program: output of :func:`repro.trace.trace_scalar_mult`
             or :func:`repro.trace.trace_loop_iteration`.  A value-only
-            recording (built with a
-            :class:`~repro.trace.tracer.ValueRecorder`) replays the
-            compiled tape cached under ``cache_key``; when there is none
-            to replay, it is re-traced in full first.
+            recording (a :class:`~repro.trace.tracer.ValueRecorder`,
+            from a trace builder given ``replay``) runs on the compiled
+            tape cached under ``cache_key``; when there is none to run,
+            it is re-traced in full first.
         machine: datapath timing model (default: 3-cycle pipelined
             multiplier, 1-cycle adder, 4R/2W ports, forwarding on).
         scheduler: ``"list"``, ``"cp"`` or ``"auto"`` (CP for kernels up
@@ -353,6 +361,18 @@ def run_flow(
     scheduler = resolve_scheduler(scheduler, trace_program)
     tracer = work_program.tracer
 
+    # A fill builds the shape's replay first: its transient memory then
+    # does not stack on the scheduling stages'.  One that fails its
+    # checks makes the fill store nothing (below).
+    replay = None
+    replay_ok = True
+    main_loop = trace_program.main_loop
+    if cache is not None and optimize == "none" and main_loop is not None:
+        try:
+            replay = build_replay(trace_program.tracer, main_loop)
+        except ReplayError:
+            replay_ok = False
+
     t0 = perf_counter()
     problem = problem_from_trace(tracer.trace, machine)
     obs.histogram(FLOW_STAGE_SECONDS, stage="problem").observe(perf_counter() - t0)
@@ -427,7 +447,9 @@ def run_flow(
     )
     sim = sim_engine.run(microprogram)
     _verify_outputs(work_program, microprogram, sim)
-    if compiled is not None and not _tape_reproduces(compiled, work_program, sim):
+    if compiled is not None and not (
+        replay_ok and _tape_reproduces(compiled, work_program, sim)
+    ):
         compiled = None
     obs.histogram(FLOW_STAGE_SECONDS, stage="simulate").observe(perf_counter() - t0)
     _record_simulation(obs, sim)
@@ -437,8 +459,9 @@ def run_flow(
 
     if cache is not None and key is not None:
         if compiled is None:
-            # The tape could not reproduce the interpreted run: store
-            # nothing, so no later request can hit a wrong program.
+            # The tape could not reproduce the interpreted run, or the
+            # replay failed its checks: store nothing, so no later
+            # request can hit a wrong program.
             obs.counter(CACHE_EVENTS, event="fallback").inc()
         else:
             from .serve.cache import FlowArtifacts
@@ -453,6 +476,7 @@ def run_flow(
                     schedule_hash=schedule.stable_hash(),
                     template=template,
                     compiled=compiled,
+                    replay=replay,
                 )
             )
             if evicted:
@@ -470,6 +494,7 @@ def run_flow(
         optimize=optimize,
         opt_stats=opt_stats,
         optimized_program=work_program if optimize != "none" else None,
+        replay=replay if compiled is not None else None,
         _microprogram=microprogram,
     )
 
@@ -525,6 +550,7 @@ def _run_from_artifacts(
         cache_hit=True,
         fallback=False,
         cache_key=key,
+        replay=entry.replay,
         _assemble=functools.partial(_rebind, entry.template, trace_program),
     )
 

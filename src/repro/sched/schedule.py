@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..trace.ops import OpKind, Unit
-from .jobshop import JobShopProblem, Task
+from ..trace.ops import Unit
+from .jobshop import JobShopProblem
 
 
 class ScheduleError(ValueError):
@@ -172,12 +172,3 @@ class Schedule:
             f"addsub util {self.utilization(Unit.ADDSUB):.0%}"
         )
 
-
-def _external_operands(t: Task) -> int:
-    """Operand slots fed from constants/inputs (still cost read ports).
-
-    The number of source slots is derived from the op kind (unary vs
-    binary); slots not covered by task deps are external reads.
-    """
-    arity = 1 if t.kind in (OpKind.SQR, OpKind.NEG, OpKind.CONJ) else 2
-    return max(0, arity - len(t.deps))

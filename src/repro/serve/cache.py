@@ -9,8 +9,9 @@ op sequence, the same dependencies, the same 64-iteration loop.  This
 module memoizes those per-shape artifacts behind an LRU bound, so a
 batch of N requests pays one solve + N runs of the shape's compiled
 instruction tape (:class:`~repro.rtl.compiled.CompiledProgram`), fed
-by each request's value-only recording.  The cache keeps no counters:
-``run_flow`` records each hit, miss, fallback and eviction in
+by each request's value-only recording, which the shape's
+:class:`~repro.trace.replay.Replay` computes from the cached trace.
+The cache keeps no counters: ``run_flow`` records each hit, miss, fallback and eviction in
 ``repro_cache_events_total`` where it decides the path.
 
 Soundness does not rest on the key: every tape run still golden-checks
@@ -18,7 +19,9 @@ each op's result and each output against the request's recorded
 values, so a stale or colliding entry is detected and recomputed
 (counted as a fallback), never silently wrong.  An entry is stored
 only after its tape reproduced the interpreted simulation of the
-filling request.
+filling request, and, where the shape has a replay, only after the
+replay's select map and its recording of the filling request passed
+their checks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from ..sched.jobshop import JobShopProblem, MachineSpec
 from ..sched.schedule import Schedule
 from ..trace.ops import MicroOp, OpKind
 from ..trace.program import TraceProgram
+from ..trace.replay import Replay
 
 
 def trace_shape_key(
@@ -86,7 +90,10 @@ class FlowArtifacts:
     shape functions); ``template`` is the pre-assembled control skeleton
     whose :meth:`~repro.isa.microcode.ProgramTemplate.rebind` turns a
     same-shape trace into a full microprogram on demand; ``compiled``
-    is the tape every hit runs, built from ``template``; ``fsm`` keeps
+    is the tape every hit runs, built from ``template``; ``replay``
+    (for the scalar-multiplication shapes) recomputes a hit's golden
+    values from the cached trace, instead of re-running the curve code;
+    ``fsm`` keeps
     the controller geometry of the first assembly, whose ROM dimensions
     are shape-invariant even though the per-request ROM contents differ
     with the mux routing.
@@ -100,6 +107,7 @@ class FlowArtifacts:
     schedule_hash: str
     template: ProgramTemplate
     compiled: CompiledProgram
+    replay: Optional[Replay] = None
 
 
 @dataclass

@@ -54,14 +54,16 @@ outside its kind's domain resolves as ``Failed(kind="value"|"type")``
 before it reaches any executor; a ``grouped`` kind's checked payloads
 reach theirs in one call.
 
-A request whose shape is already cached is not traced into micro-ops:
-the trace builder runs with a value-only
-:class:`~repro.trace.tracer.ValueRecorder`, and the shape's compiled
-tape replays the recording on the datapath's unit models.  Every
-result is still verified bit-for-bit: the golden check proves each
-op's result against the recorded field-layer value, each output is
-compared with its recorded value, and the engine reads the final point
-from those outputs.  Batching changes cost, never results.
+A request whose shape is already cached is not traced: the trace
+builder decomposes and recodes its scalars and hands them, with its
+inputs, to the shape's cached :class:`~repro.trace.replay.Replay`,
+which recomputes every golden value from the cached trace with the
+field layer; the shape's compiled tape runs that recording on the
+datapath's unit models.  Every result is still verified bit-for-bit:
+the golden check proves each op's result against the replayed
+field-layer value, each output is compared with its replayed value,
+and the engine reads the final point from those outputs.  Batching
+changes cost, never results.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ from ..trace.program import (
     trace_msm_window,
     trace_scalar_mult,
 )
-from ..trace.tracer import ValueRecorder
+from ..trace.replay import Replay
 from .cache import FlowArtifactCache
 from .faults import (
     KIND_DEADLINE,
@@ -612,6 +614,11 @@ class BatchEngine:
         # trace.  A stale key (shape drift) is harmless — run_flow
         # detects the mismatch, recomputes the true key, and we re-memo.
         self._shape_keys: Dict[str, str] = {}
+        # Last seen replay per workload kind, from the flow that filled
+        # or hit its entry, so a request costs no extra cache lookup.
+        # A stale one is harmless too: it was checked at its fill, and
+        # its recording re-traces in full when the entry is gone.
+        self._replays: Dict[str, Replay] = {}
 
     def warm(self, point: Optional[AffinePoint] = None) -> None:
         """Pay every one-time cost now: curve artifacts + one full flow.
@@ -624,14 +631,15 @@ class BatchEngine:
     def _flow(self, shape: str, trace: Callable[..., Any], **trace_args) -> FlowResult:
         """Trace one workload and run it through the cached flow.
 
-        Once a shape's key is known, the builder records values only
-        (a :class:`ValueRecorder`): a cache hit replays them on the
-        shape's compiled tape, and ``run_flow`` re-traces in full if it
-        cannot.
+        Once a shape's key and replay are known, the builder returns
+        the replay's value-only recording instead of running the curve
+        code: a cache hit runs it on the shape's compiled tape, and
+        ``run_flow`` re-traces in full if it cannot.
         """
         key = self._shape_keys.get(shape)
-        if key is not None and self.optimize == "none":
-            trace_args["tracer"] = ValueRecorder()
+        replay = self._replays.get(shape)
+        if key is not None and replay is not None and self.optimize == "none":
+            trace_args["replay"] = replay
         t0 = time.perf_counter()
         prog = trace(**trace_args)
         self.metrics.histogram(FLOW_STAGE_SECONDS, stage="trace").observe(
@@ -649,6 +657,8 @@ class BatchEngine:
         )
         if flow.cache_key is not None:
             self._shape_keys[shape] = flow.cache_key
+        if flow.replay is not None:
+            self._replays[shape] = flow.replay
         return flow
 
     def scalarmult_flow(self, k: int, point: Optional[AffinePoint] = None) -> FlowResult:

@@ -9,12 +9,14 @@ ops object, producing self-checking micro-operation traces:
   table construction, 64 iterations, final normalization), several
   thousand micro-ops, annotated with sections for profiling.
 
-The builders the serving engine runs (:func:`trace_scalar_mult`,
-:func:`trace_double_scalar_mult`, :func:`trace_msm_window`) also accept
-a :class:`~repro.trace.tracer.ValueRecorder` as ``tracer``: the same
-arithmetic, recorded as values only, for a cache hit that replays a
-compiled program.  Such a program's ``retrace`` rebuilds the full
-micro-op trace from the same arguments.
+A builder the serving engine runs for a cached shape
+(:func:`trace_scalar_mult`, :func:`trace_double_scalar_mult`) also
+accepts the shape's :class:`~repro.trace.replay.Replay`: it then
+decomposes and recodes the scalars and returns the replay's value-only
+recording instead of running the curve code, and the program's
+``retrace`` rebuilds the full micro-op trace from the same arguments.
+A full trace records its main loop (:class:`~repro.trace.replay.MainLoop`)
+so a cache fill can build that replay.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..curve.committed import curve_constants
 from ..curve.edwards import (
@@ -43,6 +45,7 @@ from ..curve.scalarmult import (
     double_base_main_loop,
     fourq_main_loop,
 )
+from .replay import MainLoop, Replay
 from .tracer import Tracer, ValueRecorder
 
 
@@ -52,15 +55,17 @@ class TraceProgram:
 
     ``retrace`` is set when ``tracer`` is a value-only
     :class:`~repro.trace.tracer.ValueRecorder`: it runs the same builder
-    again with a full :class:`Tracer`.
+    again with a full :class:`Tracer`.  ``main_loop`` is set on a full
+    trace of a shape a :class:`~repro.trace.replay.Replay` can serve.
     """
 
-    tracer: Tracer
+    tracer: Union[Tracer, ValueRecorder]
     description: str
     scalar: Optional[int] = None
     point: Optional[AffinePoint] = None
     expected: Optional[AffinePoint] = None
     retrace: Optional[Callable[[], "TraceProgram"]] = None
+    main_loop: Optional[MainLoop] = None
 
     @property
     def size(self) -> int:
@@ -89,13 +94,6 @@ class TraceProgram:
                 m, a = m + m0, a + a0
             out[key] = (m, a)
         return out
-
-
-def _retrace(tracer: Tracer, builder: Callable[..., TraceProgram], **args):
-    """How a value-only recording rebuilds its full trace (else None)."""
-    if isinstance(tracer, ValueRecorder):
-        return functools.partial(builder, **args)
-    return None
 
 
 def trace_loop_iteration(
@@ -197,7 +195,7 @@ def trace_double_scalar_mult(
     p1: Optional[AffinePoint] = None,
     p2: Optional[AffinePoint] = None,
     self_check: bool = True,
-    tracer: Optional[Tracer] = None,
+    replay: Optional[Replay] = None,
 ) -> TraceProgram:
     """Trace [u1]P1 + [u2]P2 — the signature-verification workload.
 
@@ -209,7 +207,8 @@ def trace_double_scalar_mult(
     multiplier ops vs the single-scalar 15.
 
     Sections: ``endo`` (both points), ``table`` (two 8-entry tables),
-    ``loop``, ``normalize``.
+    ``loop``, ``normalize``.  With ``replay``, the result is that
+    replay's recording of this request (see the module docstring).
     """
     rng = random.Random(0xD5)
     from ..curve.point import random_subgroup_point
@@ -220,40 +219,55 @@ def trace_double_scalar_mult(
     # not shift which value the other defaults to.
     u1 = random.Random(0xD5F1).randrange(2**256) if u1 is None else u1
     u2 = random.Random(0xD5F2).randrange(2**256) if u2 is None else u2
-
-    tracer = tracer if tracer is not None else Tracer()
-    one = tracer.const((1, 0), "one")
-    tracer.begin_section("endo")
-    point_inputs = [
-        (tracer.input(pt.x, f"{tag}x"), tracer.input(pt.y, f"{tag}y"))
-        for tag, pt in (("P1", p1), ("P2", p2))
-    ]
-    images = _trace_endo_images(point_inputs, one, tracer)
-    tracer.end_section()
-
-    tracer.begin_section("table")
-    tables = [
-        build_table(PointR1(px, py, one, px, py), *image, tracer)
-        for (px, py), image in zip(point_inputs, images)
-    ]
-    tracer.end_section()
-
-    tracer.begin_section("loop")
     decomposer = curve_constants().decomposer
-    recs = [_recode(u, decomposer) for u in (u1, u2)]
-    q = double_base_main_loop(tables, recs, tracer)
-    tracer.end_section()
+    recs = tuple(_recode(u, decomposer) for u in (u1, u2))
+    main_loop = retrace = None
+    if replay is not None:
+        tracer = replay.record([p1.x, p1.y, p2.x, p2.y], recs)
+        retrace = functools.partial(
+            trace_double_scalar_mult, u1=u1, u2=u2, p1=p1, p2=p2,
+            self_check=self_check,
+        )
+    else:
+        tracer = Tracer()
+        one = tracer.const((1, 0), "one")
+        tracer.begin_section("endo")
+        point_inputs = [
+            (tracer.input(pt.x, f"{tag}x"), tracer.input(pt.y, f"{tag}y"))
+            for tag, pt in (("P1", p1), ("P2", p2))
+        ]
+        images = _trace_endo_images(point_inputs, one, tracer)
+        tracer.end_section()
 
-    tracer.begin_section("normalize")
-    x_out, y_out = ecc_normalize(q, tracer)
-    tracer.end_section()
-    tracer.mark_output(x_out, "result_x")
-    tracer.mark_output(y_out, "result_y")
+        tracer.begin_section("table")
+        tables = [
+            build_table(PointR1(px, py, one, px, py), *image, tracer)
+            for (px, py), image in zip(point_inputs, images)
+        ]
+        tracer.end_section()
+
+        tracer.begin_section("loop")
+        start = len(tracer.trace)
+        q = double_base_main_loop(tables, recs, tracer)
+        uid_tables = [_uids(table) for table in tables]
+        main_loop = MainLoop(
+            run=lambda ops, recodings: double_base_main_loop(uid_tables, recodings, ops),
+            recodings=recs,
+            start=start,
+            stop=len(tracer.trace),
+        )
+        tracer.end_section()
+
+        tracer.begin_section("normalize")
+        x_out, y_out = ecc_normalize(q, tracer)
+        tracer.end_section()
+        tracer.mark_output(x_out, "result_x")
+        tracer.mark_output(y_out, "result_y")
 
     expected = None
     if self_check:
         expected = (u1 % SUBGROUP_ORDER_N) * p1 + (u2 % SUBGROUP_ORDER_N) * p2
-        if (x_out.value, y_out.value) != (expected.x, expected.y):
+        if _result(tracer) != (expected.x, expected.y):
             raise AssertionError("traced double-scalar execution diverged")
     return TraceProgram(
         tracer=tracer,
@@ -261,11 +275,23 @@ def trace_double_scalar_mult(
         scalar=u1,
         point=p1,
         expected=expected,
-        retrace=_retrace(
-            tracer, trace_double_scalar_mult, u1=u1, u2=u2, p1=p1, p2=p2,
-            self_check=self_check,
-        ),
+        retrace=retrace,
+        main_loop=main_loop,
     )
+
+
+def _uids(table: List[PointR2]) -> List[PointR2]:
+    """A traced table with each value replaced by its uid."""
+    return [
+        PointR2(e.yx_plus.uid, e.yx_minus.uid, e.z2.uid, e.t2d.uid) for e in table
+    ]
+
+
+def _result(tracer: Union[Tracer, ValueRecorder]) -> Tuple:
+    """The output values a trace or a recording computed, in order."""
+    if isinstance(tracer, ValueRecorder):
+        return tuple(tracer.values[uid] for uid in tracer.outputs)
+    return tuple(tracer.trace[uid].value for uid in tracer.outputs)
 
 
 def trace_loop_iterations(
@@ -328,7 +354,6 @@ def trace_msm_window(
     n_points: int = 8,
     window: int = 4,
     rng: Optional[random.Random] = None,
-    tracer: Optional[Tracer] = None,
 ) -> TraceProgram:
     """Trace one Pippenger bucket window — the batch-MSM ASIC kernel.
 
@@ -353,12 +378,11 @@ def trace_msm_window(
     if not (2 <= window <= 8):
         raise ValueError("window must be in [2, 8]")
     rng = rng or random.Random(0x3B)
-    rng_state = rng.getstate()
     acc0 = random_subgroup_point(rng)
     pts = [random_subgroup_point(rng) for _ in range(n_points)]
     digits = [(i % ((1 << window) - 1)) + 1 for i in range(n_points)]
 
-    tracer = tracer if tracer is not None else Tracer()
+    tracer = Tracer()
     acc_raw = _affine_to_r1_raw(acc0)
     acc = PointR1(
         tracer.input(acc_raw.x, "Ax"),
@@ -453,16 +477,7 @@ def trace_msm_window(
         ),
         point=acc0,
         expected=expected,
-        retrace=_retrace(
-            tracer, lambda: trace_msm_window(n_points, window, _rng_at(rng_state))
-        ),
     )
-
-
-def _rng_at(state) -> random.Random:
-    rng = random.Random()
-    rng.setstate(state)
-    return rng
 
 
 def _affine_to_r1_raw(p: AffinePoint) -> PointR1:
@@ -482,7 +497,7 @@ def trace_scalar_mult(
     point: Optional[AffinePoint] = None,
     include_endomorphisms: bool = True,
     self_check: bool = True,
-    tracer: Optional[Tracer] = None,
+    replay: Optional[Replay] = None,
 ) -> TraceProgram:
     """Trace the complete Algorithm 1 for a concrete (k, P).
 
@@ -501,62 +516,80 @@ def trace_scalar_mult(
     batch engine uses this on its hot path: the affine reference costs
     more than the trace itself, and the datapath run is still verified
     op by op against the traced values.
+
+    With ``replay``, the result is that replay's recording of this
+    request (see the module docstring).
     """
     rng = random.Random(0xA1)
     point = point or AffinePoint.generator()
     if k is None:
         k = rng.randrange(2**256)
+    rec = _recode(k, curve_constants().decomposer)
+    loads = [] if include_endomorphisms else _endo_loads(point)
 
-    tracer = tracer if tracer is not None else Tracer()
-    px = tracer.input(point.x, "Px")
-    py = tracer.input(point.y, "Py")
-    one = tracer.const((1, 0), "one")
-
-    if include_endomorphisms:
-        tracer.begin_section("endo")
-        ((phi_r1, psi_r1, psiphi_r1),) = _trace_endo_images([(px, py)], one, tracer)
-        tracer.end_section()
+    main_loop = retrace = None
+    if replay is not None:
+        inputs = [point.x, point.y]
+        for _, raw in loads:
+            inputs += [raw.x, raw.y, raw.z, raw.ta, raw.tb]
+        tracer = replay.record(inputs, [rec])
+        retrace = functools.partial(
+            trace_scalar_mult, k=k, point=point,
+            include_endomorphisms=include_endomorphisms, self_check=self_check,
+        )
     else:
+        tracer = Tracer()
+        px = tracer.input(point.x, "Px")
+        py = tracer.input(point.y, "Py")
+        one = tracer.const((1, 0), "one")
 
-        def load(pt: AffinePoint, tag: str) -> PointR1:
-            raw = _affine_to_r1_raw(pt)
-            return PointR1(
-                tracer.input(raw.x, f"{tag}x"),
-                tracer.input(raw.y, f"{tag}y"),
-                tracer.input(raw.z, f"{tag}z"),
-                tracer.input(raw.ta, f"{tag}ta"),
-                tracer.input(raw.tb, f"{tag}tb"),
+        if include_endomorphisms:
+            tracer.begin_section("endo")
+            ((phi_r1, psi_r1, psiphi_r1),) = _trace_endo_images(
+                [(px, py)], one, tracer
+            )
+            tracer.end_section()
+        else:
+            phi_r1, psi_r1, psiphi_r1 = (
+                PointR1(
+                    tracer.input(raw.x, f"{tag}x"),
+                    tracer.input(raw.y, f"{tag}y"),
+                    tracer.input(raw.z, f"{tag}z"),
+                    tracer.input(raw.ta, f"{tag}ta"),
+                    tracer.input(raw.tb, f"{tag}tb"),
+                )
+                for tag, raw in loads
             )
 
-        endo = curve_constants().endo
-        phi_p = endo.phi(point)
-        psi_p = endo.psi(point)
-        psiphi_p = endo.psi(phi_p)
-        phi_r1 = load(phi_p, "phiP_")
-        psi_r1 = load(psi_p, "psiP_")
-        psiphi_r1 = load(psiphi_p, "psiphiP_")
+        p_r1 = PointR1(px, py, one, px, py)
 
-    p_r1 = PointR1(px, py, one, px, py)
+        tracer.begin_section("table")
+        table = build_table(p_r1, phi_r1, psi_r1, psiphi_r1, tracer)
+        tracer.end_section()
 
-    tracer.begin_section("table")
-    table = build_table(p_r1, phi_r1, psi_r1, psiphi_r1, tracer)
-    tracer.end_section()
+        tracer.begin_section("loop")
+        start = len(tracer.trace)
+        q = fourq_main_loop(table, rec, tracer)
+        uid_table = _uids(table)
+        main_loop = MainLoop(
+            run=lambda ops, recodings: fourq_main_loop(uid_table, recodings[0], ops),
+            recodings=(rec,),
+            start=start,
+            stop=len(tracer.trace),
+        )
+        tracer.end_section()
 
-    tracer.begin_section("loop")
-    q = fourq_main_loop(table, _recode(k, curve_constants().decomposer), tracer)
-    tracer.end_section()
-
-    tracer.begin_section("normalize")
-    x_out, y_out = ecc_normalize(q, tracer)
-    tracer.end_section()
-    tracer.mark_output(x_out, "result_x")
-    tracer.mark_output(y_out, "result_y")
+        tracer.begin_section("normalize")
+        x_out, y_out = ecc_normalize(q, tracer)
+        tracer.end_section()
+        tracer.mark_output(x_out, "result_x")
+        tracer.mark_output(y_out, "result_y")
 
     expected = None
     if self_check:
         expected = (k % SUBGROUP_ORDER_N) * point
         # Self-check: the recorded concrete values must equal the reference.
-        if (x_out.value, y_out.value) != (expected.x, expected.y):
+        if _result(tracer) != (expected.x, expected.y):
             raise AssertionError("traced execution diverged from the reference")
     return TraceProgram(
         tracer=tracer,
@@ -564,8 +597,17 @@ def trace_scalar_mult(
         scalar=k,
         point=point,
         expected=expected,
-        retrace=_retrace(
-            tracer, trace_scalar_mult, k=k, point=point,
-            include_endomorphisms=include_endomorphisms, self_check=self_check,
-        ),
+        retrace=retrace,
+        main_loop=main_loop,
     )
+
+
+def _endo_loads(point: AffinePoint) -> List[Tuple[str, PointR1]]:
+    """phi(P), psi(P), psi(phi(P)) in raw R1, for preloading."""
+    endo = curve_constants().endo
+    phi_p = endo.phi(point)
+    psiphi_p = endo.psi(phi_p)
+    return [
+        (tag, _affine_to_r1_raw(pt))
+        for tag, pt in (("phiP_", phi_p), ("psiP_", endo.psi(point)), ("psiphiP_", psiphi_p))
+    ]

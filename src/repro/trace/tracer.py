@@ -12,14 +12,16 @@ micro-operation sequence while simultaneously computing concrete values
 Traced values are opaque handles (:class:`TracedValue`); arithmetic on
 them appends :class:`MicroOp` records with SSA-style dependencies.
 
-:class:`ValueRecorder` is the same recorder without the micro-ops: it
-keeps only each value (in uid order) and each SELECT's chosen source.
-That is all a cached shape's compiled program
-(:class:`repro.rtl.compiled.CompiledProgram`) needs to replay a request.
+:class:`ValueRecorder` is what a cached shape's compiled program
+(:class:`repro.rtl.compiled.CompiledProgram`) reads of a request: each
+value (in uid order) and each SELECT's chosen source, without the
+micro-ops.  A cache hit gets it from the shape's
+:class:`~repro.trace.replay.Replay` instead of re-running the curve code.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Tuple
 
 from ..field.fp2 import (
@@ -190,92 +192,35 @@ class Tracer:
         return self.multiplier_ops() / total
 
 
-class ValueRecorder(Tracer):
-    """A :class:`Tracer` that records values, not micro-ops.
-
-    The trace builders accept one in place of a :class:`Tracer`; they
-    run the same field arithmetic and hand out the same uids (constants
-    are deduplicated by value alike), but the recorder builds no
-    :class:`MicroOp` and has no ``trace``.  It keeps:
+@dataclass
+class ValueRecorder:
+    """One request's recording: what a cached shape's compiled tape reads.
 
     * ``values`` — every op's field-layer value, indexed by uid;
     * ``chosen`` — SELECT uid -> the uid of the source it passed on;
-    * ``outputs`` — the output uids, as a :class:`Tracer` does.
+    * ``outputs`` — the output uids, as a :class:`Tracer` keeps them.
 
-    Sections are not recorded.
+    A cache hit gets one from the shape's
+    :class:`~repro.trace.replay.Replay`; :meth:`of` derives one from a
+    full trace.
     """
 
-    def __init__(self) -> None:
-        self.values: List[Fp2Raw] = []
-        self.chosen: Dict[int, int] = {}
-        self._const_cache: Dict[Fp2Raw, TracedValue] = {}
-        self.inputs: List[int] = []
-        self.outputs: List[int] = []
-        self.live: List[int] = []
+    values: List[Fp2Raw] = field(default_factory=list)
+    chosen: Dict[int, int] = field(default_factory=dict)
+    outputs: List[int] = field(default_factory=list)
 
     @classmethod
-    def of(cls, tracer: Tracer) -> "ValueRecorder":
+    def of(cls, tracer: "Tracer | ValueRecorder") -> "ValueRecorder":
         """The recording a full :class:`Tracer` run implies."""
         if isinstance(tracer, ValueRecorder):
             return tracer
-        rec = cls()
-        rec.values = [op.value for op in tracer.trace]
-        rec.chosen = {
-            op.uid: op.srcs[0] for op in tracer.trace if op.kind is OpKind.SELECT
-        }
-        rec.outputs = list(tracer.outputs)
-        return rec
+        return cls(
+            values=[op.value for op in tracer.trace],
+            chosen={
+                op.uid: op.srcs[0] for op in tracer.trace if op.kind is OpKind.SELECT
+            },
+            outputs=list(tracer.outputs),
+        )
 
     def __len__(self) -> int:
         return len(self.values)
-
-    # The Fp2Ops methods are written out (not routed through _emit):
-    # this recorder runs once per cache hit on the serving path.
-    def _emit(
-        self, kind: OpKind, srcs: Tuple[TracedValue, ...], value: Fp2Raw, name: str = ""
-    ) -> TracedValue:
-        values = self.values
-        values.append(value)
-        return TracedValue(len(values) - 1, value)
-
-    def mul(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        value = fp2_mul(a.value, b.value)
-        values = self.values
-        values.append(value)
-        return TracedValue(len(values) - 1, value)
-
-    def sqr(self, a: TracedValue) -> TracedValue:
-        value = fp2_sqr(a.value)
-        values = self.values
-        values.append(value)
-        return TracedValue(len(values) - 1, value)
-
-    def add(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        value = fp2_add(a.value, b.value)
-        values = self.values
-        values.append(value)
-        return TracedValue(len(values) - 1, value)
-
-    def sub(self, a: TracedValue, b: TracedValue) -> TracedValue:
-        value = fp2_sub(a.value, b.value)
-        values = self.values
-        values.append(value)
-        return TracedValue(len(values) - 1, value)
-
-    def select(self, chosen: TracedValue, *alternatives: TracedValue) -> TracedValue:
-        if chosen not in alternatives:
-            raise ValueError("chosen value is not among the alternatives")
-        values = self.values
-        uid = len(values)
-        values.append(chosen.value)
-        self.chosen[uid] = chosen.uid
-        return TracedValue(uid, chosen.value)
-
-    def mark_output(self, value: TracedValue, name: str = "") -> None:
-        self.outputs.append(value.uid)
-
-    def begin_section(self, name: str) -> None:
-        pass
-
-    def end_section(self) -> None:
-        pass

@@ -3,7 +3,7 @@
 For the serving shapes (single-base ``sm``/``dh``, double-base
 ``verify``) the property draws subgroup points and scalars — k >= N and
 k = 1 (mod N) included — records each request twice (full trace and
-value-only recording) and requires the tape, run on the recording, to
+the cached replay's value-only recording) and requires the tape, run on the recording, to
 reproduce the interpreted simulation of the full trace: the outputs,
 the multiplier statistics and every ``UnitProfile`` field, the
 routing-dependent register reads and forwarding counts included.
@@ -62,7 +62,7 @@ def _entry(engine, shape):
 def _tape_vs_interpreted(entry, build):
     """Run one request through the tape and the interpreted simulator."""
     full = build(None).tracer
-    recording = build(ValueRecorder()).tracer
+    recording = build(entry.replay).tracer
     assert recording.values == [op.value for op in full.trace]
     assert recording.chosen == ValueRecorder.of(full).chosen
     interpreted = DatapathSimulator().run(entry.template.rebind(full.trace))
@@ -82,8 +82,8 @@ class TestTapeEquivalence:
     @given(k=scalars, p=points)
     @settings(max_examples=20)
     def test_single_base_shape(self, engine, k, p):
-        def build(tracer):
-            return trace_scalar_mult(k=k, point=p, self_check=False, tracer=tracer)
+        def build(replay):
+            return trace_scalar_mult(k=k, point=p, self_check=False, replay=replay)
 
         tape = _tape_vs_interpreted(_entry(engine, "scalarmult"), build)
         assert tape.cycles == tape.profile.cycles == 2069
@@ -94,9 +94,9 @@ class TestTapeEquivalence:
     def test_double_base_shape(self, engine, u1, u2, p):
         g = AffinePoint.generator()
 
-        def build(tracer):
+        def build(replay):
             return trace_double_scalar_mult(
-                u1=u1, u2=u2, p1=g, p2=p, self_check=False, tracer=tracer
+                u1=u1, u2=u2, p1=g, p2=p, self_check=False, replay=replay
             )
 
         tape = _tape_vs_interpreted(_entry(engine, "double_scalarmult"), build)
@@ -112,8 +112,8 @@ class TestTapeEquivalence:
         for k in (3, 0x1234567, 0xDEADBEEF, 0xFEEDFACE, 7 * 2**200 + 11):
             tape = _tape_vs_interpreted(
                 entry,
-                lambda tracer, k=k: trace_scalar_mult(
-                    k=k, point=g, self_check=False, tracer=tracer
+                lambda replay, k=k: trace_scalar_mult(
+                    k=k, point=g, self_check=False, replay=replay
                 ),
             )
             p = tape.profile
@@ -178,12 +178,12 @@ class TestStaticCounts:
         assert entry.compiled.base.mult_issues == mult_issues
         g = AffinePoint.generator()
         if shape == "scalarmult":
-            def build(tracer):
-                return trace_scalar_mult(k=0xABCDEF, point=g, self_check=False, tracer=tracer)
+            def build(replay):
+                return trace_scalar_mult(k=0xABCDEF, point=g, self_check=False, replay=replay)
         else:
-            def build(tracer):
+            def build(replay):
                 return trace_double_scalar_mult(
-                    u1=3, u2=0xABCDEF, p1=g, p2=g, self_check=False, tracer=tracer
+                    u1=3, u2=0xABCDEF, p1=g, p2=g, self_check=False, replay=replay
                 )
         tape = _tape_vs_interpreted(entry, build)
         assert tape.mult_stats.issues == mult_issues
@@ -209,10 +209,11 @@ class TestPreloadCheck:
 
     @pytest.mark.parametrize("value", NON_CANONICAL)
     def test_refused_before_any_op(self, engine, value):
-        compiled = _entry(engine, "scalarmult").compiled
+        entry = _entry(engine, "scalarmult")
+        compiled = entry.compiled
         recording = trace_scalar_mult(
             k=0xBEEF, point=AffinePoint.generator(), self_check=False,
-            tracer=ValueRecorder(),
+            replay=entry.replay,
         ).tracer
         compiled.run(recording)  # the unplanted recording passes
         calls = []

@@ -1,6 +1,7 @@
 """Tests for scalar multiplication: Algorithm 1 and the reference methods."""
 
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from repro.curve.params import SUBGROUP_ORDER_N
 from repro.curve.point import AffinePoint, random_subgroup_point
 from repro.curve.scalarmult import (
     build_table,
+    double_base_main_loop,
     fourq_main_loop,
     scalar_mul_always_double_add,
     scalar_mul_double_and_add,
@@ -16,7 +18,7 @@ from repro.curve.scalarmult import (
     wnaf_terms,
 )
 from repro.curve.edwards import point_r1_from_affine
-from repro.curve.recoding import recode_glv_sac
+from repro.curve.recoding import RecodedScalar, recode_glv_sac
 
 scalars = st.integers(min_value=0, max_value=2**256 - 1)
 
@@ -166,3 +168,14 @@ class TestTable:
         a1, a2, a3, a4 = d.scalars
         expected = a1 * p + a2 * phi_p + a3 * psi_p + a4 * psiphi_p
         assert AffinePoint(x, y) == expected
+
+    def test_main_loop_requires_top_sign_plus(self, decomposer):
+        """The top sign is a precondition, not a secret-dependent branch:
+        recode_glv_sac always makes it +1, and the loops refuse -1."""
+        rec = recode_glv_sac(decomposer.decompose(12345).scalars)
+        assert rec.signs[-1] == 1
+        flipped = RecodedScalar(rec.digits, rec.signs[:-1] + (-1,))
+        with pytest.raises(ValueError, match="top sign"):
+            fourq_main_loop([None] * 8, flipped)
+        with pytest.raises(ValueError, match="top sign"):
+            double_base_main_loop([[None] * 8] * 2, [rec, flipped])
