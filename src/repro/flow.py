@@ -48,7 +48,12 @@ from .opt import OPT_LEVELS, OptStats, memoized_schedule, optimize_trace
 from .rtl.compiled import compile_program
 from .rtl.datapath import DatapathSimulator, SimulationError, SimulationResult
 from .sched.cp_scheduler import cp_schedule
-from .sched.jobshop import JobShopProblem, MachineSpec, problem_from_trace
+from .sched.jobshop import (
+    JobShopProblem,
+    MachineSpec,
+    problem_from_trace,
+    resolve_muxes,
+)
 from .sched.list_scheduler import list_schedule
 from .sched.schedule import Schedule
 from .trace.program import TraceProgram
@@ -374,7 +379,9 @@ def run_flow(
             replay_ok = False
 
     t0 = perf_counter()
-    problem = problem_from_trace(tracer.trace, machine)
+    # Every stage below reads this one resolution of the trace's muxes.
+    muxes = resolve_muxes(tracer.trace)
+    problem = problem_from_trace(tracer.trace, machine, muxes=muxes)
     obs.histogram(FLOW_STAGE_SECONDS, stage="problem").observe(perf_counter() - t0)
 
     t0 = perf_counter()
@@ -398,7 +405,9 @@ def run_flow(
     obs.histogram(FLOW_STAGE_SECONDS, stage="solve").observe(perf_counter() - t0)
 
     t0 = perf_counter()
-    alloc = allocate_registers(problem, schedule, tracer.trace, tracer.outputs)
+    alloc = allocate_registers(
+        problem, schedule, tracer.trace, tracer.outputs, muxes=muxes
+    )
     obs.histogram(FLOW_STAGE_SECONDS, stage="regalloc").observe(perf_counter() - t0)
     t0 = perf_counter()
     template = compiled = None
@@ -416,6 +425,7 @@ def run_flow(
             tracer.outputs,
             alloc=alloc,
             output_names=_output_names(work_program),
+            muxes=muxes,
         )
         try:
             compiled = compile_program(
@@ -436,6 +446,7 @@ def run_flow(
             output_names=_output_names(work_program),
             alloc=alloc,
             validate=False,  # validated above
+            muxes=muxes,
         )
     fsm = generate_fsm(microprogram)
     obs.histogram(FLOW_STAGE_SECONDS, stage="assemble").observe(

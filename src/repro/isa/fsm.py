@@ -72,45 +72,34 @@ def _encode_word(
         2-bit source select + reg_bits register address
       per write port (2 ports):
         1-bit enable + 1-bit unit select + reg_bits address
+
+    Absent issues, operands and writebacks encode as zeros.  A register
+    address that does not fit ``reg_bits`` raises ValueError.
     """
+    limit = 1 << reg_bits
+    field = 2 + reg_bits  # one operand slot, or one write port
+    mult, addsub = word.mult, word.addsub
     val = 0
-    pos = 0
-
-    def put(bits: int, width: int) -> None:
-        nonlocal val, pos
-        if bits >= (1 << width):
+    if mult is not None:
+        val |= 1
+    if addsub is not None:
+        val |= 0b10 | ADDSUB_OPCODES.get(addsub.kind, 0) << 2
+    pos = 5
+    for issue in (mult, addsub):
+        if issue is not None:
+            at = pos
+            for op in issue.operands[:2]:
+                reg = op.register if op.register >= 0 else 0
+                if reg >= limit:
+                    raise ValueError("field overflow in control word encoding")
+                val |= (SOURCE_CODES[op.source] | reg << 2) << at
+                at += field
+        pos += 2 * field
+    for wb in word.writebacks[:2]:
+        if wb.register >= limit:
             raise ValueError("field overflow in control word encoding")
-        val |= bits << pos
-        pos += width
-
-    put(1 if word.mult else 0, 1)
-    put(1 if word.addsub else 0, 1)
-    put(ADDSUB_OPCODES.get(word.addsub.kind, 0) if word.addsub else 0, 3)
-    slots = []
-    for issue in (word.mult, word.addsub):
-        ops = list(issue.operands) if issue else []
-        while len(ops) < 2:
-            ops.append(None)
-        slots.extend(ops[:2])
-    for op in slots:
-        if op is None:
-            put(0, 2)
-            put(0, reg_bits)
-        else:
-            put(SOURCE_CODES[op.source], 2)
-            put(op.register if op.register >= 0 else 0, reg_bits)
-    wbs = list(word.writebacks)[:2]
-    while len(wbs) < 2:
-        wbs.append(None)
-    for wb in wbs:
-        if wb is None:
-            put(0, 1)
-            put(0, 1)
-            put(0, reg_bits)
-        else:
-            put(1, 1)
-            put(1 if wb.unit is Unit.MULTIPLIER else 0, 1)
-            put(wb.register, reg_bits)
+        val |= (1 | (wb.unit is Unit.MULTIPLIER) << 1 | wb.register << 2) << pos
+        pos += field
     return val
 
 

@@ -11,11 +11,10 @@ back to which registers.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..sched.jobshop import JobShopProblem
+from ..sched.jobshop import JobShopProblem, MuxResolution, resolve_muxes
 from ..sched.schedule import Schedule
 from ..trace.ops import MicroOp, OpKind, Unit
 from .regalloc import Allocation, allocate_registers
@@ -29,8 +28,13 @@ class OperandSource(enum.Enum):
     FORWARD_ADDSUB = "fwd_addsub"
 
 
-@dataclass(frozen=True)
-class Operand:
+# Operand, UnitIssue and Writeback are NamedTuples rather than frozen
+# dataclasses: an assembly builds one of each per op of a program with
+# thousands of them, and tuple construction is markedly cheaper (with
+# positional arguments cheaper still, hence their use on hot paths).
+
+
+class Operand(NamedTuple):
     source: OperandSource
     register: int = -1  # valid when source is REGISTER
 
@@ -40,8 +44,7 @@ class Operand:
         return "M_out" if self.source is OperandSource.FORWARD_MULT else "S_out"
 
 
-@dataclass(frozen=True)
-class UnitIssue:
+class UnitIssue(NamedTuple):
     """One functional-unit issue: the op and its operand routing."""
 
     kind: OpKind
@@ -53,8 +56,7 @@ class UnitIssue:
         return f"{self.kind.value}({args})"
 
 
-@dataclass(frozen=True)
-class Writeback:
+class Writeback(NamedTuple):
     register: int
     unit: Unit
     uid: int
@@ -85,20 +87,45 @@ class MicroProgram:
     def cycles(self) -> int:
         return len(self.words)
 
-    @property
-    def rom_bits_per_word(self) -> int:
-        """Width of one control word in the program ROM.
 
-        Fields: 2 unit enables + 2x2 operand source selects (2 bits) +
-        4 read addresses + 3-bit addsub opcode + 2 writeback enables +
-        2 write addresses.
-        """
-        addr = max(1, math.ceil(math.log2(max(self.register_count, 2))))
-        return 2 + 4 * 2 + 4 * addr + 3 + 2 + 2 * addr
+def _operand_router(
+    problem: JobShopProblem, done: List[int], reg_of: Dict[int, int]
+) -> Callable[[int, int], Operand]:
+    """(leaf uid, issue cycle) -> the :class:`Operand` carrying its value.
 
-    @property
-    def rom_kilobits(self) -> float:
-        return self.cycles * self.rom_bits_per_word / 1000.0
+    A value leaving its unit in the very cycle it is read comes over
+    that unit's forwarding path (when the machine forwards); any other
+    comes from its register.  ``done`` is the schedule's per-task
+    completion cycle.
+    """
+    uid_to_index = problem.uid_to_index
+    on_mult = problem.on_multiplier
+    forwarding = problem.machine.forwarding
+    forwarded = (
+        Operand(OperandSource.FORWARD_ADDSUB),
+        Operand(OperandSource.FORWARD_MULT),
+    )
+    registers: Dict[int, Operand] = {}
+
+    def route(leaf: int, cyc: int) -> Operand:
+        producer = uid_to_index.get(leaf)
+        if forwarding and producer is not None and cyc == done[producer]:
+            return forwarded[on_mult[producer]]
+        reg = reg_of[leaf]
+        operand = registers.get(reg)
+        if operand is None:
+            operand = registers[reg] = Operand(OperandSource.REGISTER, reg)
+        return operand
+
+    return route
+
+
+def _op_at(trace: Sequence[MicroOp], uid: int) -> MicroOp:
+    """The trace op defining ``uid`` (a trace is indexed by uid)."""
+    op = trace[uid]
+    if op.uid != uid:
+        raise ValueError(f"trace position {uid} holds v{op.uid}")
+    return op
 
 
 def assemble(
@@ -109,6 +136,7 @@ def assemble(
     output_names: Optional[Dict[int, str]] = None,
     alloc: Optional[Allocation] = None,
     validate: bool = True,
+    muxes: Optional[MuxResolution] = None,
 ) -> MicroProgram:
     """Assemble a validated schedule into a microprogram.
 
@@ -117,52 +145,35 @@ def assemble(
     and the dependence structure, not on the concrete values), and
     ``validate=False`` skips re-validating a schedule already validated
     for this shape — the fast path of the serve-layer artifact cache.
+    ``muxes`` is :func:`~repro.sched.jobshop.resolve_muxes` of this
+    same ``trace``, when the caller has it already; ``trace`` may be
+    another same-shape trace than the one ``problem`` was built from.
 
     Raises ScheduleError (via validate) or ValueError on inconsistency.
     """
-    from ..sched.jobshop import resolve_select_chosen
-
     if validate:
         schedule.validate()
+    if muxes is None:
+        muxes = resolve_muxes(trace)
     if alloc is None:
-        alloc = allocate_registers(problem, schedule, trace, outputs)
-    lat = problem.machine.latency
+        alloc = allocate_registers(problem, schedule, trace, outputs, muxes=muxes)
+    reg_of = alloc.reg_of
     start = schedule.start
-    op_of_uid = {op.uid: op for op in trace}
+    done = schedule.completion()
+    on_mult = problem.on_multiplier
+    chosen_of = muxes.chosen
+    route = _operand_router(problem, done, reg_of)
 
-    n_cycles = schedule.makespan + 1
-    words = [ControlWord(cycle=c) for c in range(n_cycles)]
-
-    unit_result_uid: Dict[Tuple[Unit, int], int] = {}
+    words = [ControlWord(cycle=c) for c in range(max(done, default=0) + 1)]
+    sqr = OpKind.SQR
     for t in problem.tasks:
-        unit_result_uid[(t.unit, start[t.index] + lat(t.unit))] = t.uid
-
-    for t in problem.tasks:
-        op = op_of_uid[t.uid]
+        op = _op_at(trace, t.uid)
         cyc = start[t.index]
-        operands: List[Operand] = []
-        srcs = op.srcs if op.kind not in (OpKind.SQR,) else (op.srcs[0], op.srcs[0])
-        for s in srcs:
-            s = resolve_select_chosen(op_of_uid, s)
-            producer_idx = problem.uid_to_index.get(s)
-            if producer_idx is not None:
-                p_unit = problem.tasks[producer_idx].unit
-                avail = start[producer_idx] + lat(p_unit)
-                if problem.machine.forwarding and cyc == avail:
-                    operands.append(
-                        Operand(
-                            source=OperandSource.FORWARD_MULT
-                            if p_unit is Unit.MULTIPLIER
-                            else OperandSource.FORWARD_ADDSUB
-                        )
-                    )
-                    continue
-            operands.append(
-                Operand(source=OperandSource.REGISTER, register=alloc.reg_of[s])
-            )
-        issue = UnitIssue(kind=op.kind, operands=tuple(operands), dest_uid=t.uid)
+        srcs = op.srcs if op.kind is not sqr else (op.srcs[0], op.srcs[0])
+        operands = tuple([route(chosen_of.get(s, s), cyc) for s in srcs])
+        issue = UnitIssue(op.kind, operands, t.uid)
         word = words[cyc]
-        if t.unit is Unit.MULTIPLIER:
+        if on_mult[t.index]:
             if word.mult is not None:
                 raise ValueError(f"multiplier double-issue at cycle {cyc}")
             word.mult = issue
@@ -170,22 +181,22 @@ def assemble(
             if word.addsub is not None:
                 raise ValueError(f"addsub double-issue at cycle {cyc}")
             word.addsub = issue
-        wb_cycle = cyc + lat(t.unit)
-        wb = Writeback(register=alloc.reg_of[t.uid], unit=t.unit, uid=t.uid)
-        words[wb_cycle].writebacks = words[wb_cycle].writebacks + (wb,)
+        wb = Writeback(reg_of[t.uid], t.unit, t.uid)
+        word = words[done[t.index]]
+        word.writebacks = word.writebacks + (wb,)
 
     names = output_names or {}
     out_map = {}
     for uid in outputs:
-        name = names.get(uid) or op_of_uid[uid].name or f"v{uid}"
-        out_map[name] = alloc.reg_of[resolve_select_chosen(op_of_uid, uid)]
+        name = names.get(uid) or _op_at(trace, uid).name or f"v{uid}"
+        out_map[name] = reg_of[muxes.leaf(uid)]
 
     golden = {op.uid: op.value for op in trace}
     # Preload is rebuilt from the trace at hand (not alloc.preload):
     # with a reused same-shape allocation the register mapping carries
     # over but the concrete input/constant values belong to this trace.
     preload = {
-        alloc.reg_of[op.uid]: op.value
+        reg_of[op.uid]: op.value
         for op in trace
         if op.kind in (OpKind.CONST, OpKind.INPUT)
     }
@@ -195,7 +206,7 @@ def assemble(
         register_count=alloc.register_count,
         outputs=out_map,
         golden=golden,
-        uid_reg=dict(alloc.reg_of),
+        uid_reg=dict(reg_of),
     )
 
 
@@ -214,7 +225,7 @@ class ProgramTemplate:
     to following each mux's chosen chain and picking the precomputed
     routing.
 
-    ``UnitIssue``/``Operand``/``Writeback`` are frozen, so the static
+    ``UnitIssue``/``Operand``/``Writeback`` are immutable, so the static
     skeleton is shared by every rebound program.
     """
 
@@ -286,31 +297,26 @@ def build_template(
     outputs: Sequence[int],
     alloc: Allocation,
     output_names: Optional[Dict[int, str]] = None,
+    muxes: Optional[MuxResolution] = None,
 ) -> ProgramTemplate:
     """Build a :class:`ProgramTemplate` from one solved shape instance.
 
     The reference ``trace`` only contributes structure; ``rebind`` with
     the same trace reproduces byte-for-byte what :func:`assemble` emits
-    for it (the microcode equivalence test pins this down).
+    for it (the microcode equivalence test pins this down).  ``muxes``
+    is :func:`~repro.sched.jobshop.resolve_muxes` of this same
+    ``trace``, when the caller has it already.
     """
-    from ..sched.jobshop import resolve_select_all, resolve_select_chosen
-
-    by_uid = {op.uid: op for op in trace}
-    lat = problem.machine.latency
+    if muxes is None:
+        muxes = resolve_muxes(trace)
+    reg_of = alloc.reg_of
     start = schedule.start
-    n_cycles = schedule.makespan + 1
-
-    def operand_for(leaf: int, cyc: int) -> Operand:
-        producer_idx = problem.uid_to_index.get(leaf)
-        if producer_idx is not None:
-            p_unit = problem.tasks[producer_idx].unit
-            if problem.machine.forwarding and cyc == start[producer_idx] + lat(p_unit):
-                return Operand(
-                    source=OperandSource.FORWARD_MULT
-                    if p_unit is Unit.MULTIPLIER
-                    else OperandSource.FORWARD_ADDSUB
-                )
-        return Operand(source=OperandSource.REGISTER, register=alloc.reg_of[leaf])
+    done = schedule.completion()
+    on_mult = problem.on_multiplier
+    chosen_of = muxes.chosen
+    alternatives_of = muxes.alternatives
+    route = _operand_router(problem, done, reg_of)
+    n_cycles = max(done, default=0) + 1
 
     mult_at: List[Optional[UnitIssue]] = [None] * n_cycles
     addsub_at: List[Optional[UnitIssue]] = [None] * n_cycles
@@ -319,24 +325,23 @@ def build_template(
         Tuple[int, bool, Tuple[Tuple[int, int, Dict[int, Operand]], ...]]
     ] = []
 
+    sqr = OpKind.SQR
     for t in problem.tasks:
-        op = by_uid[t.uid]
+        op = _op_at(trace, t.uid)
         cyc = start[t.index]
-        srcs = op.srcs if op.kind is not OpKind.SQR else (op.srcs[0], op.srcs[0])
+        srcs = op.srcs if op.kind is not sqr else (op.srcs[0], op.srcs[0])
         operands: List[Operand] = []
         slots: List[Tuple[int, int, Dict[int, Operand]]] = []
         for i, s in enumerate(srcs):
-            if by_uid[s].kind is OpKind.SELECT:
-                premap = {
-                    leaf: operand_for(leaf, cyc)
-                    for leaf in resolve_select_all(by_uid, s)
-                }
-                operands.append(premap[resolve_select_chosen(by_uid, s)])
+            alternatives = alternatives_of.get(s)
+            if alternatives is not None:  # a SELECT: route every leaf
+                premap = {leaf: route(leaf, cyc) for leaf in alternatives}
+                operands.append(premap[chosen_of[s]])
                 slots.append((i, s, premap))
             else:
-                operands.append(operand_for(s, cyc))
-        issue = UnitIssue(kind=op.kind, operands=tuple(operands), dest_uid=t.uid)
-        is_mult = t.unit is Unit.MULTIPLIER
+                operands.append(route(s, cyc))
+        issue = UnitIssue(op.kind, tuple(operands), t.uid)
+        is_mult = on_mult[t.index]
         arr = mult_at if is_mult else addsub_at
         if arr[cyc] is not None:
             raise ValueError(
@@ -345,22 +350,20 @@ def build_template(
         arr[cyc] = issue
         if slots:
             patch_groups.append((cyc, is_mult, tuple(slots)))
-        wb_lists[cyc + lat(t.unit)].append(
-            Writeback(register=alloc.reg_of[t.uid], unit=t.unit, uid=t.uid)
-        )
+        wb_lists[done[t.index]].append(Writeback(reg_of[t.uid], t.unit, t.uid))
 
     names = output_names or {}
     out_routes = tuple(
         (
-            names.get(uid) or by_uid[uid].name or f"v{uid}",
+            names.get(uid) or _op_at(trace, uid).name or f"v{uid}",
             uid,
-            {leaf: alloc.reg_of[leaf] for leaf in resolve_select_all(by_uid, uid)},
+            {leaf: reg_of[leaf] for leaf in muxes.leaves(uid)},
         )
         for uid in outputs
     )
 
     preload_slots = tuple(
-        (op.uid, alloc.reg_of[op.uid])
+        (op.uid, reg_of[op.uid])
         for op in trace
         if op.kind in (OpKind.CONST, OpKind.INPUT)
     )
@@ -373,5 +376,5 @@ def build_template(
         patch_groups=patch_groups,
         preload_slots=preload_slots,
         outputs=out_routes,
-        reg_of=dict(alloc.reg_of),
+        reg_of=dict(reg_of),
     )

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sched.jobshop import JobShopProblem
+from ..sched.jobshop import JobShopProblem, MuxResolution, resolve_muxes
 from ..sched.schedule import Schedule
 from ..trace.ops import MicroOp, OpKind
 
@@ -47,44 +48,48 @@ def allocate_registers(
     schedule: Schedule,
     trace: Sequence[MicroOp],
     outputs: Sequence[int],
+    muxes: Optional[MuxResolution] = None,
 ) -> Allocation:
-    """Linear-scan allocation; raises if the schedule is inconsistent."""
-    lat = problem.machine.latency
+    """Linear-scan allocation; raises if the schedule is inconsistent.
+
+    ``muxes`` is :func:`~repro.sched.jobshop.resolve_muxes` of this
+    same ``trace``, when the caller has it already.
+    """
+    if muxes is None:
+        muxes = resolve_muxes(trace)
     start = schedule.start
-    horizon = schedule.makespan + 1
+    done = schedule.completion()
+    horizon = max(done, default=0) + 1
+    uid_to_index = problem.uid_to_index
 
     # def/last-use per uid (cycle numbers).
     def_cycle: Dict[int, int] = {}
     last_use: Dict[int, int] = {}
-    scheduled_uid = set(problem.uid_to_index)
-
-    from ..sched.jobshop import resolve_select_all, resolve_select_chosen
-
-    by_uid = {op.uid: op for op in trace}
+    preloaded = (OpKind.CONST, OpKind.INPUT)
+    select = OpKind.SELECT
+    alternatives_of = muxes.alternatives
     for op in trace:
-        if op.uid in scheduled_uid:
-            idx = problem.uid_to_index[op.uid]
-            def_cycle[op.uid] = start[idx] + lat(problem.tasks[idx].unit)
-        elif op.kind in (OpKind.CONST, OpKind.INPUT):
-            def_cycle[op.uid] = 0
-        elif op.kind is OpKind.SELECT:
-            continue  # a mux: no register of its own
-        else:  # non-arithmetic op outside our kinds — should not happen
-            raise ValueError(f"unschedulable op in trace: {op!r}")
-
-    for op in trace:
-        if op.uid in scheduled_uid:
-            idx = problem.uid_to_index[op.uid]
+        uid = op.uid
+        idx = uid_to_index.get(uid)
+        if idx is not None:
+            def_cycle[uid] = done[idx]
             issue = start[idx]
             for s in op.srcs:
                 # Every mux alternative must stay live until the read.
-                for alt in resolve_select_all(by_uid, s):
-                    last_use[alt] = max(last_use.get(alt, 0), issue)
+                for alt in alternatives_of.get(s, (s,)):
+                    prev = last_use.get(alt, 0)
+                    last_use[alt] = issue if issue > prev else prev
+        elif op.kind in preloaded:
+            def_cycle[uid] = 0
+        elif op.kind is select:
+            continue  # a mux: no register of its own
+        else:  # non-arithmetic op outside our kinds — should not happen
+            raise ValueError(f"unschedulable op in trace: {op!r}")
     for uid in outputs:
-        last_use[resolve_select_chosen(by_uid, uid)] = horizon
+        last_use[muxes.leaf(uid)] = horizon
 
     # Linear scan ordered by definition cycle.
-    events = sorted(def_cycle.items(), key=lambda kv: (kv[1], kv[0]))
+    events = sorted(def_cycle.items(), key=itemgetter(1, 0))
     free: List[int] = []
     next_reg = 0
     reg_of: Dict[int, int] = {}
@@ -112,9 +117,7 @@ def allocate_registers(
         heapq.heappush(active, (end, reg))
 
     preload = {
-        reg_of[op.uid]: op.value
-        for op in trace
-        if op.kind in (OpKind.CONST, OpKind.INPUT)
+        reg_of[op.uid]: op.value for op in trace if op.kind in preloaded
     }
     live_ranges = {
         uid: (def_cycle[uid], last_use.get(uid, def_cycle[uid]))

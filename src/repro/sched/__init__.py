@@ -19,7 +19,14 @@ from .modulo import (
     modulo_schedule,
     validate_by_unrolling,
 )
-from .jobshop import JobShopProblem, MachineSpec, Task, problem_from_trace
+from .jobshop import (
+    JobShopProblem,
+    MachineSpec,
+    MuxResolution,
+    Task,
+    problem_from_trace,
+    resolve_muxes,
+)
 from .list_scheduler import (
     block_limited_schedule,
     list_schedule,
@@ -37,6 +44,7 @@ __all__ = [
     "validate_by_unrolling",
     "JobShopProblem",
     "MachineSpec",
+    "MuxResolution",
     "Schedule",
     "ScheduleError",
     "SearchBudgetExceeded",
@@ -45,5 +53,6 @@ __all__ = [
     "cp_schedule",
     "list_schedule",
     "problem_from_trace",
+    "resolve_muxes",
     "sequential_schedule",
 ]

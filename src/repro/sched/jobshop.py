@@ -18,9 +18,10 @@ constraints beyond the plain job-shop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..trace.ops import MicroOp, OpKind, Unit
+from ..trace.ops import UNIT_OF, MicroOp, OpKind, Unit
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,7 @@ class MachineSpec:
         return 0
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """One schedulable micro-op.
 
     ``deps`` are indices (into the problem's task list) of the tasks
@@ -62,6 +62,10 @@ class Task:
     input); ``external_reads`` counts operand slots fed by constants or
     preloaded inputs (they also occupy read ports).  Operands from
     constants or inputs impose no precedence.
+
+    A NamedTuple, like :class:`~repro.trace.ops.MicroOp` and for the
+    same reason: a full program builds thousands per flow, and tuple
+    construction is markedly cheaper than a frozen dataclass's.
     """
 
     index: int
@@ -86,6 +90,20 @@ class JobShopProblem:
     @property
     def size(self) -> int:
         return len(self.tasks)
+
+    # Per-task tables, computed once: a problem's tasks and machine are
+    # fixed once it is built.
+    @cached_property
+    def latencies(self) -> List[int]:
+        """``latencies[i]``: cycles from task i's issue to its result."""
+        lat = self.machine.latency
+        return [lat(t.unit) for t in self.tasks]
+
+    @cached_property
+    def on_multiplier(self) -> List[bool]:
+        """``on_multiplier[i]``: task i issues to the multiplier."""
+        mult = Unit.MULTIPLIER
+        return [t.unit is mult for t in self.tasks]
 
     def fingerprint(self) -> str:
         """Deterministic digest of the problem *shape*.
@@ -125,13 +143,13 @@ class JobShopProblem:
 
     def critical_path_bound(self) -> int:
         """Longest dependency chain in cycles (a makespan lower bound)."""
-        lat = self.machine.latency
+        lat = self.latencies
         longest = [0] * len(self.tasks)
         for t in self.tasks:  # tasks are in topological (trace) order
             start = 0
             for d in t.deps:
                 start = max(start, longest[d])
-            longest[t.index] = start + lat(t.unit)
+            longest[t.index] = start + lat[t.index]
         return max(longest, default=0)
 
     def lower_bound(self) -> int:
@@ -144,23 +162,55 @@ class JobShopProblem:
         return lb
 
 
-def resolve_select_chosen(by_uid: Dict[int, MicroOp], uid: int) -> int:
-    """Follow SELECT ops to the concrete uid whose value is passed through."""
-    op = by_uid[uid]
-    while op.kind is OpKind.SELECT:
-        op = by_uid[op.srcs[0]]
-    return op.uid
+@dataclass(frozen=True)
+class MuxResolution:
+    """Where every SELECT of one trace routes its operand.
+
+    ``chosen[uid]`` is the concrete uid a SELECT (or a chain of them)
+    passes through; ``alternatives[uid]`` every concrete uid it may
+    pass, first-seen order, without repeats.  Only SELECT uids appear:
+    any other uid stands for itself (:meth:`leaf` / :meth:`leaves`).
+    A resolution describes the trace it was built from and no other —
+    a same-shape trace of another scalar chooses differently.
+    """
+
+    chosen: Dict[int, int]
+    alternatives: Dict[int, Tuple[int, ...]]
+
+    def leaf(self, uid: int) -> int:
+        """The concrete uid an operand is read from."""
+        return self.chosen.get(uid, uid)
+
+    def leaves(self, uid: int) -> Tuple[int, ...]:
+        """Every concrete uid an operand may come from (mux alternatives)."""
+        return self.alternatives.get(uid, (uid,))
 
 
-def resolve_select_all(by_uid: Dict[int, MicroOp], uid: int) -> Tuple[int, ...]:
-    """All concrete uids an operand may come from (mux alternatives)."""
-    op = by_uid[uid]
-    if op.kind is not OpKind.SELECT:
-        return (uid,)
-    out: List[int] = []
-    for s in op.srcs:
-        out.extend(resolve_select_all(by_uid, s))
-    return tuple(dict.fromkeys(out))
+def resolve_muxes(trace: Sequence[MicroOp]) -> MuxResolution:
+    """Resolve every SELECT of ``trace`` once, each from its sources'."""
+    select = OpKind.SELECT
+    srcs_of = {op.uid: op.srcs for op in trace if op.kind is select}
+    chosen: Dict[int, int] = {}
+    alternatives: Dict[int, Tuple[int, ...]] = {}
+
+    def resolve(uid: int) -> None:
+        srcs = srcs_of[uid]
+        leaves: List[int] = []
+        for s in srcs:
+            if s in srcs_of:
+                if s not in alternatives:
+                    resolve(s)
+                leaves.extend(alternatives[s])
+            else:
+                leaves.append(s)
+        first = srcs[0]
+        chosen[uid] = chosen.get(first, first)
+        alternatives[uid] = tuple(dict.fromkeys(leaves))
+
+    for uid in srcs_of:
+        if uid not in alternatives:
+            resolve(uid)
+    return MuxResolution(chosen=chosen, alternatives=alternatives)
 
 
 def problem_from_trace(
@@ -168,6 +218,7 @@ def problem_from_trace(
     machine: Optional[MachineSpec] = None,
     start: int = 0,
     end: Optional[int] = None,
+    muxes: Optional[MuxResolution] = None,
 ) -> JobShopProblem:
     """Build a scheduling problem from (a slice of) a recorded trace.
 
@@ -176,39 +227,50 @@ def problem_from_trace(
     input) is treated as already available — matching how the hardware
     schedules a block whose live-ins sit in the register file.  SELECT
     pseudo-ops contribute timing dependencies on every alternative but
-    only one register read (the mux is wiring, not a unit).
+    only one register read (the mux is wiring, not a unit).  ``muxes``
+    is :func:`resolve_muxes` of this same ``trace``, when the caller
+    has it already.
     """
     machine = machine or MachineSpec()
     end = len(trace) if end is None else end
-    by_uid = {op.uid: op for op in trace}
+    if muxes is None:
+        muxes = resolve_muxes(trace)
+    chosen_of = muxes.chosen
+    alternatives_of = muxes.alternatives
+    unit_of = UNIT_OF
+    no_unit = Unit.NONE
     tasks: List[Task] = []
     uid_to_index: Dict[int, int] = {}
+    index_of = uid_to_index.get
     for op in trace[start:end]:
-        if not op.is_arithmetic:
+        unit = unit_of[op.kind]
+        if unit is no_unit:
             continue
         dep_set = set()
         reads: List[int] = []
         external = 0
         for s in op.srcs:
-            for alt in resolve_select_all(by_uid, s):
-                if alt in uid_to_index:
-                    dep_set.add(uid_to_index[alt])
-            chosen = resolve_select_chosen(by_uid, s)
-            if chosen in uid_to_index:
-                reads.append(uid_to_index[chosen])
-            else:
+            alts = alternatives_of.get(s)
+            if alts is None:  # a plain operand: its own producer, if any
+                idx = index_of(s)
+                if idx is not None:
+                    dep_set.add(idx)
+            else:  # a mux: wait for every alternative, read the chosen one
+                for alt in alts:
+                    alt_idx = index_of(alt)
+                    if alt_idx is not None:
+                        dep_set.add(alt_idx)
+                idx = index_of(chosen_of[s])
+            if idx is None:
                 external += 1
+            else:
+                reads.append(idx)
         idx = len(tasks)
+        # Positional: markedly cheaper than keywords for a NamedTuple.
         tasks.append(
             Task(
-                index=idx,
-                uid=op.uid,
-                unit=op.unit,
-                deps=tuple(sorted(dep_set)),
-                kind=op.kind,
-                reads=tuple(reads),
-                external_reads=external,
-                name=op.name,
+                idx, op.uid, unit, tuple(sorted(dep_set)), op.kind,
+                tuple(reads), external, op.name,
             )
         )
         uid_to_index[op.uid] = idx

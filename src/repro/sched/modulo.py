@@ -334,27 +334,25 @@ def kernel_from_traces(single_iter_prog, chained_prog=None) -> LoopKernel:
     matched positionally: outputs are (Qx', Qy', Qz', Qta', Qtb') and
     inputs (Qx, Qy, Qz, Qta, Qtb).
     """
-    from .jobshop import problem_from_trace, resolve_select_chosen
+    from .jobshop import problem_from_trace, resolve_muxes
 
     tracer = single_iter_prog.tracer
-    problem = problem_from_trace(tracer.trace)
-    by_uid = {op.uid: op for op in tracer.trace}
+    muxes = resolve_muxes(tracer.trace)
+    problem = problem_from_trace(tracer.trace, muxes=muxes)
+    # Every concrete uid each task may read (all mux alternatives).
+    task_leaves = [
+        {leaf for s in tracer.trace[t.uid].srcs for leaf in muxes.leaves(s)}
+        for t in problem.tasks
+    ]
 
     # Positional pairing input[i] <-> output[i].
     carried: List[CarriedDependency] = []
     for in_uid, out_uid in zip(tracer.inputs[:5], tracer.outputs[:5]):
-        out_concrete = resolve_select_chosen(by_uid, out_uid)
-        src = problem.uid_to_index.get(out_concrete)
+        src = problem.uid_to_index.get(muxes.leaf(out_uid))
         if src is None:
             continue
         # Every task consuming this input gets a carried edge.
-        for t in problem.tasks:
-            op = by_uid[t.uid]
-            alts = set()
-            for s in op.srcs:
-                from .jobshop import resolve_select_all
-
-                alts.update(resolve_select_all(by_uid, s))
-            if in_uid in alts:
+        for t, leaves in zip(problem.tasks, task_leaves):
+            if in_uid in leaves:
                 carried.append(CarriedDependency(src=src, dst=t.index))
     return LoopKernel(problem=problem, carried=carried)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import add
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..trace.ops import Unit
 from .jobshop import JobShopProblem
@@ -26,13 +27,13 @@ class Schedule:
     start: List[int]
     method: str = "unknown"
 
+    def completion(self) -> List[int]:
+        """``completion()[i]``: the cycle task i's result leaves its unit."""
+        return list(map(add, self.start, self.problem.latencies))
+
     @property
     def makespan(self) -> int:
-        lat = self.problem.machine.latency
-        return max(
-            (s + lat(t.unit) for s, t in zip(self.start, self.problem.tasks)),
-            default=0,
-        )
+        return max(self.completion(), default=0)
 
     def stable_hash(self) -> str:
         """Deterministic digest of (problem shape, start times, method).
@@ -64,50 +65,49 @@ class Schedule:
         """
         prob = self.problem
         mach = prob.machine
-        lat = mach.latency
-        if len(self.start) != prob.size:
+        start = self.start
+        if len(start) != prob.size:
             raise ScheduleError("schedule length mismatch")
-        if any(s < 0 for s in self.start):
+        if any(s < 0 for s in start):
             raise ScheduleError("negative issue cycle")
+        done = self.completion()
+        forwarding = mach.forwarding
 
         # 1. precedences: the producer's result leaves its unit at cycle
         # (issue + latency).  With forwarding a consumer may issue in
         # exactly that cycle (bypass network); without forwarding it
         # must wait one more cycle for the register-file write.
+        bypass = 0 if forwarding else 1
         for t in prob.tasks:
+            issue = start[t.index]
             for d in t.deps:
-                ready = self.start[d] + lat(prob.tasks[d].unit)
-                min_issue = ready if mach.forwarding else ready + 1
-                if self.start[t.index] < min_issue:
+                if issue < done[d] + bypass:
                     raise ScheduleError(
-                        f"task {t.index} issued at {self.start[t.index]} before "
-                        f"operand {d} available at {min_issue}"
+                        f"task {t.index} issued at {issue} before "
+                        f"operand {d} available at {done[d] + bypass}"
                     )
 
-        # 2. unit occupancy
-        busy: Dict[Tuple[Unit, int], int] = {}
-        for t in prob.tasks:
-            key = (t.unit, self.start[t.index])
-            busy[key] = busy.get(key, 0) + 1
-            if busy[key] > 1:
+        # 2. unit occupancy: issue cycles taken, [add/sub, multiplier]
+        busy: Tuple[Set[int], Set[int]] = (set(), set())
+        for t, on_mult, cyc in zip(prob.tasks, prob.on_multiplier, start):
+            cycles = busy[on_mult]
+            if cyc in cycles:
                 raise ScheduleError(
-                    f"unit {t.unit.value} double-issued in cycle {self.start[t.index]}"
+                    f"unit {t.unit.value} double-issued in cycle {cyc}"
                 )
+            cycles.add(cyc)
 
         # 3. register-file ports: reads follow the mux-selected operand
         # (t.reads), not the timing dependencies.
         reads: Dict[int, int] = {}
         writes: Dict[int, int] = {}
-        for t in prob.tasks:
-            cyc = self.start[t.index]
+        for t, cyc, wb in zip(prob.tasks, start, done):
             n_reads = t.external_reads
             for r in t.reads:
-                ready = self.start[r] + lat(prob.tasks[r].unit)
-                if not (mach.forwarding and cyc == ready):
+                if not (forwarding and cyc == done[r]):
                     n_reads += 1
             if n_reads:
                 reads[cyc] = reads.get(cyc, 0) + n_reads
-            wb = cyc + lat(t.unit)
             writes[wb] = writes.get(wb, 0) + 1
         for cyc, n in reads.items():
             if n > mach.read_ports:

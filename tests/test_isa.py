@@ -94,9 +94,11 @@ class TestAssemble:
         prog = assemble(
             prob, sched, prog_src.tracer.trace, prog_src.tracer.outputs
         )
-        assert prog.rom_bits_per_word > 16
-        assert prog.rom_kilobits == pytest.approx(
-            prog.cycles * prog.rom_bits_per_word / 1000.0
+        fsm = generate_fsm(prog)
+        assert fsm.word_bits > 16
+        assert max(fsm.rom).bit_length() <= fsm.word_bits
+        assert fsm.rom_kilobits == pytest.approx(
+            prog.cycles * fsm.word_bits / 1000.0
         )
 
 

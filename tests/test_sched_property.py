@@ -26,12 +26,28 @@ from repro.trace.ops import OpKind, Unit
 
 
 @st.composite
-def random_problems(draw):
-    """A random DAG of 1-26 tasks over the two units."""
+def random_problems(draw, muxes=False):
+    """A random DAG of 1-26 tasks over the two units.
+
+    With ``muxes``, some operands are routed through a mux: a task then
+    also depends on alternatives it does not read (``reads`` a strict
+    subset of ``deps``, as :func:`problem_from_trace` builds for a
+    SELECT), an operand may be read twice, and the add/sub latency and
+    the port counts vary too.
+    """
     n = draw(st.integers(min_value=1, max_value=26))
     mult_lat = draw(st.integers(min_value=1, max_value=4))
     fwd = draw(st.booleans())
     seed = draw(st.integers(min_value=0, max_value=2**16))
+    machine = MachineSpec(mult_latency=mult_lat, forwarding=fwd)
+    if muxes:
+        machine = MachineSpec(
+            mult_latency=mult_lat,
+            addsub_latency=draw(st.integers(min_value=1, max_value=4)),
+            read_ports=draw(st.integers(min_value=2, max_value=4)),
+            write_ports=draw(st.integers(min_value=1, max_value=2)),
+            forwarding=fwd,
+        )
     rng = random.Random(seed)
     tasks = []
     for i in range(n):
@@ -40,6 +56,11 @@ def random_problems(draw):
         max_deps = min(i, 2)
         k = rng.randint(0, max_deps)
         deps = tuple(sorted(rng.sample(range(i), k))) if k else ()
+        reads = deps
+        if muxes and i:
+            reads = tuple(rng.choice(deps) for _ in deps) if deps else ()
+            alts = rng.sample(range(i), rng.randint(0, min(i, 3)))
+            deps = tuple(sorted(set(deps) | set(alts)))
         tasks.append(
             Task(
                 index=i,
@@ -47,11 +68,10 @@ def random_problems(draw):
                 unit=unit,
                 deps=deps,
                 kind=kind,
-                reads=deps,
-                external_reads=2 - len(deps),
+                reads=reads,
+                external_reads=2 - len(reads),
             )
         )
-    machine = MachineSpec(mult_latency=mult_lat, forwarding=fwd)
     return JobShopProblem(tasks=tasks, machine=machine)
 
 

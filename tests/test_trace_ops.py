@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sched.jobshop import resolve_select_all, resolve_select_chosen
+from repro.sched.jobshop import resolve_muxes
 from repro.trace import UNIT_OF, MicroOp, OpKind, Tracer, Unit
 
 
@@ -47,20 +47,18 @@ class TestSelectResolution:
 
     def test_chosen_resolution_nested(self):
         tr, a, b, s1, s2 = self._traced()
-        by_uid = {op.uid: op for op in tr.trace}
-        assert resolve_select_chosen(by_uid, s2.uid) == a.uid
+        assert resolve_muxes(tr.trace).leaf(s2.uid) == a.uid
 
     def test_all_resolution_nested(self):
         tr, a, b, s1, s2 = self._traced()
-        by_uid = {op.uid: op for op in tr.trace}
-        alts = resolve_select_all(by_uid, s2.uid)
+        alts = resolve_muxes(tr.trace).leaves(s2.uid)
         assert set(alts) == {a.uid, b.uid}
 
     def test_non_select_passthrough(self):
         tr, a, b, s1, s2 = self._traced()
-        by_uid = {op.uid: op for op in tr.trace}
-        assert resolve_select_chosen(by_uid, a.uid) == a.uid
-        assert resolve_select_all(by_uid, a.uid) == (a.uid,)
+        muxes = resolve_muxes(tr.trace)
+        assert muxes.leaf(a.uid) == a.uid
+        assert muxes.leaves(a.uid) == (a.uid,)
 
     def test_select_requires_membership(self):
         tr = Tracer()
