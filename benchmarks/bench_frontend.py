@@ -1,20 +1,22 @@
 """E-frontend — streamed requests vs pre-formed warm batches.
 
-The front door's claim: continuous batching (flush on size-or-deadline)
-converts a stream of individual requests into engine batches well
-enough that **streamed throughput at saturation stays within 2x of the
-pre-formed warm-batch throughput** — the coalescer's overhead (event
-loop, per-request futures, flush boundaries) must not give back the
-serving layer's 7x win.  The benchmark also sweeps arrival rate and
-``max_wait_ms`` to expose the latency/throughput trade the deadline
-knob buys (docs/serving.md, "Tuning max_wait_ms").
+The front door's claim: continuous batching (work-conserving dispatch:
+a lane flushes what it holds, up to ``max_batch``, whenever the engine
+is free) converts a stream of individual requests into engine batches
+well enough that **streamed throughput at saturation stays within 2x
+of the pre-formed warm-batch throughput** — the coalescer's overhead
+(event loop, per-request futures, flush boundaries) must not give back
+the serving layer's 7x win.  The benchmark also sweeps the arrival
+rate and prints each point's flush wait: near zero while the door is
+mostly idle, growing with the batches that form under load
+(docs/serving.md, "Flush policy").
 
 Run modes:
 
 * ``python benchmarks/bench_frontend.py`` — the acceptance comparison:
   a pre-formed warm batch of 64 vs 64 requests streamed through
   :class:`repro.serve.frontend.Frontend` at saturation, plus the
-  rate × max_wait sweep.  Exits non-zero if streamed ops/s falls below
+  arrival-rate sweep.  Exits non-zero if streamed ops/s falls below
   half the warm-batch ops/s.
 * ``python benchmarks/bench_frontend.py --smoke`` — the same at CI
   sizes (N=12, two sweep points), same 2x acceptance bound.
@@ -44,7 +46,8 @@ def run_stream(engine, scalars, rate=0.0, max_batch=16, max_wait_ms=5.0):
     """Stream ``scalars`` through a Frontend; returns the serving figures.
 
     ``rate`` is the Poisson arrival rate in req/s (0 = saturation: all
-    requests submitted immediately).  Returns ops/s measured over the
+    requests submitted immediately).  One source sends everything, so
+    ``max_wait_ms`` (the rejoin bound) never holds a flush.  Returns ops/s measured over the
     full stream wall time plus figures read from the frontend's private
     metrics registry.
     """
@@ -86,6 +89,9 @@ def run_stream(engine, scalars, rate=0.0, max_batch=16, max_wait_ms=5.0):
         "mean_batch": registry.histogram(
             "repro_frontend_batch_size", kind="sm"
         ).mean,
+        "wait_p50_ms": registry.histogram(
+            "repro_frontend_flush_wait_seconds", kind="sm"
+        ).percentile(50) * 1e3,
         "completed": int(counter_value(
             registry.snapshot(), "repro_frontend_resolved_total", outcome="ok"
         )),
@@ -114,27 +120,23 @@ def main(argv=None) -> int:
     warm_ops = measure_warm_batch(engine, scalars)
     print(f"pre-formed warm batch      : {warm_ops:6.2f} ops/s  (N={n})")
 
-    # The acceptance point: saturation arrivals, default deadline.
-    sat = run_stream(engine, scalars, rate=0.0,
-                     max_batch=args.max_batch, max_wait_ms=5.0)
+    # The acceptance point: saturation arrivals.
+    sat = run_stream(engine, scalars, rate=0.0, max_batch=args.max_batch)
     ratio = sat["ops_per_s"] / warm_ops
     print(f"streamed @ saturation      : {sat['ops_per_s']:6.2f} ops/s "
           f"({ratio:.2f}x of warm batch; mean batch {sat['mean_batch']:.1f}, "
           f"p50 {sat['p50_ms']:.1f} ms, p99 {sat['p99_ms']:.1f} ms)")
 
-    # The tuning sweep: arrival rate x flush deadline.
-    rates = [warm_ops * 0.5, warm_ops * 2.0]
-    waits = [1.0, 20.0] if args.smoke else [1.0, 5.0, 20.0]
-    print("\nrate x max_wait sweep (streamed):")
-    print(f"{'arrivals':>12} {'max_wait':>9} {'ops/s':>8} {'p50 ms':>8} "
+    # The load sweep: arrival rate as a multiple of warm-batch capacity.
+    loads = [0.5, 2.0] if args.smoke else [0.25, 0.5, 1.0, 2.0]
+    print("\narrival-rate sweep (streamed):")
+    print(f"{'arrivals':>12} {'ops/s':>8} {'wait p50':>9} {'p50 ms':>8} "
           f"{'p99 ms':>8} {'mean batch':>11}")
-    for rate in rates:
-        for wait in waits:
-            r = run_stream(engine, scalars, rate=rate,
-                           max_batch=args.max_batch, max_wait_ms=wait)
-            print(f"{rate:10.1f}/s {wait:7.1f}ms {r['ops_per_s']:8.2f} "
-                  f"{r['p50_ms']:8.1f} {r['p99_ms']:8.1f} "
-                  f"{r['mean_batch']:11.1f}")
+    for load in loads:
+        rate = warm_ops * load
+        r = run_stream(engine, scalars, rate=rate, max_batch=args.max_batch)
+        print(f"{rate:10.1f}/s {r['ops_per_s']:8.2f} {r['wait_p50_ms']:7.2f}ms "
+              f"{r['p50_ms']:8.1f} {r['p99_ms']:8.1f} {r['mean_batch']:11.1f}")
 
     print()
     if sat["ops_per_s"] < warm_ops / 2.0:
@@ -162,31 +164,40 @@ def test_streamed_saturation_near_warm_batch():
     engine = BatchEngine()
     engine.warm()
     warm_ops = measure_warm_batch(engine, scalars)
-    sat = run_stream(engine, scalars, rate=0.0, max_batch=8, max_wait_ms=5.0)
+    sat = run_stream(engine, scalars, rate=0.0, max_batch=8)
     print(f"\n  warm {warm_ops:.1f} ops/s vs streamed {sat['ops_per_s']:.1f} "
           f"ops/s ({sat['ops_per_s'] / warm_ops:.2f}x)")
     assert sat["ops_per_s"] >= warm_ops / 2.5
     assert sat["completed"] == len(scalars)
 
 
-def test_deadline_knob_trades_latency_for_batch_size():
-    """Larger max_wait under paced arrivals coalesces bigger batches."""
+def test_no_linger_at_an_idle_door_and_batches_under_load():
+    """Work-conserving dispatch, through the real engine.
+
+    At a quarter of engine capacity most requests find the door idle
+    and dispatch at once, even with a 200 ms rejoin bound: the median
+    flush wait stays under half a request's service time.  At four
+    times capacity, requests that arrive during a flush share the next
+    one, so batches form.
+    """
     from repro.serve import BatchEngine
 
     rng = random.Random(0xFACE)
-    scalars = [rng.randrange(2**256) for _ in range(8)]
+    scalars = [rng.randrange(2**256) for _ in range(12)]
     engine = BatchEngine()
     engine.warm()
     warm_ops = measure_warm_batch(engine, scalars)
-    rate = max(10.0, warm_ops)
-    tight = run_stream(engine, scalars, rate=rate, max_batch=64, max_wait_ms=0.0)
-    loose = run_stream(engine, scalars, rate=rate, max_batch=64, max_wait_ms=200.0)
-    print(f"\n  mean batch: tight {tight['mean_batch']:.1f} "
-          f"vs loose {loose['mean_batch']:.1f}")
-    # A 200 ms window at an arrival rate near engine capacity must
-    # coalesce more than the flush-immediately window does.
-    assert loose["mean_batch"] >= tight["mean_batch"]
-    assert loose["completed"] == tight["completed"] == len(scalars)
+    idle = run_stream(engine, scalars[:8], rate=warm_ops / 4, max_batch=64,
+                      max_wait_ms=200.0)
+    loaded = run_stream(engine, scalars, rate=warm_ops * 4, max_batch=64,
+                        max_wait_ms=200.0)
+    service_ms = 1e3 / warm_ops
+    print(f"\n  flush wait p50 {idle['wait_p50_ms']:.2f} ms at 1/4 load "
+          f"(service {service_ms:.1f} ms); mean batch "
+          f"{loaded['mean_batch']:.1f} at 4x load")
+    assert idle["wait_p50_ms"] < service_ms / 2
+    assert loaded["mean_batch"] > 1.0
+    assert idle["completed"] == 8 and loaded["completed"] == len(scalars)
 
 
 if __name__ == "__main__":

@@ -153,17 +153,23 @@ def _bad_poison(args) -> bool:
 
 def _front_door_flags(parser, n_help: str) -> None:
     """Flags ``serve`` and ``serve-net`` share: stream + front door."""
+    from .serve import FrontendConfig
+
+    defaults = FrontendConfig()
     add = parser.add_argument
     add("n", nargs="?", type=int, default=None, help=n_help)
-    add("--max-batch", type=int, default=16,
-        help="coalescer flush size (default 16)")
-    add("--max-wait-ms", type=float, default=5.0,
-        help="coalescer flush deadline in ms (default 5)")
-    add("--policy", choices=("block", "reject", "shed"), default="block",
-        help="admission policy when the queue is full (default block)")
-    add("--queue", type=int, default=256,
-        help="per-kind queue bound (default 256)")
-    add("--workers", type=int, default=0,
+    add("--max-batch", type=int, default=defaults.max_batch,
+        help=f"most requests per flush (default {defaults.max_batch})")
+    add("--max-wait-ms", type=float, default=defaults.max_wait_ms,
+        help="bound in ms on the rejoin hold: how long a full batch may "
+             "wait, after a flush that served several sources, for them "
+             "to send again; it never delays a lone request "
+             f"(default {defaults.max_wait_ms:g})")
+    add("--policy", choices=("block", "reject", "shed"), default=defaults.policy,
+        help=f"admission policy when the queue is full (default {defaults.policy})")
+    add("--queue", type=int, default=defaults.max_queue,
+        help=f"per-kind queue bound (default {defaults.max_queue})")
+    add("--workers", type=int, default=defaults.workers,
         help="engine fan-out per flush (0 = serial)")
     add("--poison", type=float, default=0.0, metavar="R",
         help="ratio in [0, 1) of requests replaced by invalid DH material; "

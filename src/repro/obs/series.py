@@ -116,7 +116,7 @@ SERIES: Tuple[Series, ...] = (
     _s("repro_frontend_admissions_total", "counter", "kind outcome", "frontend",
        "admission decisions: accepted, rejected, shed, deadline"),
     _s("repro_frontend_flushes_total", "counter", "kind reason", "frontend",
-       "flushes by trigger: size, deadline, drain"),
+       "flushes by reason: size (a full batch), idle (a partial batch at a free slot), drain"),
     _s("repro_frontend_flush_errors_total", "counter", "kind", "frontend",
        "whole-flush engine failures (every caller got a Failed)"),
     _s("repro_frontend_resolved_total", "counter", "kind outcome", "frontend",

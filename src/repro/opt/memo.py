@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..sched.jobshop import JobShopProblem, Task
 from ..sched.list_scheduler import list_schedule
 from ..sched.schedule import Schedule
-from ..trace.ops import UNIT_OF, Unit
+from ..trace.ops import UNIT_OF
 
 #: Minimum repeats before the memoized path engages (below this, plain
 #: whole-program list scheduling is both faster and tighter).
@@ -62,8 +62,8 @@ class _SegmentPlan:
 
     schedule: Schedule
     makespan: int
-    # (relative_cycle, unit) for every issue in the segment.
-    unit_profile: List[Tuple[int, Unit]] = field(default_factory=list)
+    # (relative_cycle, on_multiplier) for every issue in the segment.
+    unit_profile: List[Tuple[int, bool]] = field(default_factory=list)
     # relative_cycle -> conservatively-counted register reads.
     reads: Dict[int, int] = field(default_factory=dict)
     # relative_cycle -> writebacks landing that cycle.
@@ -175,20 +175,21 @@ def _plan_segment(
     else:
         sched = list_schedule(sub, method="memo-seg")
     sched.validate()
-    lat = machine.latency
+    lat = sub.latencies
+    on_mult = sub.on_multiplier
     forwarding = machine.forwarding
     plan = _SegmentPlan(schedule=sched, makespan=sched.makespan)
     for t in sub.tasks:
         c = sched.start[t.index]
-        plan.unit_profile.append((c, t.unit))
+        plan.unit_profile.append((c, on_mult[t.index]))
         n_reads = t.external_reads
         for r in t.reads:
-            ready = sched.start[r] + lat(sub.tasks[r].unit)
+            ready = sched.start[r] + lat[r]
             if not (forwarding and c == ready):
                 n_reads += 1
         if n_reads:
             plan.reads[c] = plan.reads.get(c, 0) + n_reads
-        wb = c + lat(t.unit)
+        wb = c + lat[t.index]
         plan.writes[wb] = plan.writes.get(wb, 0) + 1
     return plan
 
@@ -246,11 +247,12 @@ def memoized_schedule(
     stats.segments_total = len(bounds)
 
     machine = problem.machine
-    lat = machine.latency
+    lat = problem.latencies
     forwarding = machine.forwarding
     memo: Dict[Tuple, _SegmentPlan] = {}
     start = [-1] * problem.size
-    unit_busy: Dict[Unit, set] = {Unit.MULTIPLIER: set(), Unit.ADDSUB: set()}
+    # Busy cycles per unit, indexed by on_multiplier: [add/sub, multiplier].
+    unit_busy: Tuple[set, set] = (set(), set())
     reads_used: Dict[int, int] = {}
     writes_used: Dict[int, int] = {}
 
@@ -269,7 +271,7 @@ def memoized_schedule(
         # (forwarding allows equality; without it, one cycle later).
         offset = 0
         for local, dep in cross:
-            ready = start[dep] + lat(problem.tasks[dep].unit)
+            ready = start[dep] + lat[dep]
             if not forwarding:
                 ready += 1
             offset = max(offset, ready - rel[local])
@@ -277,8 +279,8 @@ def memoized_schedule(
         # usage maps.  Checks are ordered cheapest-reject-first.
         while True:
             ok = True
-            for c, unit in plan.unit_profile:
-                if offset + c in unit_busy[unit]:
+            for c, on_mult in plan.unit_profile:
+                if offset + c in unit_busy[on_mult]:
                     ok = False
                     break
             if ok:
@@ -295,8 +297,8 @@ def memoized_schedule(
                 break
             offset += 1
         # Commit the placement.
-        for c, unit in plan.unit_profile:
-            unit_busy[unit].add(offset + c)
+        for c, on_mult in plan.unit_profile:
+            unit_busy[on_mult].add(offset + c)
         for c, n in plan.reads.items():
             reads_used[offset + c] = reads_used.get(offset + c, 0) + n
         for c, n in plan.writes.items():

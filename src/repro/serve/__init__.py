@@ -19,7 +19,7 @@ requests the way the paper's chip amortizes its silicon:
   whole batch has run);
 * :class:`~repro.serve.frontend.Frontend` — the asyncio front door:
   streamed ``await submit(kind, payload, deadline=...)`` requests
-  coalesced into engine batches (flush on size-or-deadline), bounded
+  coalesced into engine batches (dispatched whenever the engine is free), bounded
   queues with block/reject/shed admission control, end-to-end request
   deadlines, graceful drain;
 * :mod:`~repro.serve.net` — the network front door:

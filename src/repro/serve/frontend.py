@@ -6,27 +6,32 @@ random times.  This module closes that gap the way serving systems for
 any fixed-function accelerator do — **continuous batching**: requests
 enter one at a time through :meth:`Frontend.submit`, land in a per-kind
 queue, and a coalescer flushes a batch to the existing fault-isolated
-:class:`~repro.serve.engine.BatchEngine` when either
+:class:`~repro.serve.engine.BatchEngine`.
 
-* the queue reaches ``max_batch`` (**flush on size**), or
-* the oldest queued request has waited ``max_wait_ms`` (**flush on
-  deadline**),
-
-whichever comes first.  The engine call runs in an executor thread so
-the event loop never blocks; each caller's future is resolved from the
-engine's typed per-item :class:`~repro.serve.faults.Ok` /
-:class:`~repro.serve.faults.Failed` outcomes, so one poisoned request
-rejects exactly one caller and a worker-chunk crash or timeout is
-recovered by the engine before the front door ever sees it.
+Dispatch is **work-conserving**: the engine shares one simulator, so
+every lane's coalescer waits for one dispatch slot, and a lane
+dispatches the moment it holds a request and the slot is free.  It
+takes up to ``max_batch`` requests (a full batch flushes with reason
+``size``, a partial one with ``idle``).  Requests that arrive while a
+flush runs queue up and leave together in the next flush, which is how
+batches form under load; no timer ever delays a dispatch, so a lone
+request at an idle door pays no linger.  The engine call runs in an
+executor thread so the event loop never blocks; each caller's future
+is resolved from the engine's typed per-item
+:class:`~repro.serve.faults.Ok` / :class:`~repro.serve.faults.Failed`
+outcomes, so one poisoned request rejects exactly one caller and a
+worker-chunk crash or timeout is recovered by the engine before the
+front door ever sees it.
 
 Fairness is per ``source``.  A caller may tag its request with a
 ``source`` key (the TCP server passes the connection id); when a flush
 pops a batch, it takes one request per source per rotation, sources
 rotating in the order of their oldest queued request, FIFO within each
 source.  After a flush that served several sources, a full next batch
-waits up to ``max_wait_ms`` for each of them to queue as many requests
-again, so a source that can send only once answered is not skipped for
-one that keeps a backlog.  Admission at a full lane is source-aware too
+waits up to ``max_wait_ms`` for each of them to send as many requests
+again, counting only requests admitted after the flush ended, so a
+source that can send only once answered is not skipped for one that
+keeps a backlog.  Admission at a full lane is source-aware too
 (below), so a firehose source cannot crowd a polite one out of the
 lane or a batch.
 With a single source (every in-process caller by default) both reduce
@@ -50,7 +55,8 @@ Admission control is explicit.  Every kind's queue is bounded
 
 Deadlines are end-to-end.  ``submit(kind, payload, deadline=seconds)``
 (or a config-wide ``default_deadline_ms``) bounds queue-to-result time:
-a request that expires while still queued resolves with a typed
+a request that expires while still queued (waiting for the slot
+included) resolves at its deadline with a typed
 ``Failed(KIND_DEADLINE)`` and **never dispatches**; a request blocked
 at admission under the ``block`` policy gives up when its deadline (or
 the separate ``admission_timeout_ms``) runs out instead of waiting
@@ -106,7 +112,7 @@ _POLICIES = ("block", "reject", "shed")
 
 #: Flush-reason label values of ``repro_frontend_flushes_total``.
 FLUSH_SIZE = "size"
-FLUSH_DEADLINE = "deadline"
+FLUSH_IDLE = "idle"
 FLUSH_DRAIN = "drain"
 
 
@@ -119,12 +125,13 @@ class FrontendConfig:
     """Tuning knobs of the coalescer and admission controller.
 
     Attributes:
-        max_batch: flush as soon as a kind's queue holds this many
-            requests (the size half of size-or-deadline).
-        max_wait_ms: flush when the oldest queued request has waited
-            this long (the deadline half).  This is the latency price a
-            lone request pays to give later arrivals a chance to share
-            its batch — see docs/serving.md for the tuning note.
+        max_batch: the most requests one flush takes.  A lane flushes
+            whatever it holds, up to this, as soon as the dispatch slot
+            is free; it never waits for a batch to fill.
+        max_wait_ms: bounds the rejoin hold: after a flush that served
+            several sources, how long a full next batch may wait for
+            them to send again (see module docstring).  It never delays
+            a dispatch otherwise.
         max_queue: per-kind admission bound; beyond it ``policy``
             applies.
         policy: ``"block"`` / ``"reject"`` / ``"shed"`` (see module
@@ -181,6 +188,8 @@ class _Pending:
     expires_at: Optional[float] = None
     #: Fairness key: batches rotate over sources (None is one source).
     source: Hashable = None
+    #: Fires :meth:`Frontend._expire` at ``expires_at`` while queued.
+    timer: Optional[asyncio.TimerHandle] = None
 
     def resolve(self, outcome: Any) -> None:
         """Resolve the caller's future exactly once (idempotent)."""
@@ -237,8 +246,11 @@ class Frontend:
         self._lanes: Dict[str, _Lane] = {}
         self._closed = False
         self._draining = False
-        # One dispatch thread: the engine shares a single simulator, so
-        # flushes (across kinds) serialize here instead of racing it.
+        # One dispatch slot: the engine shares a single simulator, so
+        # every lane waits for the slot and flushes (across kinds)
+        # never overlap; the executor's one thread only runs them.
+        # Made with the first lane, inside the running loop.
+        self._slot: Optional[asyncio.Lock] = None
         self._executor: Optional[ThreadPoolExecutor] = None
 
     # -- submission ----------------------------------------------------
@@ -347,6 +359,10 @@ class Frontend:
         m = self.metrics
         m.counter("repro_frontend_admissions_total", kind=lane.kind, outcome="accepted").inc()
         m.gauge("repro_frontend_queue_depth", mode="max", kind=lane.kind).set(len(lane.queue))
+        if pending.expires_at is not None:
+            pending.timer = asyncio.get_running_loop().call_later(
+                pending.expires_at - time.perf_counter(), self._expire, lane, pending
+            )
         lane.arrival.set()
 
     async def _await_grant(self, lane: _Lane, pending: _Pending) -> None:
@@ -430,6 +446,8 @@ class Frontend:
     def _lane(self, kind: str) -> _Lane:
         lane = self._lanes.get(kind)
         if lane is None:
+            if self._slot is None:
+                self._slot = asyncio.Lock()
             lane = self._lanes[kind] = _Lane(kind)
             lane.task = asyncio.get_running_loop().create_task(
                 self._coalesce(lane), name=f"repro-frontend-{kind}"
@@ -438,9 +456,8 @@ class Frontend:
 
     # -- the coalescer -------------------------------------------------
     async def _coalesce(self, lane: _Lane) -> None:
-        """Drain one lane forever: wait, coalesce, flush, resolve."""
+        """Drain one lane forever: wait for work and the slot, flush."""
         cfg = self.config
-        max_wait = cfg.max_wait_ms / 1000.0
         while True:
             # Sleep until the lane has at least one request (or drain).
             while not lane.queue:
@@ -448,69 +465,58 @@ class Frontend:
                     return
                 lane.arrival.clear()
                 await lane.arrival.wait()
-            # Coalesce: hold the flush until size or deadline.  Expired
-            # requests are swept out while we wait, so a dead-on-arrival
-            # deadline never rides into a dispatch.
-            await self._sweep_expired(lane)
-            if not lane.queue:
-                continue
-            deadline = lane.queue[0].enqueued_at + max_wait
-            while len(lane.queue) < cfg.max_batch and not self._draining:
+            async with self._slot:
+                # A request whose deadline timer is due but has not run
+                # yet must not ride into the dispatch either.
                 now = time.perf_counter()
-                remaining = deadline - now
-                if remaining <= 0:
-                    break
-                expiries = [
-                    p.expires_at - now
-                    for p in lane.queue
-                    if p.expires_at is not None
-                ]
-                if expiries:
-                    remaining = min(remaining, max(min(expiries), 0.0))
-                lane.arrival.clear()
-                try:
-                    await asyncio.wait_for(lane.arrival.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    pass
-                swept = await self._sweep_expired(lane)
-                if not swept and deadline - time.perf_counter() <= 0:
-                    break
+                for pending in [p for p in lane.queue
+                                if p.expires_at is not None and now >= p.expires_at]:
+                    self._expire(lane, pending)
                 if not lane.queue:
-                    break
-            if not lane.queue:
-                continue
-            if len(lane.queue) >= cfg.max_batch:
-                reason = FLUSH_SIZE
-            elif self._draining:
-                reason = FLUSH_DRAIN
-            else:
-                reason = FLUSH_DEADLINE
-            batch = _take_batch(lane.queue, cfg.max_batch)
-            self._grant_space(lane)
-            self.metrics.gauge(
-                "repro_frontend_queue_depth", mode="max", kind=lane.kind
-            ).set(len(lane.queue))
-            await self._flush(lane.kind, batch, reason)
+                    continue
+                if len(lane.queue) >= cfg.max_batch:
+                    reason = FLUSH_SIZE
+                elif self._draining:
+                    reason = FLUSH_DRAIN
+                else:
+                    reason = FLUSH_IDLE
+                batch = _take_batch(lane.queue, cfg.max_batch)
+                for pending in batch:
+                    if pending.timer is not None:
+                        pending.timer.cancel()
+                self._grant_space(lane)
+                self.metrics.gauge(
+                    "repro_frontend_queue_depth", mode="max", kind=lane.kind
+                ).set(len(lane.queue))
+                await self._flush(lane.kind, batch, reason)
             await self._await_rejoin(lane, Counter(p.source for p in batch))
 
     async def _await_rejoin(self, lane: _Lane, served: Counter) -> None:
         """Hold a full next batch up to ``max_wait_ms`` for the sources
-        a flush just answered to queue as many requests again.
+        a flush just answered to send as many requests again.
 
         Their callers can only send again once the answers are back,
         while a source with a backlog (a firehose) is ready at once;
         flushing the backlog immediately would hand every other batch
-        to it alone.  Without a full batch queued, or after a
-        single-source flush, nothing waits.
+        to it alone.  Only requests admitted after the flush count: a
+        source's leftover from before it is not an answer to it, and
+        counting leftovers releases the hold at a polite source's first
+        re-send, locking its share below its window.  Without a full
+        batch queued, or after a single-source flush, nothing waits.
+        The lane holds no slot meanwhile, so other lanes dispatch.
         """
         cfg = self.config
+        if len(served) < 2:
+            return
+        # Keyed by id, holding the requests keeps the ids unique.
+        leftover = {id(p): p for p in lane.queue}
         until = time.perf_counter() + cfg.max_wait_ms / 1000.0
-        while len(served) > 1 and not self._draining:
+        while not self._draining:
             remaining = until - time.perf_counter()
             if remaining <= 0 or len(lane.queue) < cfg.max_batch:
                 return
-            queued = Counter(p.source for p in lane.queue)
-            if all(queued[source] >= n for source, n in served.items()):
+            fresh = Counter(p.source for p in lane.queue if id(p) not in leftover)
+            if all(fresh[source] >= n for source, n in served.items()):
                 return
             lane.arrival.clear()
             try:
@@ -518,46 +524,30 @@ class Frontend:
             except asyncio.TimeoutError:
                 return
 
-    async def _sweep_expired(self, lane: _Lane) -> int:
-        """Resolve every expired queued request with a deadline failure.
+    def _expire(self, lane: _Lane, pending: _Pending) -> None:
+        """Resolve a queued request whose deadline passed, unrun.
 
-        Runs inside the coalescer between waits, so an expired request
-        is resolved (exactly once, with a typed envelope) instead of
-        dispatching late.  Returns how many requests were swept and
-        grants the freed space to blocked submitters.
+        The request's deadline timer calls this at expiry, so its
+        caller hears at the deadline even while a flush holds the slot;
+        a request no longer queued (taken, withdrawn, shed) is left
+        alone.  The freed space goes to blocked submitters.
         """
+        if not _remove(lane.queue, pending):
+            return
         now = time.perf_counter()
-        expired: List[_Pending] = []
-        alive: List[_Pending] = []
-        for p in lane.queue:
-            (expired if p.expires_at is not None and now >= p.expires_at
-             else alive).append(p)
-        if not expired:
-            return 0
-        lane.queue.clear()
-        lane.queue.extend(alive)
         m = self.metrics
-        for pending in expired:
-            m.counter("repro_deadline_expired_total", stage="queued").inc()
-            m.counter(
-                "repro_frontend_resolved_total", kind=lane.kind, outcome="failed"
-            ).inc()
-            pending.resolve(
-                Failed(
-                    kind=KIND_DEADLINE,
-                    message=(
-                        f"deadline expired after "
-                        f"{(now - pending.enqueued_at) * 1e3:.1f} ms in the "
-                        f"{lane.kind} queue"
-                    ),
-                    latency=now - pending.enqueued_at,
-                )
-            )
-        m.gauge("repro_frontend_queue_depth", mode="max", kind=lane.kind).set(
-            len(lane.queue)
-        )
+        m.counter("repro_deadline_expired_total", stage="queued").inc()
+        m.counter("repro_frontend_resolved_total", kind=lane.kind, outcome="failed").inc()
+        pending.resolve(Failed(
+            kind=KIND_DEADLINE,
+            message=(
+                f"deadline expired after {(now - pending.enqueued_at) * 1e3:.1f} ms "
+                f"in the {lane.kind} queue"
+            ),
+            latency=now - pending.enqueued_at,
+        ))
+        m.gauge("repro_frontend_queue_depth", mode="max", kind=lane.kind).set(len(lane.queue))
         self._grant_space(lane)
-        return len(expired)
 
     async def _flush(self, kind: str, batch: List[_Pending], reason: str) -> None:
         """Dispatch one coalesced batch and resolve every future in it."""

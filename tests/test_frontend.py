@@ -2,10 +2,11 @@
 
 The front door's promises (docs/serving.md, "The asyncio front door"):
 
-* **flush on size** — a lane flushes the moment it holds ``max_batch``
-  requests, without waiting out the deadline;
-* **flush on deadline** — a lone request waits at most ``max_wait_ms``
-  before its (small) batch dispatches;
+* **flush on size** — a flush takes at most ``max_batch`` requests;
+* **work-conserving dispatch** — a lane dispatches as soon as it holds a
+  request and the one dispatch slot is free, so a lone request never
+  waits on a timer, and requests that arrive during a flush leave
+  together in the next one;
 * **FIFO within a kind** — payloads reach the engine in submission
   order, across flush boundaries;
 * **resolve exactly once** — every admitted future resolves exactly
@@ -28,6 +29,7 @@ import random
 import threading
 import time
 import zlib
+from collections import Counter, deque
 
 import pytest
 
@@ -73,16 +75,34 @@ class StubEngine:
         return BatchResult(results=[("echo", p) for _, p in jobs])
 
 
+class GatedEngine(StubEngine):
+    """Stub whose flushes wait for ``gate`` (set from the test)."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+
+    def run_jobs(self, jobs, **kwargs):
+        self.gate.wait(timeout=30)
+        return super().run_jobs(jobs, **kwargs)
+
+
 def run(coro):
     """Run one async test body (no pytest-asyncio dependency)."""
     return asyncio.run(asyncio.wait_for(coro, timeout=60))
+
+
+async def settle(turns: int = 20) -> None:
+    """Let the event loop run every ready task a few times over."""
+    for _ in range(turns):
+        await asyncio.sleep(0)
 
 
 class TestFlushOnSize:
     def test_full_batch_flushes_immediately(self):
         async def body():
             stub = StubEngine()
-            # The deadline is far away: only the size trigger can flush.
+            # The rejoin bound is far away: nothing may wait on it.
             async with Frontend(stub, metrics=MetricsRegistry(), max_batch=4,
                                 max_wait_ms=10_000.0) as fe:
                 t0 = time.perf_counter()
@@ -91,12 +111,12 @@ class TestFlushOnSize:
                 )
                 elapsed = time.perf_counter() - t0
                 assert results == [("echo", i) for i in range(8)]
-                # Two full flushes, neither waited for the deadline.
+                # Two full flushes, neither waited for the rejoin bound.
                 assert [len(p) for _, p in stub.batches] == [4, 4]
                 assert elapsed < 5.0
                 flushes = "repro_frontend_flushes_total"
                 assert count(fe.metrics, flushes, reason="size") == 2
-                assert count(fe.metrics, flushes, reason="deadline") == 0
+                assert count(fe.metrics, flushes, reason="idle") == 0
             return fe
 
         fe = run(body())
@@ -118,42 +138,63 @@ class TestFlushOnSize:
         run(body())
 
 
-class TestFlushOnDeadline:
-    def test_lone_request_pays_at_most_the_deadline(self):
+class TestWorkConservingDispatch:
+    def test_lone_request_at_an_idle_door_dispatches_at_once(self):
         async def body():
             stub = StubEngine()
+            # The rejoin bound is huge: nothing may wait on it.
             async with Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
-                                max_wait_ms=25.0) as fe:
+                                max_wait_ms=10_000.0) as fe:
                 t0 = time.perf_counter()
                 result = await fe.submit("sm", 7)
                 elapsed = time.perf_counter() - t0
             assert result == ("echo", 7)
-            # Flushed by the deadline, not by a full batch ...
+            assert elapsed < 1.0
             flushes = "repro_frontend_flushes_total"
             assert count(fe.metrics, flushes) == 1
-            assert count(fe.metrics, flushes, reason="deadline") == 1
-            # ... after waiting roughly max_wait_ms (generous upper
-            # bound for loaded CI machines).
-            assert 0.02 <= elapsed < 5.0
+            assert count(fe.metrics, flushes, reason="idle") == 1
             assert stub.batches == [("sm", [7])]
 
         run(body())
 
-    def test_deadline_timer_starts_at_oldest_request(self):
+    def test_arrivals_during_a_flush_leave_in_the_next_one(self):
         async def body():
-            stub = StubEngine()
-            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
-                                max_wait_ms=80.0) as fe:
-                first = asyncio.ensure_future(fe.submit("sm", "old"))
-                await asyncio.sleep(0.03)
-                second = asyncio.ensure_future(fe.submit("sm", "young"))
-                await asyncio.gather(first, second)
-            # The late arrival rode the older request's deadline: one
-            # flush, both requests, oldest first.
-            assert stub.batches == [("sm", ["old", "young"])]
+            stub = GatedEngine()
+            async with Frontend(stub, metrics=MetricsRegistry(), max_batch=8,
+                                max_wait_ms=10_000.0) as fe:
+                first = asyncio.ensure_future(fe.submit("sm", "x0"))
+                await settle()  # x0's flush holds the slot at the gate
+                names = ["a0", "b0", "a1", "a2", "b1"]
+                rest = [asyncio.ensure_future(fe.submit("sm", n, source=n[0]))
+                        for n in names]
+                await settle()
+                stub.gate.set()
+                await asyncio.gather(first, *rest)
+            # One flush for everything that queued behind x0, one
+            # request per source per rotation, FIFO within a source.
+            assert stub.batches == [
+                ("sm", ["x0"]), ("sm", ["a0", "b0", "a1", "b1", "a2"]),
+            ]
             flushes = "repro_frontend_flushes_total"
-            assert count(fe.metrics, flushes) == 1
-            assert count(fe.metrics, flushes, reason="deadline") == 1
+            assert count(fe.metrics, flushes, reason="idle") == 2
+
+        run(body())
+
+    def test_a_lane_waits_while_another_lanes_flush_holds_the_slot(self):
+        async def body():
+            stub = GatedEngine()
+            # No rejoin hold at all: only the slot can keep d0 waiting.
+            async with Frontend(stub, max_batch=8, max_wait_ms=0.0) as fe:
+                sm = asyncio.ensure_future(fe.submit("sm", "s0"))
+                await settle()  # s0's flush holds the slot at the gate
+                dh = [asyncio.ensure_future(fe.submit("dh", "d0"))]
+                await settle()  # the dh lane waits for the slot ...
+                dh.append(asyncio.ensure_future(fe.submit("dh", "d1")))
+                await settle()
+                stub.gate.set()
+                await asyncio.gather(sm, *dh)
+            # ... so d1 still joins d0's flush, after s0's.
+            assert stub.batches == [("sm", ["s0"]), ("dh", ["d0", "d1"])]
 
         run(body())
 
@@ -170,7 +211,7 @@ class TestFIFOWithinKind:
                 tasks = []
                 for i in range(40):
                     tasks.append(asyncio.ensure_future(fe.submit("sm", i)))
-                    # Random pauses force a mix of size and deadline
+                    # Random pauses force a mix of size and idle
                     # flushes along the way.
                     if rng.random() < 0.3:
                         await asyncio.sleep(rng.random() * 0.01)
@@ -268,17 +309,48 @@ class TestSourceFairness:
 
         run(body())
 
+    def test_rejoin_counts_only_arrivals_after_the_flush(self):
+        """A polite source's leftovers never release the hold early.
 
-class GatedEngine(StubEngine):
-    """Stub whose flushes wait for ``gate`` (set from the test)."""
+        P keeps 3 requests outstanding and sends the next one as each
+        answer comes back, one at a time; F keeps 12 outstanding.  The
+        first flush takes one of P's and the other two queue while it
+        runs.  Counting those leftovers toward P's rejoin would release
+        the hold at P's first re-send and lock every later batch at
+        4 F to 2 P; counting only fresh arrivals gives P its whole
+        window, 3 of 6, however the re-sends are spaced.
+        """
 
-    def __init__(self):
-        super().__init__()
-        self.gate = threading.Event()
+        async def body():
+            stub = GatedEngine()
+            fe = Frontend(stub, max_batch=6, max_wait_ms=10_000.0, max_queue=100)
+            stop = False
 
-    def run_jobs(self, jobs, **kwargs):
-        self.gate.wait(timeout=30)
-        return super().run_jobs(jobs, **kwargs)
+            async def firehose():
+                while not stop:
+                    await fe.submit("sm", "F", source="F")
+
+            def polite():
+                return asyncio.ensure_future(fe.submit("sm", "P", source="P"))
+
+            workers = [asyncio.ensure_future(firehose()) for _ in range(12)]
+            window = deque([polite()])
+            await settle()  # the first flush takes P and 5 F, held at the gate
+            window.extend([polite(), polite()])
+            await settle()
+            stub.gate.set()
+            while len(stub.batches) < 7:
+                await window.popleft()
+                window.append(polite())
+                await settle()
+            stop = True
+            await fe.aclose()
+            await asyncio.gather(*workers, *window)
+            mixes = [Counter(payloads) for _, payloads in stub.batches[:7]]
+            assert mixes[0] == {"F": 5, "P": 1}
+            assert mixes[1:] == [{"F": 3, "P": 3}] * 6, mixes
+
+        run(body())
 
 
 class TestSourceAwareAdmission:
@@ -586,23 +658,26 @@ class TestDeadlines:
         from repro.serve.faults import KIND_DEADLINE
 
         async def body():
-            stub = StubEngine()
-            # The flush deadline is far away: only the sweep can save us.
+            stub = GatedEngine()
             async with Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
                                 max_wait_ms=10_000.0) as fe:
+                held = asyncio.ensure_future(fe.submit("sm", "held"))
+                await settle()  # "held" holds the slot at the gate
                 t0 = time.perf_counter()
                 outcome = await fe.submit_outcome("sm", 7, deadline=0.02)
                 elapsed = time.perf_counter() - t0
+                stub.gate.set()
+                await held
             assert isinstance(outcome, Failed)
             assert outcome.kind == KIND_DEADLINE
-            # Resolved at expiry, not at the 10 s flush deadline.
+            # Resolved at expiry, not when the 30 s gate lets the slot go.
             assert elapsed < 5.0
             # The request never dispatched.
-            assert stub.batches == []
+            assert stub.batches == [("sm", ["held"])]
             assert count(fe.metrics, "repro_deadline_expired_total",
                          stage="queued") == 1
             assert count(fe.metrics, "repro_frontend_admissions_total",
-                         outcome="accepted") == 1
+                         outcome="accepted") == 2
 
         run(body())
 
@@ -610,10 +685,15 @@ class TestDeadlines:
         from repro.serve.faults import DeadlineExceeded
 
         async def body():
-            async with Frontend(StubEngine(), max_batch=64,
+            stub = GatedEngine()
+            async with Frontend(stub, max_batch=64,
                                 max_wait_ms=10_000.0) as fe:
+                held = asyncio.ensure_future(fe.submit("sm", "held"))
+                await settle()  # "held" holds the slot at the gate
                 with pytest.raises(DeadlineExceeded):
                     await fe.submit("sm", 7, deadline=0.02)
+                stub.gate.set()
+                await held
 
         run(body())
 
@@ -654,10 +734,15 @@ class TestDeadlines:
         from repro.serve.faults import KIND_DEADLINE
 
         async def body():
-            async with Frontend(StubEngine(), max_batch=64,
+            stub = GatedEngine()
+            async with Frontend(stub, max_batch=64,
                                 max_wait_ms=10_000.0,
                                 default_deadline_ms=20.0) as fe:
+                held = asyncio.ensure_future(fe.submit_outcome("sm", "held"))
+                await settle()  # "held" holds the slot at the gate
                 outcome = await fe.submit_outcome("sm", 1)
+                stub.gate.set()
+                await held
             assert isinstance(outcome, Failed)
             assert outcome.kind == KIND_DEADLINE
 

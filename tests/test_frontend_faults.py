@@ -181,16 +181,21 @@ class TestBackpressure:
         run(body())
 
     def test_shed_policy_fails_oldest_with_overloaded_envelope(self):
-        from tests.test_frontend import StubEngine
+        from tests.test_frontend import GatedEngine, settle
 
         async def body():
-            stub = StubEngine(delay=0.05)
+            stub = GatedEngine()
             fe = Frontend(stub, metrics=MetricsRegistry(), max_batch=64,
                           max_wait_ms=100.0, max_queue=1, policy="shed")
+            held = asyncio.ensure_future(fe.submit_outcome("sm", "held"))
+            await settle()  # "held" holds the slot at the gate
             oldest = asyncio.ensure_future(fe.submit_outcome("sm", "old"))
             await asyncio.sleep(0)
             newest = asyncio.ensure_future(fe.submit_outcome("sm", "new"))
-            shed, kept = await asyncio.gather(oldest, newest)
+            shed = await oldest
+            stub.gate.set()
+            await held
+            kept = await newest
             assert isinstance(shed, Failed) and shed.kind == KIND_OVERLOADED
             # The envelope re-materializes as the typed error.
             assert isinstance(shed.to_exception(), Overloaded)
